@@ -68,6 +68,25 @@ def _denoised_volume(volume: Volume, q: float, noise_window: int) -> np.ndarray:
     return out
 
 
+def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
+    """Validate a volume and its optional background, which must match the
+    volume's grid and dt."""
+    validate_volume(volume)
+    if background is None:
+        return
+    validate_volume(background)
+    if (background.nx, background.ny, background.nt) != (volume.nx, volume.ny, volume.nt):
+        raise DataError(
+            "background dimensions "
+            f"{background.nx}x{background.ny}x{background.nt} do not match "
+            f"volume {volume.nx}x{volume.ny}x{volume.nt}"
+        )
+    if background.dt != volume.dt:
+        raise DataError(
+            f"background dt {background.dt!r} does not match volume dt {volume.dt!r}"
+        )
+
+
 def pipeline_denoise(
     volume: Volume,
     background: Optional[Volume],
@@ -80,7 +99,7 @@ def pipeline_denoise(
     leading-window noise estimate.  When a background volume is given it is
     processed identically and subtracted pointwise.
     """
-    validate_volume(volume)
+    _check_inputs(volume, background)
     if noise_window is None:
         noise_window = default_noise_window(volume.nt)
     noise_window = int(noise_window)
@@ -89,21 +108,6 @@ def pipeline_denoise(
 
     out = _denoised_volume(volume, q, noise_window)
     if background is not None:
-        validate_volume(background)
-        if (background.nx, background.ny, background.nt) != (
-            volume.nx,
-            volume.ny,
-            volume.nt,
-        ):
-            raise DataError(
-                "background dimensions "
-                f"{background.nx}x{background.ny}x{background.nt} do not match "
-                f"volume {volume.nx}x{volume.ny}x{volume.nt}"
-            )
-        if background.dt != volume.dt:
-            raise DataError(
-                f"background dt {background.dt!r} does not match volume dt {volume.dt!r}"
-            )
         out = out - _denoised_volume(background, q, noise_window)
     return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)
 
@@ -115,24 +119,7 @@ def baseline_denoise(
 ) -> Volume:
     """Reference method: low-pass every trace, then subtract the low-passed
     background when one is given."""
-    validate_volume(volume)
-    if background is not None:
-        validate_volume(background)
-        if (background.nx, background.ny, background.nt) != (
-            volume.nx,
-            volume.ny,
-            volume.nt,
-        ):
-            raise DataError(
-                "background dimensions "
-                f"{background.nx}x{background.ny}x{background.nt} do not match "
-                f"volume {volume.nx}x{volume.ny}x{volume.nt}"
-            )
-        if background.dt != volume.dt:
-            raise DataError(
-                f"background dt {background.dt!r} does not match volume dt {volume.dt!r}"
-            )
-
+    _check_inputs(volume, background)
     nt = volume.nt
     out = np.empty(volume.nx * volume.ny * nt)
     for x in range(volume.nx):

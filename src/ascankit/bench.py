@@ -13,14 +13,23 @@ The definitions are immutable: any change to an entry requires bumping
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .adapt import default_noise_window, estimate_r, select_q
 from .baseline import baseline_denoise, pipeline_denoise
-from .io import PipelineConfig, format_kv, parse_kv
+from .io import (
+    PipelineConfig,
+    config_from_strings,
+    config_to_strings,
+    float_field,
+    format_kv,
+    int_field,
+    parse_kv,
+    require_field,
+)
 from .kalman import kf_filter, random_walk_params
 from .metrics import envelope, psnr
 from .model import DataError, QSelectionReport, RoiSpec, Trace, Volume
@@ -31,6 +40,7 @@ __all__ = [
     "CORPUS_VERSION",
     "GAIN_TOLERANCE_DB",
     "ExpectedStats",
+    "ZERO_STATS",
     "CorpusEntry",
     "bench_corpus",
     "corpus_entry",
@@ -67,6 +77,10 @@ class ExpectedStats:
     fwd_peak_late: int
     smoothed_peak_aligned: int
     mean_gain_db: Optional[float]
+
+
+#: The bundle carried by a scan that has never been scored.
+ZERO_STATS = ExpectedStats(0.0, None, 0, 0, 0, None)
 
 
 @dataclass(frozen=True)
@@ -441,19 +455,6 @@ def measure_entry(
 # ---------------------------------------------------------------------------
 # manifest serialization
 
-_MANIFEST_SYNTH_KEYS = (
-    "synth_nt",
-    "synth_dt",
-    "synth_pulse_center_hz",
-    "synth_pulse_time_s",
-    "synth_pulse_amp",
-    "synth_noise_sigma",
-    "synth_impulse_rate",
-    "synth_impulse_amp",
-    "synth_reflections",
-    "synth_seed",
-)
-
 
 def _format_reflections(reflections: Tuple[Tuple[float, float], ...]) -> str:
     return ";".join(f"{t!r},{a!r}" for t, a in reflections)
@@ -497,6 +498,13 @@ def _parse_mask(text: str, source: str) -> FrozenSet[Tuple[int, int]]:
     return frozenset(mask)
 
 
+#: Config keys a manifest must carry.  ``q``, ``seed`` and ``background_path``
+#: may be left out of a hand-written manifest; they are checked when present
+#: but do not enter the entry.
+_MANIFEST_CONFIG_KEYS = ("noise_window", "roi", "q_grid", "n_sample", "lp_cutoff_hz")
+_OPTIONAL_CONFIG_KEYS = ("q", "seed", "background_path")
+
+
 def format_manifest(entry: CorpusEntry) -> str:
     """Serialize an entry to the manifest text format.
 
@@ -505,7 +513,6 @@ def format_manifest(entry: CorpusEntry) -> str:
     version, and the truth-mask coordinate list.
     """
     spec = entry.spec
-    config = entry.config()
     pairs: Dict[str, str] = {
         "corpus_version": CORPUS_VERSION,
         "entry": entry.name,
@@ -521,14 +528,7 @@ def format_manifest(entry: CorpusEntry) -> str:
         "synth_impulse_amp": repr(spec.impulse_amp),
         "synth_reflections": _format_reflections(spec.reflections),
         "synth_seed": str(spec.seed),
-        "q": "auto" if config.q == "auto" else repr(config.q),
-        "noise_window": str(config.noise_window),
-        "roi": f"{entry.roi.t_lo}:{entry.roi.t_hi}",
-        "q_grid": "" if config.q_grid is None else ",".join(repr(g) for g in config.q_grid),
-        "n_sample": str(config.n_sample),
-        "seed": str(config.seed),
-        "lp_cutoff_hz": repr(config.lp_cutoff_hz),
-        "background_path": config.background_path or "",
+        **config_to_strings(entry.config()),
         "mask": _format_mask(entry.mask),
     }
     return format_kv(pairs)
@@ -543,94 +543,36 @@ def parse_manifest(text: str, source: str = "<manifest>") -> CorpusEntry:
     agrees, and an ad-hoc manifest gets a zeroed bundle.
     """
     pairs = parse_kv(text, source=source)
-
-    def need(key: str) -> str:
-        if key not in pairs:
-            raise DataError(f"{source}: missing required field {key!r}")
-        return pairs[key]
-
-    def as_int(key: str) -> int:
-        raw = need(key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise DataError(f"{source}: field {key!r} is not an integer: {raw!r}") from None
-
-    def as_float(key: str) -> float:
-        raw = need(key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataError(f"{source}: field {key!r} is not a number: {raw!r}") from None
-
     spec = SynthSpec(
-        nt=as_int("synth_nt"),
-        dt=as_float("synth_dt"),
-        pulse_center_hz=as_float("synth_pulse_center_hz"),
-        pulse_time_s=as_float("synth_pulse_time_s"),
-        pulse_amp=as_float("synth_pulse_amp"),
-        noise_sigma=as_float("synth_noise_sigma"),
-        impulse_rate=as_float("synth_impulse_rate"),
-        impulse_amp=as_float("synth_impulse_amp"),
-        reflections=_parse_reflections(need("synth_reflections"), source),
-        seed=as_int("synth_seed"),
+        nt=int_field(pairs, "synth_nt", source),
+        dt=float_field(pairs, "synth_dt", source),
+        pulse_center_hz=float_field(pairs, "synth_pulse_center_hz", source),
+        pulse_time_s=float_field(pairs, "synth_pulse_time_s", source),
+        pulse_amp=float_field(pairs, "synth_pulse_amp", source),
+        noise_sigma=float_field(pairs, "synth_noise_sigma", source),
+        impulse_rate=float_field(pairs, "synth_impulse_rate", source),
+        impulse_amp=float_field(pairs, "synth_impulse_amp", source),
+        reflections=_parse_reflections(require_field(pairs, "synth_reflections", source), source),
+        seed=int_field(pairs, "synth_seed", source),
     )
-    roi_raw = need("roi")
-    lo, sep, hi = roi_raw.partition(":")
-    if not sep:
-        raise DataError(f"{source}: roi {roi_raw!r} is not 't_lo:t_hi'")
-    try:
-        roi = RoiSpec(int(lo), int(hi))
-    except ValueError:
-        raise DataError(f"{source}: roi {roi_raw!r} has a non-integer bound") from None
-    grid_raw = need("q_grid")
-    grid_parts = [p for p in (s.strip() for s in grid_raw.split(",")) if p]
-    q_grid: Optional[Tuple[float, ...]]
-    if grid_parts:
-        try:
-            q_grid = tuple(float(p) for p in grid_parts)
-        except ValueError:
-            raise DataError(f"{source}: q_grid has a non-numeric value") from None
-    else:
-        q_grid = None
-    window_raw = need("noise_window")
-    noise_window = None if window_raw == "auto" else as_int("noise_window")
-
+    config_pairs = {key: require_field(pairs, key, source) for key in _MANIFEST_CONFIG_KEYS}
+    config_pairs.update((key, pairs[key]) for key in _OPTIONAL_CONFIG_KEYS if key in pairs)
+    config = config_from_strings(config_pairs, source=source)
     candidate = CorpusEntry(
-        name=need("entry"),
+        name=require_field(pairs, "entry", source),
         spec=spec,
-        nx=as_int("nx"),
-        ny=as_int("ny"),
-        mask=_parse_mask(need("mask"), source),
-        roi=roi,
-        lp_cutoff_hz=as_float("lp_cutoff_hz"),
-        noise_window=noise_window,
-        q_grid=q_grid,
-        n_sample=as_int("n_sample"),
-        expected=ExpectedStats(
-            q_final=0.0,
-            clean_peak=None,
-            n_pulse_traces=0,
-            fwd_peak_late=0,
-            smoothed_peak_aligned=0,
-            mean_gain_db=None,
-        ),
+        nx=int_field(pairs, "nx", source),
+        ny=int_field(pairs, "ny", source),
+        mask=_parse_mask(require_field(pairs, "mask", source), source),
+        roi=config.roi,
+        lp_cutoff_hz=config.lp_cutoff_hz,
+        noise_window=None if config.noise_window == "auto" else config.noise_window,
+        q_grid=config.q_grid,
+        n_sample=config.n_sample,
+        expected=ZERO_STATS,
     )
     if pairs.get("corpus_version") == CORPUS_VERSION:
         for entry in _ENTRIES:
-            if entry.name == candidate.name and _same_definition(entry, candidate):
+            if replace(entry, expected=ZERO_STATS) == candidate:
                 return entry
     return candidate
-
-
-def _same_definition(a: CorpusEntry, b: CorpusEntry) -> bool:
-    return (
-        a.spec == b.spec
-        and (a.nx, a.ny) == (b.nx, b.ny)
-        and a.mask == b.mask
-        and (a.roi.t_lo, a.roi.t_hi) == (b.roi.t_lo, b.roi.t_hi)
-        and a.lp_cutoff_hz == b.lp_cutoff_hz
-        and a.noise_window == b.noise_window
-        and a.q_grid == b.q_grid
-        and a.n_sample == b.n_sample
-    )

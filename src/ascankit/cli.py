@@ -27,11 +27,12 @@ import numpy as np
 from . import __version__
 from .adapt import default_noise_window, select_q
 from .baseline import baseline_denoise, pipeline_denoise
-from .bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
+from .bench import ZERO_STATS, CorpusEntry, corpus_entry, format_manifest, parse_manifest
 from .io import (
     PipelineConfig,
     atomic_write_text,
     config_from_strings,
+    config_to_strings,
     format_kv,
     read_config,
     read_volume,
@@ -157,16 +158,6 @@ def _resolve_q(config: PipelineConfig, volume: Volume) -> float:
 # synth
 
 
-_ZERO_STATS = ExpectedStats(
-    q_final=0.0,
-    clean_peak=None,
-    n_pulse_traces=0,
-    fwd_peak_late=0,
-    smoothed_peak_aligned=0,
-    mean_gain_db=None,
-)
-
-
 def _default_entry() -> CorpusEntry:
     """Ad-hoc 4x4 scan around the stock synthetic spec, for quick trials."""
     spec = default_spec()
@@ -181,7 +172,7 @@ def _default_entry() -> CorpusEntry:
         noise_window=None,
         q_grid=None,
         n_sample=16,
-        expected=_ZERO_STATS,
+        expected=ZERO_STATS,
     )
 
 
@@ -208,21 +199,6 @@ def _clean_volume(entry: CorpusEntry) -> Volume:
         offset = (x * entry.ny + y) * nt
         data[offset : offset + nt] = clean
     return Volume(nx=entry.nx, ny=entry.ny, nt=nt, dt=entry.spec.dt, data=data)
-
-
-def _config_text(entry: CorpusEntry, background_name: str) -> str:
-    config = entry.config()
-    pairs = {
-        "q": "auto" if config.q == "auto" else repr(config.q),
-        "noise_window": str(config.noise_window),
-        "roi": f"{entry.roi.t_lo}:{entry.roi.t_hi}",
-        "q_grid": "" if config.q_grid is None else ",".join(repr(g) for g in config.q_grid),
-        "n_sample": str(config.n_sample),
-        "seed": str(config.seed),
-        "lp_cutoff_hz": repr(config.lp_cutoff_hz),
-        "background_path": background_name,
-    }
-    return format_kv(pairs)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -255,7 +231,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         provenance=note + ", noiseless ground truth",
     )
     atomic_write_text(paths["manifest"], format_manifest(entry))
-    atomic_write_text(paths["config"], _config_text(entry, f"{name}-background.pavol"))
+    config = dataclasses.replace(entry.config(), background_path=f"{name}-background.pavol")
+    atomic_write_text(paths["config"], format_kv(config_to_strings(config)))
     for label in ("scan", "background", "clean", "manifest", "config"):
         print(f"wrote {paths[label]}")
     return 0

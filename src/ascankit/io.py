@@ -37,7 +37,12 @@ __all__ = [
     "write_csv",
     "format_csv",
     "read_config",
+    "config_from_strings",
+    "config_to_strings",
     "parse_roi",
+    "require_field",
+    "int_field",
+    "float_field",
 ]
 
 VOLUME_MAGIC = "PAVOL1"
@@ -113,7 +118,7 @@ def parse_kv(text: str, source: str = "<string>") -> Dict[str, str]:
     return pairs
 
 
-def _require(pairs: Mapping[str, str], key: str, source: str) -> str:
+def require_field(pairs: Mapping[str, str], key: str, source: str) -> str:
     if key not in pairs:
         raise DataError(f"{source}: missing required field {key!r}")
     return pairs[key]
@@ -131,6 +136,14 @@ def _parse_float(text: str, key: str, source: str) -> float:
         return float(text)
     except ValueError:
         raise DataError(f"{source}: field {key!r} is not a number: {text!r}") from None
+
+
+def int_field(pairs: Mapping[str, str], key: str, source: str) -> int:
+    return _parse_int(require_field(pairs, key, source), key, source)
+
+
+def float_field(pairs: Mapping[str, str], key: str, source: str) -> float:
+    return _parse_float(require_field(pairs, key, source), key, source)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +178,18 @@ def write_volume(
     }
     if provenance is not None:
         pairs["provenance"] = provenance
-    raw = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype]).tobytes()
-    atomic_write_bytes(path + ".bin", raw)
+    with np.errstate(over="ignore"):
+        samples = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype])
+    overflow = ~np.isfinite(samples)
+    if overflow.any():
+        flat = int(np.flatnonzero(overflow)[0])
+        x, rem = divmod(flat, volume.ny * volume.nt)
+        y, t = divmod(rem, volume.nt)
+        raise DataError(
+            f"volume sample at (x={x}, y={y}, t={t}) = {float(volume.data[flat])!r} "
+            f"overflows {dtype}"
+        )
+    atomic_write_bytes(path + ".bin", samples.tobytes())
     atomic_write_text(path, format_kv(pairs))
 
 
@@ -178,14 +201,12 @@ def read_volume(path: str) -> Volume:
     except FileNotFoundError:
         raise FileNotFoundError(f"volume header not found: {path}") from None
     pairs = parse_kv(text, source=path)
-    magic = _require(pairs, "magic", path)
+    magic = require_field(pairs, "magic", path)
     if magic != VOLUME_MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}; expected {VOLUME_MAGIC!r}")
-    nx = _parse_int(_require(pairs, "nx", path), "nx", path)
-    ny = _parse_int(_require(pairs, "ny", path), "ny", path)
-    nt = _parse_int(_require(pairs, "nt", path), "nt", path)
-    dt = _parse_float(_require(pairs, "dt", path), "dt", path)
-    dtype = _require(pairs, "dtype", path)
+    nx, ny, nt = (int_field(pairs, key, path) for key in ("nx", "ny", "nt"))
+    dt = float_field(pairs, "dt", path)
+    dtype = require_field(pairs, "dtype", path)
     if dtype not in _DTYPES:
         raise DataError(f"{path}: unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
     byte_order = pairs.get("byte_order", _BYTE_ORDER)
@@ -194,7 +215,7 @@ def read_volume(path: str) -> Volume:
     layout = pairs.get("layout", _LAYOUT)
     if layout != _LAYOUT:
         raise DataError(f"{path}: unsupported layout {layout!r}")
-    data_file = _data_path(path, _require(pairs, "data", path))
+    data_file = _data_path(path, require_field(pairs, "data", path))
     try:
         with open(data_file, "rb") as handle:
             raw = handle.read()
@@ -207,7 +228,8 @@ def read_volume(path: str) -> Volume:
             f"{data_file}: has {len(raw)} bytes but header {path} requires "
             f"{nx}*{ny}*{nt}*{item} = {expected}"
         )
-    data = np.frombuffer(raw, dtype=_DTYPES[dtype]).astype(np.float64)
+    # The Volume constructor copies, so an f64 payload is not cast again here.
+    data = np.frombuffer(raw, dtype=_DTYPES[dtype]).astype(np.float64, copy=False)
     volume = Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=data)
     return validate_volume(volume)
 
@@ -286,11 +308,11 @@ def parse_roi(text: str) -> RoiSpec:
     """Parse ``"t_lo:t_hi"`` into a RoiSpec."""
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise DataError(f"roi must look like 't_lo:t_hi', got {text!r}")
+        raise DataError(f"roi {text!r} is not 't_lo:t_hi'")
     try:
         return RoiSpec(int(lo), int(hi))
     except ValueError:
-        raise DataError(f"roi bounds must be integers, got {text!r}") from None
+        raise DataError(f"roi {text!r} has a non-integer bound; bounds must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -339,8 +361,8 @@ class PipelineConfig:
             object.__setattr__(self, "q_grid", grid)
         if not isinstance(self.n_sample, int) or self.n_sample < 1:
             raise DataError(f"n_sample must be a positive integer, got {self.n_sample!r}")
-        if not isinstance(self.seed, int):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {self.seed!r}")
         cutoff = float(self.lp_cutoff_hz)
         if not (math.isfinite(cutoff) and cutoff > 0):
             raise DataError(f"lp_cutoff_hz must be finite and positive, got {self.lp_cutoff_hz!r}")
@@ -394,9 +416,10 @@ def config_from_strings(
             # An empty value means "derive the grid from the data", matching
             # the writer, which records an auto grid as an empty field.
             parts = [p for p in (s.strip() for s in text.split(",")) if p]
-            updates["q_grid"] = (
-                tuple(_parse_float(p, "q_grid", source) for p in parts) or None
-            )
+            try:
+                updates["q_grid"] = tuple(float(p) for p in parts) or None
+            except ValueError:
+                raise DataError(f"{source}: q_grid has a non-numeric value: {text!r}") from None
         elif key == "n_sample":
             updates["n_sample"] = _parse_int(text, "n_sample", source)
         elif key == "seed":
@@ -408,3 +431,25 @@ def config_from_strings(
         else:
             raise DataError(f"{source}: unknown config key {key!r}")
     return replace(config, **updates)
+
+
+def config_to_strings(config: PipelineConfig) -> Dict[str, str]:
+    """The inverse of ``config_from_strings``: each field in its text form.
+
+    An unset roi is left out, since no text parses back to it; an unset grid
+    or background path is written as an empty field.
+    """
+    pairs = {
+        "q": "auto" if config.q == "auto" else repr(config.q),
+        "noise_window": str(config.noise_window),
+    }
+    if config.roi is not None:
+        pairs["roi"] = f"{config.roi.t_lo}:{config.roi.t_hi}"
+    pairs.update(
+        q_grid="" if config.q_grid is None else ",".join(repr(g) for g in config.q_grid),
+        n_sample=str(config.n_sample),
+        seed=str(config.seed),
+        lp_cutoff_hz=repr(config.lp_cutoff_hz),
+        background_path=config.background_path or "",
+    )
+    return pairs

@@ -192,6 +192,17 @@ class TestPipelineDenoise:
         with pytest.raises(DataError, match="dt"):
             pipeline_denoise(volume, other, 1e-4, noise_window=16)
 
+    def test_bad_background_fails_before_any_trace_is_filtered(self, monkeypatch):
+        volume, _, _ = _small_volume(seed=9)
+        small = Volume(nx=1, ny=1, nt=volume.nt, dt=volume.dt, data=np.zeros(volume.nt))
+        calls = []
+        monkeypatch.setattr(
+            "ascankit.baseline.denoise_trace", lambda *args: calls.append(args)
+        )
+        with pytest.raises(DataError, match="dimensions"):
+            pipeline_denoise(volume, small, 1e-4, noise_window=16)
+        assert calls == []
+
     def test_bad_q_is_reported_with_trace_location(self):
         volume, _, _ = _small_volume(seed=12)
         with pytest.raises(DataError, match=r"trace \(x=0, y=0\)"):

@@ -15,7 +15,7 @@ import pytest
 from ascankit.baseline import baseline_denoise, pipeline_denoise
 from ascankit.bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
 from ascankit.cli import main
-from ascankit.io import read_volume, write_volume
+from ascankit.io import parse_kv, read_volume, write_volume
 from ascankit.model import RoiSpec, Volume
 from ascankit.synth import clean_samples, default_spec
 
@@ -78,13 +78,23 @@ class TestParsing:
     @pytest.mark.parametrize(
         "flag,value",
         [("--q", "0"), ("--q", "fast"), ("--roi", "abc"), ("--q-grid", "1e-3,banana"),
-         ("--noise-window", "0"), ("--n-sample", "-3")],
+         ("--noise-window", "0"), ("--n-sample", "-3"), ("--seed", "-1")],
     )
     def test_malformed_config_values_are_usage_errors(self, capsys, tmp_path, flag, value):
         rc = main(["denoise", "--input", "in.pavol", "--output", str(tmp_path / "o.pavol"),
                    flag, value])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_seed_in_a_config_file_is_a_data_error(self, capsys, tmp_path):
+        config = tmp_path / "run.config"
+        config.write_text("seed: -1\n")
+        rc = main(["qselect", "--input", "in.pavol", "--output", str(tmp_path / "q.csv"),
+                   "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+        assert err.count("\n") == 1
 
 
 class TestSynth:
@@ -109,6 +119,13 @@ class TestSynth:
         # Empty mask: the ground-truth volume is all zeros.
         clean = read_volume(str(tmp_path / "noise-only-clean.pavol"))
         assert not clean.data.any()
+
+    def test_manifest_config_lines_equal_the_config_file(self, tiny_scan):
+        manifest = parse_kv((tiny_scan["dir"] / "tiny.manifest").read_text())
+        config = parse_kv((tiny_scan["dir"] / "tiny.config").read_text())
+        assert config.pop("background_path") == "tiny-background.pavol"
+        assert manifest.pop("background_path") == ""
+        assert {key: manifest[key] for key in config} == config
 
     def test_seed_override_changes_the_noise_not_the_name(self, tmp_path, capsys):
         manifest = tmp_path / "m.in"

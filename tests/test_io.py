@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ascankit.io import (
     PipelineConfig,
@@ -9,6 +10,7 @@ from ascankit.io import (
     atomic_write_bytes,
     atomic_write_text,
     config_from_strings,
+    config_to_strings,
     format_csv,
     format_kv,
     parse_kv,
@@ -217,6 +219,21 @@ class TestVolumeErrors:
         with pytest.raises(DataError, match="unknown dtype"):
             write_volume(_volume224(), str(tmp_path / "vol.pavol"), dtype="f16le")
 
+    def test_f32_overflow_names_the_first_sample_and_writes_nothing(self, tmp_path):
+        data = np.arange(16.0)
+        data[[6, 13]] = [-1e39, 1e300]
+        volume = Volume(nx=2, ny=2, nt=4, dt=2.5e-9, data=data)
+        with pytest.raises(DataError, match=r"\(x=0, y=1, t=2\) = -1e\+39 overflows f32le"):
+            write_volume(volume, str(tmp_path / "vol.pavol"), dtype="f32le")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_f32_max_is_written_and_read_back(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        volume = Volume(nx=1, ny=1, nt=2, dt=1e-9, data=[top, -top])
+        path = str(tmp_path / "vol.pavol")
+        write_volume(volume, path, dtype="f32le")
+        assert np.array_equal(read_volume(path).data, volume.data)
+
 
 class TestWriteImage:
     def test_pgm_bytes_and_sidecar(self, tmp_path):
@@ -329,6 +346,11 @@ class TestPipelineConfig:
         with pytest.raises(DataError, match="lp_cutoff_hz"):
             PipelineConfig(lp_cutoff_hz=cutoff)
 
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            PipelineConfig(seed=seed)
+
 
 class TestReadConfig:
     def test_full_file(self, tmp_path):
@@ -396,3 +418,34 @@ class TestReadConfig:
         assert merged.q == "auto"
         assert merged.seed == 9
         assert merged.n_sample == 4
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def _configs(draw):
+    t_lo = draw(st.integers(min_value=0, max_value=10**6))
+    return PipelineConfig(
+        q=draw(st.one_of(st.just("auto"), POSITIVE)),
+        noise_window=draw(st.one_of(st.just("auto"), st.integers(min_value=1, max_value=10**6))),
+        roi=RoiSpec(t_lo, t_lo + draw(st.integers(min_value=1, max_value=10**6))),
+        q_grid=draw(st.one_of(st.none(), st.lists(POSITIVE, min_size=1, max_size=8))),
+        n_sample=draw(st.integers(min_value=1, max_value=1000)),
+        seed=draw(st.integers(min_value=0, max_value=2**63)),
+        lp_cutoff_hz=draw(POSITIVE),
+        background_path=draw(st.one_of(st.none(), st.sampled_from(["bg.pavol", "a b/c.pavol"]))),
+    )
+
+
+class TestConfigCodec:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(config=_configs())
+    def test_strings_round_trip_through_a_file(self, config):
+        pairs = config_to_strings(config)
+        assert config_from_strings(parse_kv(format_kv(pairs))) == config
+
+    def test_unset_roi_is_left_out(self):
+        pairs = config_to_strings(PipelineConfig())
+        assert "roi" not in pairs
+        assert config_from_strings(pairs) == PipelineConfig()
