@@ -9,7 +9,7 @@ denoise-and-score path) and averaging the per-trace winners.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .model import (
     Volume,
     validate_volume,
 )
-from .rts import denoise_trace
+from .rts import _lane_ok, _smooth_lanes, denoise_trace
 
 __all__ = [
     "estimate_r",
@@ -42,12 +42,22 @@ _GRID_HI = 1e-1
 
 def estimate_r(trace: Trace, noise_window: int) -> float:
     """Mean-square of the first ``noise_window`` samples."""
+    return _noise_powers([trace.samples], _checked_window(noise_window, len(trace)))[0]
+
+
+def _checked_window(noise_window: int, n: int) -> int:
     w = int(noise_window)
-    n = len(trace)
     if not 1 <= w <= n:
         raise DataError(f"noise window {w} outside [1, {n}]")
-    head = trace.samples[:w]
-    return float(head @ head / w)
+    return w
+
+
+def _noise_powers(rows: Sequence[np.ndarray], w: int) -> List[float]:
+    # One dot product per row: a sum over an axis would add in another order
+    # and change the last bits.  An overflow is r = inf, which the filter
+    # refuses with its own one-line error, so numpy need not warn of it.
+    with np.errstate(over="ignore"):
+        return [float(head @ head / w) for head in (row[:w] for row in rows)]
 
 
 def default_noise_window(nt: int) -> int:
@@ -106,8 +116,10 @@ def select_q(
     flat_ids = rng.choice(n_traces, size=n_sample, replace=False)
     ids = [(int(i) // volume.ny, int(i) % volume.ny) for i in flat_ids]
 
-    traces = [volume.trace(x, y) for x, y in ids]
-    rs = [estimate_r(t, noise_window) for t in traces]
+    rows = volume.data.reshape(n_traces, volume.nt)
+    traces = [rows[i] for i in flat_ids]
+    window = _checked_window(noise_window, volume.nt)
+    rs = _noise_powers(traces, window)
 
     if grid is None:
         grid_arr = default_q_grid(rs)
@@ -119,17 +131,31 @@ def select_q(
             raise DataError("q grid values must be finite and > 0")
     grid_list = [float(g) for g in grid_arr]
 
+    # One lane per (trace, candidate), trace-major: lanes are scored in the
+    # order of a loop over traces and then candidates.  The kernel takes the
+    # traces before the first whose r denoise_trace refuses, and
+    # denoise_trace then raises its own error for that one.
+    stop = next((i for i, r in enumerate(rs) if not _lane_ok(grid_list[0], r)), len(rs))
+    scores = []
+    for _, smoothed in _smooth_lanes(
+        [samples for samples in traces[:stop] for _ in grid_list],
+        np.tile(grid_arr, stop),
+        np.repeat(rs[:stop], len(grid_list)),
+    ):
+        for samples in smoothed.T:
+            try:
+                scores.append(psnr(Trace(samples, volume.dt), roi))
+            except InfinitePsnrError:
+                scores.append(math.inf)
+    if stop < len(rs):
+        denoise_trace(Trace(traces[stop], volume.dt), grid_list[0], rs[stop])
+
     best_qs = []
     best_scores = []
-    for trace, r in zip(traces, rs):
+    for lo in range(0, len(scores), len(grid_list)):
         best_q = grid_list[0]
         best_score = -math.inf
-        for q_cand in grid_list:
-            denoised = denoise_trace(trace, q_cand, r)
-            try:
-                score = psnr(denoised, roi)
-            except InfinitePsnrError:
-                score = math.inf
+        for q_cand, score in zip(grid_list, scores[lo : lo + len(grid_list)]):
             if score > best_score:
                 best_score = score
                 best_q = q_cand

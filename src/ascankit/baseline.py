@@ -9,9 +9,9 @@ from typing import Optional
 import numpy as np
 from scipy.signal import filtfilt, firwin
 
-from .adapt import default_noise_window, estimate_r
+from .adapt import _checked_window, _noise_powers, default_noise_window
 from .model import DataError, Trace, Volume, validate_volume
-from .rts import denoise_trace
+from .rts import _lane_ok, _smooth_lanes, denoise_trace
 
 __all__ = [
     "differential_subtract",
@@ -52,20 +52,43 @@ def lowpass(trace: Trace, cutoff_hz: float) -> Trace:
     return Trace(filtered, trace.dt)
 
 
-def _denoised_volume(volume: Volume, q: float, noise_window: int) -> np.ndarray:
-    out = np.empty(volume.nx * volume.ny * volume.nt)
-    nt = volume.nt
-    for x in range(volume.nx):
-        for y in range(volume.ny):
-            trace = volume.trace(x, y)
-            r = estimate_r(trace, noise_window)
-            try:
-                denoised = denoise_trace(trace, q, r)
-            except (DataError, ArithmeticError) as exc:
-                raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
-            off = (x * volume.ny + y) * nt
-            out[off : off + nt] = denoised.samples
-    return out
+def _denoised_volume(
+    volume: Volume, background: Optional[Volume], q: float, noise_window: int
+) -> np.ndarray:
+    """Every trace of ``volume`` denoised, less its denoised ``background``
+    trace when there is one, as one flat array.
+
+    The traces of both volumes, the volume's first, are the lanes of one
+    kernel run.  It takes the lanes before the first whose q or r
+    denoise_trace refuses, and denoise_trace then raises its own error for
+    that one.  An error names the trace it arose on.
+    """
+    n_traces, nt = volume.nx * volume.ny, volume.nt
+    sources = [volume] if background is None else [volume, background]
+    rows = [samples for source in sources for samples in source.data.reshape(n_traces, nt)]
+    rs = _noise_powers(rows, noise_window)
+    q = float(q)
+    stop = next((i for i, r in enumerate(rs) if not _lane_ok(q, r)), len(rows))
+    out = np.empty((n_traces, nt))
+    lane = 0  # the lane an error belongs to
+    try:
+        for lo, smoothed in _smooth_lanes(rows[:stop], np.full(stop, q), np.array(rs[:stop])):
+            finite = np.isfinite(smoothed).all(axis=0)
+            if not finite.all():
+                lane = lo + int(np.argmin(finite))
+                Trace(smoothed[:, lane - lo], volume.dt)  # raises: not finite
+            for j, samples in enumerate(smoothed.T, start=lo):
+                if j < n_traces:
+                    out[j] = samples
+                else:
+                    out[j - n_traces] -= samples
+        lane = stop
+        if stop < len(rows):
+            denoise_trace(Trace(rows[stop], volume.dt), q, rs[stop])
+    except (DataError, ArithmeticError) as exc:
+        x, y = divmod(lane % n_traces, volume.ny)
+        raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
+    return out.reshape(-1)
 
 
 def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
@@ -102,13 +125,9 @@ def pipeline_denoise(
     _check_inputs(volume, background)
     if noise_window is None:
         noise_window = default_noise_window(volume.nt)
-    noise_window = int(noise_window)
-    if not 1 <= noise_window <= volume.nt:
-        raise DataError(f"noise window {noise_window} outside [1, {volume.nt}]")
-
-    out = _denoised_volume(volume, q, noise_window)
-    if background is not None:
-        out = out - _denoised_volume(background, q, noise_window)
+    out = _denoised_volume(
+        volume, background, q, _checked_window(noise_window, volume.nt)
+    )
     return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)
 
 

@@ -310,9 +310,10 @@ def parse_roi(text: str) -> RoiSpec:
     if not sep:
         raise DataError(f"roi {text!r} is not 't_lo:t_hi'")
     try:
-        return RoiSpec(int(lo), int(hi))
+        t_lo, t_hi = int(lo), int(hi)
     except ValueError:
         raise DataError(f"roi {text!r} has a non-integer bound; bounds must be integers") from None
+    return RoiSpec(t_lo, t_hi)
 
 
 @dataclass(frozen=True)
@@ -400,7 +401,11 @@ def config_from_strings(
     source: str = "<config>",
     base: Optional[PipelineConfig] = None,
 ) -> PipelineConfig:
-    """Build (or override) a config from string-valued settings."""
+    """Build (or override) a config from string-valued settings.
+
+    Every error names ``source``, the file or the command line the settings
+    came from.
+    """
     config = base if base is not None else PipelineConfig()
     updates: Dict[str, object] = {}
     for key, text in pairs.items():
@@ -411,7 +416,10 @@ def config_from_strings(
                 text if text == "auto" else _parse_int(text, "noise_window", source)
             )
         elif key == "roi":
-            updates["roi"] = parse_roi(text)
+            try:
+                updates["roi"] = parse_roi(text)
+            except DataError as exc:
+                raise DataError(f"{source}: {exc}") from None
         elif key == "q_grid":
             # An empty value means "derive the grid from the data", matching
             # the writer, which records an auto grid as an empty field.
@@ -430,7 +438,10 @@ def config_from_strings(
             updates["background_path"] = text or None
         else:
             raise DataError(f"{source}: unknown config key {key!r}")
-    return replace(config, **updates)
+    try:
+        return replace(config, **updates)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from None
 
 
 def config_to_strings(config: PipelineConfig) -> Dict[str, str]:

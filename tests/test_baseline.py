@@ -199,6 +199,9 @@ class TestPipelineDenoise:
         monkeypatch.setattr(
             "ascankit.baseline.denoise_trace", lambda *args: calls.append(args)
         )
+        monkeypatch.setattr(
+            "ascankit.baseline._smooth_lanes", lambda *args: calls.append(args) or iter(())
+        )
         with pytest.raises(DataError, match="dimensions"):
             pipeline_denoise(volume, small, 1e-4, noise_window=16)
         assert calls == []

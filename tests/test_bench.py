@@ -234,6 +234,13 @@ class TestManifest:
         with pytest.raises(DataError, match=r"roi 'a:510' has a non-integer bound"):
             parse_manifest(_edit(base, "roi", "a:510"))
 
+    def test_roi_and_range_errors_name_the_manifest(self):
+        base = format_manifest(corpus_entry("phantom-L"))
+        with pytest.raises(DataError, match=r"^bench\.cfg: roi 'a:510' has a non-integer bound"):
+            parse_manifest(_edit(base, "roi", "a:510"), source="bench.cfg")
+        with pytest.raises(DataError, match=r"^bench\.cfg: n_sample must be a positive integer"):
+            parse_manifest(_edit(base, "n_sample", "0"), source="bench.cfg")
+
     def test_non_numeric_grid_value_is_rejected(self):
         base = format_manifest(corpus_entry("phantom-L"))
         with pytest.raises(DataError, match=r"q_grid has a non-numeric value"):

@@ -96,6 +96,17 @@ class TestParsing:
         assert err.startswith("error:") and "seed" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["roi: a:5", "n_sample: 0"])
+    def test_config_file_errors_name_the_file(self, capsys, tmp_path, line):
+        config = tmp_path / "bad.config"
+        config.write_text(line + "\n")
+        rc = main(["qselect", "--input", "in.pavol", "--output", str(tmp_path / "q.csv"),
+                   "--config", str(config)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert err.count("\n") == 1
+
 
 class TestSynth:
     def test_default_scan_writes_the_five_outputs(self, tmp_path, capsys):
@@ -368,6 +379,18 @@ class TestFailureModes:
         err = capsys.readouterr().err
         assert "trace (x=0, y=0)" in err
         assert "noise power" in err
+
+    def test_overflowing_noise_estimate_is_one_line_naming_the_trace(self, tmp_path, capsys):
+        data = np.full((2, 2, 64), 0.5)
+        data[0, 1, :16] = 1e200  # finite samples whose mean square overflows: r = inf
+        path = tmp_path / "loud.pavol"
+        write_volume(Volume.from_grid(data, 1e-8), str(path))
+        rc = main(["denoise", "--input", str(path), "--q", "0.001", "--noise-window", "16",
+                   "--output", str(tmp_path / "o.pavol")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: trace (x=0, y=1): measurement-noise variance r must be finite and >= 0\n"
+        )
 
     def test_output_into_a_missing_directory_exits_two(self, tiny_scan, tmp_path, capsys):
         rc = main(["denoise", "--input", tiny_scan["scan"], "--q", "0.001",

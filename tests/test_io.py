@@ -1,5 +1,7 @@
 """On-disk formats: volume pairs, PGM images, CSV tables, and config files."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,6 +403,29 @@ class TestReadConfig:
         path.write_text("qq: 1\n")
         with pytest.raises(DataError, match="unknown config keys"):
             read_config(str(path))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("roi: a:5", "roi 'a:5' has a non-integer bound"),
+            ("roi: 5", "roi '5' is not 't_lo:t_hi'"),
+            ("roi: 5:3", r"roi \[5, 3\) is empty or negative"),
+            ("n_sample: 0", "n_sample must be a positive integer, got 0"),
+            ("seed: -1", "seed must be a non-negative integer"),
+            ("lp_cutoff_hz: -5", "lp_cutoff_hz must be finite and positive"),
+        ],
+    )
+    def test_range_and_roi_errors_name_the_file(self, tmp_path, line, message):
+        path = tmp_path / "bad.config"
+        path.write_text(line + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            read_config(str(path))
+
+    def test_command_line_errors_name_the_command_line(self):
+        with pytest.raises(DataError, match="^command line: n_sample must be"):
+            config_from_strings({"n_sample": "0"}, source="command line")
+        with pytest.raises(DataError, match="^command line: roi 'a:5' has"):
+            config_from_strings({"roi": "a:5"}, source="command line", base=PipelineConfig())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="config file not found"):
