@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .metrics import psnr
+from .metrics import _envelopes, _score
 from .model import (
     DataError,
     InfinitePsnrError,
@@ -24,7 +24,7 @@ from .model import (
     Volume,
     validate_volume,
 )
-from .rts import _lane_ok, _smooth_lanes, denoise_trace
+from .rts import _smooth_lanes
 
 __all__ = [
     "estimate_r",
@@ -132,23 +132,19 @@ def select_q(
     grid_list = [float(g) for g in grid_arr]
 
     # One lane per (trace, candidate), trace-major: lanes are scored in the
-    # order of a loop over traces and then candidates.  The kernel takes the
-    # traces before the first whose r denoise_trace refuses, and
-    # denoise_trace then raises its own error for that one.
-    stop = next((i for i, r in enumerate(rs) if not _lane_ok(grid_list[0], r)), len(rs))
+    # order of a loop over traces and then candidates, one at a time, since
+    # a whole chunk's complex spectra would outweigh the kernel's workspace.
     scores = []
     for _, smoothed in _smooth_lanes(
-        [samples for samples in traces[:stop] for _ in grid_list],
-        np.tile(grid_arr, stop),
-        np.repeat(rs[:stop], len(grid_list)),
+        [samples for samples in traces for _ in grid_list],
+        np.tile(grid_arr, len(traces)),
+        np.repeat(rs, len(grid_list)),
     ):
         for samples in smoothed.T:
             try:
-                scores.append(psnr(Trace(samples, volume.dt), roi))
+                scores.append(_score(_envelopes(samples), roi))
             except InfinitePsnrError:
                 scores.append(math.inf)
-    if stop < len(rs):
-        denoise_trace(Trace(traces[stop], volume.dt), grid_list[0], rs[stop])
 
     best_qs = []
     best_scores = []

@@ -4,14 +4,15 @@ volume-level denoising pipelines."""
 from __future__ import annotations
 
 import math
-from typing import Optional
+from itertools import repeat
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.signal import filtfilt, firwin
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
-from .model import DataError, Trace, Volume, validate_volume
-from .rts import _lane_ok, _smooth_lanes, denoise_trace
+from .model import DataError, Trace, Volume, _finite, validate_volume
+from .rts import _smooth_lanes
 
 __all__ = [
     "differential_subtract",
@@ -40,55 +41,22 @@ def differential_subtract(signal: Trace, background: Trace) -> Trace:
 
 def lowpass(trace: Trace, cutoff_hz: float) -> Trace:
     """Zero-phase low-pass: a Hamming-windowed sinc FIR run forward and backward."""
-    cutoff_hz = float(cutoff_hz)
-    nyquist = 0.5 / trace.dt
-    if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
-        raise DataError(
-            f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={trace.dt!r}"
-        )
-    taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / trace.dt)
-    padlen = min(3 * LOWPASS_TAPS, len(trace) - 1)
-    filtered = filtfilt(taps, [1.0], trace.samples, padlen=padlen)
+    filtered, = _lowpassed(trace.samples[np.newaxis], cutoff_hz, trace.dt)
     return Trace(filtered, trace.dt)
 
 
-def _denoised_volume(
-    volume: Volume, background: Optional[Volume], q: float, noise_window: int
-) -> np.ndarray:
-    """Every trace of ``volume`` denoised, less its denoised ``background``
-    trace when there is one, as one flat array.
-
-    The traces of both volumes, the volume's first, are the lanes of one
-    kernel run.  It takes the lanes before the first whose q or r
-    denoise_trace refuses, and denoise_trace then raises its own error for
-    that one.  An error names the trace it arose on.
-    """
-    n_traces, nt = volume.nx * volume.ny, volume.nt
-    sources = [volume] if background is None else [volume, background]
-    rows = [samples for source in sources for samples in source.data.reshape(n_traces, nt)]
-    rs = _noise_powers(rows, noise_window)
-    q = float(q)
-    stop = next((i for i, r in enumerate(rs) if not _lane_ok(q, r)), len(rows))
-    out = np.empty((n_traces, nt))
-    lane = 0  # the lane an error belongs to
-    try:
-        for lo, smoothed in _smooth_lanes(rows[:stop], np.full(stop, q), np.array(rs[:stop])):
-            finite = np.isfinite(smoothed).all(axis=0)
-            if not finite.all():
-                lane = lo + int(np.argmin(finite))
-                Trace(smoothed[:, lane - lo], volume.dt)  # raises: not finite
-            for j, samples in enumerate(smoothed.T, start=lo):
-                if j < n_traces:
-                    out[j] = samples
-                else:
-                    out[j - n_traces] -= samples
-        lane = stop
-        if stop < len(rows):
-            denoise_trace(Trace(rows[stop], volume.dt), q, rs[stop])
-    except (DataError, ArithmeticError) as exc:
-        x, y = divmod(lane % n_traces, volume.ny)
-        raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
-    return out.reshape(-1)
+def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.ndarray]:
+    """``lowpass`` of each ``lines[i]`` along its last axis, with the taps built once."""
+    cutoff_hz = float(cutoff_hz)
+    nyquist = 0.5 / dt
+    if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
+        raise DataError(
+            f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
+        )
+    taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
+    padlen = min(3 * LOWPASS_TAPS, lines.shape[-1] - 1)
+    for line in lines:
+        yield filtfilt(taps, [1.0], line, padlen=padlen)
 
 
 def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
@@ -125,10 +93,28 @@ def pipeline_denoise(
     _check_inputs(volume, background)
     if noise_window is None:
         noise_window = default_noise_window(volume.nt)
-    out = _denoised_volume(
-        volume, background, q, _checked_window(noise_window, volume.nt)
-    )
-    return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)
+    window = _checked_window(noise_window, volume.nt)
+    # The traces of both volumes, the volume's first, are the lanes of one
+    # kernel run.  An error names the trace it arose on.
+    n_traces, nt = volume.nx * volume.ny, volume.nt
+    sources = [volume] if background is None else [volume, background]
+    rows = [samples for source in sources for samples in source.data.reshape(n_traces, nt)]
+    rs = _noise_powers(rows, window)
+    out = np.empty((n_traces, nt))
+    received = 0  # lanes done; an error belongs to the next one
+    try:
+        for lo, smoothed in _smooth_lanes(rows, np.full(len(rows), float(q)), np.array(rs)):
+            for j, samples in enumerate(smoothed.T, start=lo):
+                if j < n_traces:
+                    out[j] = samples
+                else:
+                    out[j - n_traces] -= samples
+            received = lo + smoothed.shape[1]
+    except (DataError, ArithmeticError) as exc:
+        x, y = divmod(received % n_traces, volume.ny)
+        raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
+    del smoothed, samples  # views that would keep the kernel's workspace alive
+    return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)
 
 
 def baseline_denoise(
@@ -139,15 +125,14 @@ def baseline_denoise(
     """Reference method: low-pass every trace, then subtract the low-passed
     background when one is given."""
     _check_inputs(volume, background)
-    nt = volume.nt
-    out = np.empty(volume.nx * volume.ny * nt)
-    for x in range(volume.nx):
-        for y in range(volume.ny):
-            filtered = lowpass(volume.trace(x, y), cutoff_hz)
-            if background is not None:
-                filtered = differential_subtract(
-                    filtered, lowpass(background.trace(x, y), cutoff_hz)
-                )
-            off = (x * volume.ny + y) * nt
-            out[off : off + nt] = filtered.samples
+    out = np.empty((volume.nx, volume.ny, volume.nt))
+    lines = _lowpassed(volume.grid(), cutoff_hz, volume.dt)
+    backs = repeat(0.0)  # without a background: x - 0.0 is x, bit for bit
+    if background is not None:
+        backs = _lowpassed(background.grid(), cutoff_hz, volume.dt)
+    for line, filtered, back in zip(out, lines, backs):
+        np.subtract(filtered, back, out=line)
+        if not np.isfinite(line).all():  # a bad filtered sample spoils the difference too
+            # Trace by trace: the filtered trace, its filtered background, their difference.
+            _finite(np.stack(np.broadcast_arrays(filtered, back, line), axis=1))
     return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)

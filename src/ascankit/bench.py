@@ -31,9 +31,9 @@ from .io import (
     require_field,
 )
 from .kalman import kf_filter, random_walk_params
-from .metrics import envelope, psnr
+from .metrics import _psnrs, envelope
 from .model import DataError, QSelectionReport, RoiSpec, Trace, Volume
-from .rts import denoise_trace
+from .rts import rts_smooth
 from .synth import SynthSpec, clean_samples, synth_volume
 
 __all__ = [
@@ -401,9 +401,12 @@ def _peak_alignment(
     for x, y in sorted(entry.mask):
         trace = volume.trace(x, y)
         r = estimate_r(trace, window)
-        forward = kf_filter(trace, random_walk_params(trace, q, r))
+        params = random_walk_params(trace, q, r)
+        forward = kf_filter(trace, params)
+        # One forward pass serves both peaks; r = 0 is denoise_trace's identity map.
+        smoothed = trace.samples if r == 0.0 else rts_smooth(forward, params)[0]
         fwd_peak = int(np.argmax(envelope(Trace(forward.x_post, spec.dt)).samples))
-        sm_peak = int(np.argmax(envelope(denoise_trace(trace, q, r)).samples))
+        sm_peak = int(np.argmax(envelope(Trace(smoothed, spec.dt)).samples))
         fwd_late += fwd_peak - clean_peak >= 1
         aligned += abs(sm_peak - clean_peak) <= 1
     return clean_peak, fwd_late, aligned
@@ -417,10 +420,11 @@ def _mean_gain_db(
         return None
     pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
     reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
-    gains = [
-        psnr(pipeline.trace(x, y), entry.roi) - psnr(reference.trace(x, y), entry.roi)
-        for x, y in sorted(entry.mask)
-    ]
+    gains = []
+    for x in range(volume.nx):
+        ys = [y for y in range(volume.ny) if (x, y) in entry.mask]
+        scores = (_psnrs(result.grid()[x, ys], entry.roi) for result in (pipeline, reference))
+        gains += [scored - ref for scored, ref in zip(*scores)]
     return float(np.mean(gains))
 
 

@@ -20,7 +20,7 @@ import dataclasses
 import os
 import re
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .io import (
     write_image,
     write_volume,
 )
-from .metrics import psnr, reconstruct
+from .metrics import _psnrs, reconstruct
 from .model import DataError, NumericsError, QSelectionReport, RoiSpec, Volume
 from .synth import clean_samples, default_spec
 
@@ -110,13 +110,15 @@ def _window(config: PipelineConfig, volume: Volume) -> int:
     return config.noise_window
 
 
-def _need_roi(config: PipelineConfig, what: str) -> RoiSpec:
-    if config.roi is None:
+def _roi(config: PipelineConfig, what: str, volume: Volume, source: str) -> RoiSpec:
+    """The configured roi, checked against ``volume``'s traces before any warning."""
+    roi, nt = config.roi, volume.nt
+    if roi is None:
         raise UsageError(f"{what} needs an roi; pass --roi T_LO:T_HI or set it in the config")
-    return config.roi
-
-
-def _warn_roi(roi: RoiSpec, nt: int) -> None:
+    try:
+        roi.checked_for(nt)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
     # Envelope edge transients make scores near the trace boundaries
     # untrustworthy; flag windows that reach into the outer 10%.
     if roi.t_lo < 0.1 * nt or roi.t_hi > 0.9 * nt:
@@ -125,6 +127,7 @@ def _warn_roi(roi: RoiSpec, nt: int) -> None:
             f"of the time axis (nt={nt}); envelope edge transients may skew scores",
             file=sys.stderr,
         )
+    return roi
 
 
 def _read_background(config: PipelineConfig) -> Optional[Volume]:
@@ -133,9 +136,8 @@ def _read_background(config: PipelineConfig) -> Optional[Volume]:
     return read_volume(config.background_path)
 
 
-def _select(config: PipelineConfig, volume: Volume, what: str) -> QSelectionReport:
-    roi = _need_roi(config, what)
-    _warn_roi(roi, volume.nt)
+def _select(config: PipelineConfig, volume: Volume, what: str, source: str) -> QSelectionReport:
+    roi = _roi(config, what, volume, source)
     return select_q(
         volume,
         grid=config.q_grid,
@@ -146,10 +148,10 @@ def _select(config: PipelineConfig, volume: Volume, what: str) -> QSelectionRepo
     )
 
 
-def _resolve_q(config: PipelineConfig, volume: Volume) -> float:
+def _resolve_q(config: PipelineConfig, volume: Volume, source: str) -> float:
     if config.q != "auto":
         return config.q
-    report = _select(config, volume, "q='auto'")
+    report = _select(config, volume, "q='auto'", source)
     print(f"q_final: {report.q_final!r}")
     return report.q_final
 
@@ -193,12 +195,10 @@ def _resolve_synth_source(source: str) -> CorpusEntry:
 
 def _clean_volume(entry: CorpusEntry) -> Volume:
     clean = clean_samples(entry.spec)
-    nt = entry.spec.nt
-    data = np.zeros(entry.nx * entry.ny * nt)
-    for x, y in sorted(entry.mask):
-        offset = (x * entry.ny + y) * nt
-        data[offset : offset + nt] = clean
-    return Volume(nx=entry.nx, ny=entry.ny, nt=nt, dt=entry.spec.dt, data=data)
+    grid = np.zeros((entry.nx, entry.ny, entry.spec.nt))
+    for x, y in entry.mask:
+        grid[x, y] = clean
+    return Volume.from_grid(grid, entry.spec.dt)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -245,7 +245,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_qselect(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
-    report = _select(config, volume, "qselect")
+    report = _select(config, volume, "qselect", args.input)
     rows: List[Tuple[object, ...]] = [
         (x, y, r, best_q, best_psnr, report.q_final)
         for (x, y), r, best_q, best_psnr in zip(
@@ -265,7 +265,7 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
     background = _read_background(config)
-    q = _resolve_q(config, volume)
+    q = _resolve_q(config, volume, args.input)
     result = pipeline_denoise(volume, background, q, noise_window=_window(config, volume))
     write_volume(result, args.output, dtype=args.dtype)
     print(f"wrote {args.output}")
@@ -293,24 +293,24 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_psnr(volume: Volume, x: int, y: int, roi: RoiSpec, source: str) -> float:
-    try:
-        return psnr(volume.trace(x, y), roi)
-    except NumericsError as exc:
-        raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
+def _scores(volume: Volume, roi: RoiSpec, source: str) -> Iterator[Tuple[int, int, float]]:
+    """``(x, y, psnr)`` of each trace of ``volume``, in trace order, one scan
+    line's envelopes at a time; an error names the trace it arose on."""
+    for x, line in enumerate(volume.grid()):
+        scores = _psnrs(line, roi)
+        for y in range(volume.ny):
+            try:
+                score = next(scores)
+            except NumericsError as exc:
+                raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
+            yield x, y, score
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
-    roi = _need_roi(config, "metrics")
-    _warn_roi(roi, volume.nt)
-    rows = [
-        (x, y, _trace_psnr(volume, x, y, roi, args.input))
-        for x in range(volume.nx)
-        for y in range(volume.ny)
-    ]
-    write_csv(args.output, ("x", "y", "psnr"), rows)
+    roi = _roi(config, "metrics", volume, args.input)
+    write_csv(args.output, ("x", "y", "psnr"), list(_scores(volume, roi, args.input)))
     print(f"wrote {args.output}")
     return 0
 
@@ -319,22 +319,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
     background = _read_background(config)
-    roi = _need_roi(config, "compare")
-    _warn_roi(roi, volume.nt)
-    q = _resolve_q(config, volume)
+    roi = _roi(config, "compare", volume, args.input)
+    q = _resolve_q(config, volume, args.input)
     window = _window(config, volume)
 
     pipeline = pipeline_denoise(volume, background, q, noise_window=window)
     reference = baseline_denoise(volume, background, config.lp_cutoff_hz)
 
-    rows = []
-    gains = []
-    for x in range(volume.nx):
-        for y in range(volume.ny):
-            scored = _trace_psnr(pipeline, x, y, roi, "pipeline output")
-            ref = _trace_psnr(reference, x, y, roi, "baseline output")
-            gains.append(scored - ref)
-            rows.append((x, y, scored, ref, scored - ref))
+    # At each trace the pipeline is scored first, so its error comes first.
+    rows = [
+        (x, y, scored, ref, scored - ref)
+        for (x, y, scored), (_, _, ref) in zip(
+            _scores(pipeline, roi, "pipeline output"), _scores(reference, roi, "baseline output")
+        )
+    ]
 
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.csv")
@@ -344,9 +342,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         ("x", "y", "psnr_pipeline", "psnr_baseline", "gain_db"),
         rows,
     )
-    gain_arr = np.asarray(gains)
+    gain_arr = np.array([row[-1] for row in rows])
     summary = {
-        "n_traces": str(len(gains)),
+        "n_traces": str(len(rows)),
         "q": repr(q),
         "noise_window": str(window),
         "lp_cutoff_hz": repr(config.lp_cutoff_hz),

@@ -17,7 +17,7 @@ import io as _stdio
 import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -228,9 +228,8 @@ def read_volume(path: str) -> Volume:
             f"{data_file}: has {len(raw)} bytes but header {path} requires "
             f"{nx}*{ny}*{nt}*{item} = {expected}"
         )
-    # The Volume constructor copies, so an f64 payload is not cast again here.
-    data = np.frombuffer(raw, dtype=_DTYPES[dtype]).astype(np.float64, copy=False)
-    volume = Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=data)
+    # The Volume constructor casts to f64 in its one copy.
+    volume = Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=np.frombuffer(raw, dtype=_DTYPES[dtype]))
     return validate_volume(volume)
 
 
@@ -343,15 +342,9 @@ class PipelineConfig:
             if not (math.isfinite(q) and q > 0):
                 raise DataError(f"q must be a positive number or 'auto', got {self.q!r}")
             object.__setattr__(self, "q", q)
-        if isinstance(self.noise_window, str):
-            if self.noise_window != "auto":
-                raise DataError(
-                    f"noise_window must be a positive integer or 'auto', got {self.noise_window!r}"
-                )
-        elif not isinstance(self.noise_window, int) or self.noise_window < 1:
-            raise DataError(
-                f"noise_window must be a positive integer or 'auto', got {self.noise_window!r}"
-            )
+        window = self.noise_window
+        if window != "auto" and not (isinstance(window, int) and window >= 1):
+            raise DataError(f"noise_window must be a positive integer or 'auto', got {window!r}")
         if self.q_grid is not None:
             grid = tuple(float(v) for v in self.q_grid)
             if not grid:
@@ -370,16 +363,7 @@ class PipelineConfig:
         object.__setattr__(self, "lp_cutoff_hz", cutoff)
 
 
-_CONFIG_KEYS = {
-    "q",
-    "noise_window",
-    "roi",
-    "q_grid",
-    "n_sample",
-    "seed",
-    "lp_cutoff_hz",
-    "background_path",
-}
+_CONFIG_KEYS = {field.name for field in fields(PipelineConfig)}
 
 
 def read_config(path: str) -> PipelineConfig:
@@ -428,10 +412,8 @@ def config_from_strings(
                 updates["q_grid"] = tuple(float(p) for p in parts) or None
             except ValueError:
                 raise DataError(f"{source}: q_grid has a non-numeric value: {text!r}") from None
-        elif key == "n_sample":
-            updates["n_sample"] = _parse_int(text, "n_sample", source)
-        elif key == "seed":
-            updates["seed"] = _parse_int(text, "seed", source)
+        elif key in ("n_sample", "seed"):
+            updates[key] = _parse_int(text, key, source)
         elif key == "lp_cutoff_hz":
             updates["lp_cutoff_hz"] = _parse_float(text, "lp_cutoff_hz", source)
         elif key == "background_path":

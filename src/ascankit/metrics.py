@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -13,23 +14,23 @@ from .model import (
     RoiSpec,
     Trace,
     Volume,
+    _finite,
     validate_volume,
 )
 
 __all__ = ["envelope", "reconstruct", "psnr", "psnr_gain"]
 
 
-def envelope(trace: Trace) -> Trace:
-    """Magnitude of the discrete analytic signal of a trace.
+def _envelopes(rows: np.ndarray) -> np.ndarray:
+    """Envelope of each row of ``rows`` along its last axis (1-D is one row).
 
     Built in the frequency domain: positive frequencies doubled, negative
     frequencies zeroed, DC (and Nyquist for even lengths) kept as is.
     """
-    s = trace.samples
-    n = s.size
+    n = rows.shape[-1]
     if n < 2:
         raise DataError("envelope needs at least 2 samples")
-    spectrum = np.fft.fft(s)
+    spectrum = np.fft.fft(rows)
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -37,18 +38,39 @@ def envelope(trace: Trace) -> Trace:
         weights[1 : n // 2] = 2.0
     else:
         weights[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spectrum * weights)
-    return Trace(np.abs(analytic), trace.dt)
+    return np.abs(np.fft.ifft(spectrum * weights))
+
+
+def envelope(trace: Trace) -> Trace:
+    """Magnitude of the discrete analytic signal of a trace."""
+    return Trace(_envelopes(trace.samples), trace.dt)
 
 
 def reconstruct(volume: Volume) -> EnvelopeImage:
     """Project a volume to an image: pixel (x, y) is that trace's envelope peak."""
     validate_volume(volume)
-    pixels = np.empty((volume.nx, volume.ny))
-    for x in range(volume.nx):
-        for y in range(volume.ny):
-            pixels[x, y] = envelope(volume.trace(x, y)).samples.max()
+    pixels = [_finite(_envelopes(line)).max(axis=-1) for line in volume.grid()]
     return EnvelopeImage(nx=volume.nx, ny=volume.ny, pixels=pixels)
+
+
+def _score(env: np.ndarray, roi: RoiSpec) -> float:
+    """``psnr`` of one envelope, with ``roi`` already checked for its length."""
+    _finite(env)
+    inside = env[roi.t_lo : roi.t_hi]
+    outside = np.concatenate((env[: roi.t_lo], env[roi.t_hi :]))
+    noise_power = float(outside @ outside / outside.size)
+    if noise_power == 0.0:
+        raise InfinitePsnrError("noise power outside the roi is zero")
+    peak = float(inside.max())
+    return float("-inf") if peak == 0.0 else 10.0 * math.log10(peak * peak / noise_power)
+
+
+def _psnrs(rows: np.ndarray, roi: RoiSpec) -> Iterator[float]:
+    """``psnr`` of each row of the 2-D ``rows``, in order.  The envelopes
+    are taken all at once; each score is computed when it is asked for."""
+    roi.checked_for(rows.shape[-1])
+    for env in _envelopes(rows):
+        yield _score(env, roi)
 
 
 def psnr(trace: Trace, roi: RoiSpec) -> float:
@@ -59,20 +81,8 @@ def psnr(trace: Trace, roi: RoiSpec) -> float:
     InfinitePsnrError rather than a value; a zero peak over non-zero noise
     yields ``-inf``.
     """
-    n = len(trace)
-    roi.checked_for(n)
-    if roi.t_lo == 0 and roi.t_hi == n:
-        raise DataError("roi covers the whole trace; no noise region remains")
-    env = envelope(trace).samples
-    inside = env[roi.t_lo : roi.t_hi]
-    outside = np.concatenate((env[: roi.t_lo], env[roi.t_hi :]))
-    noise_power = float(outside @ outside / outside.size)
-    if noise_power == 0.0:
-        raise InfinitePsnrError("noise power outside the roi is zero")
-    peak = float(inside.max())
-    if peak == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(peak * peak / noise_power)
+    roi.checked_for(len(trace))
+    return _score(_envelopes(trace.samples), roi)
 
 
 def psnr_gain(before: Trace, after: Trace, roi: RoiSpec) -> float:

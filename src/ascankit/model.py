@@ -40,6 +40,16 @@ def _readonly_f64(values, what: str) -> np.ndarray:
     return arr
 
 
+def _finite(samples: np.ndarray) -> np.ndarray:
+    """``samples`` (traces along the last axis) if all are finite; else the
+    first bad one, in row order, is named by its index within its trace."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0]) % samples.shape[-1]
+        raise DataError(f"trace sample {bad} is not finite")
+    return samples
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """One A-scan: a non-empty 1-D sequence of samples at spacing ``dt`` seconds."""
@@ -51,9 +61,7 @@ class Trace:
         samples = np.array(self.samples, dtype=np.float64, copy=True)
         if samples.ndim != 1 or samples.size == 0:
             raise DataError("trace samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-            raise DataError(f"trace sample {bad} is not finite")
+        _finite(samples)
         dt = float(self.dt)
         if not (math.isfinite(dt) and dt > 0.0):
             raise DataError("trace dt must be finite and > 0")
@@ -105,8 +113,7 @@ class Volume:
     def trace(self, x: int, y: int) -> Trace:
         if not (0 <= x < self.nx and 0 <= y < self.ny):
             raise DataError(f"trace index ({x}, {y}) outside {self.nx}x{self.ny} grid")
-        off = (x * self.ny + y) * self.nt
-        return Trace(self.data[off : off + self.nt], self.dt)
+        return Trace(self.grid()[x, y], self.dt)
 
 
 def validate_volume(volume: Volume) -> Volume:
@@ -210,8 +217,12 @@ class RoiSpec:
             raise DataError(f"roi [{self.t_lo}, {self.t_hi}) is empty or negative")
 
     def checked_for(self, nt: int) -> "RoiSpec":
+        """This roi, if it fits traces of ``nt`` samples and leaves a noise
+        region outside it."""
         if self.t_hi > nt:
             raise DataError(f"roi [{self.t_lo}, {self.t_hi}) exceeds trace length {nt}")
+        if self.t_lo == 0 and self.t_hi == nt:
+            raise DataError("roi covers the whole trace; no noise region remains")
         return self
 
 

@@ -30,6 +30,7 @@ from .model import (
     FilterParams,
     FilterTrajectory,
     Trace,
+    _finite,
 )
 
 __all__ = ["rts_smooth", "denoise_trace"]
@@ -78,10 +79,7 @@ def denoise_trace(trace: Trace, q: float, r: float) -> Trace:
     """
     q = float(q)
     r = float(r)
-    if not (math.isfinite(q) and q > 0.0):
-        raise DataError("process-noise variance q must be finite and > 0")
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DataError("measurement-noise variance r must be finite and >= 0")
+    _check_variances(q, r)
     if r == 0.0:
         # With the measurements trusted exactly, the filter/smoother pair is
         # the identity map; short-circuiting keeps it exact to the bit
@@ -93,31 +91,37 @@ def denoise_trace(trace: Trace, q: float, r: float) -> Trace:
     return Trace(x_smooth, trace.dt)
 
 
-def _lane_ok(q: float, r: float) -> bool:
-    """Whether ``denoise_trace`` accepts the variances ``q`` and ``r``; it
-    raises for any other pair, and ``_smooth_lanes`` takes no other pair."""
-    return math.isfinite(q) and q > 0.0 and math.isfinite(r) and r >= 0.0
+def _check_variances(q: float, r: float) -> None:
+    """Raise the error for variances ``q`` and ``r`` that the filter refuses."""
+    if not (math.isfinite(q) and q > 0.0):
+        raise DataError("process-noise variance q must be finite and > 0")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DataError("measurement-noise variance r must be finite and >= 0")
 
 
 def _smooth_lanes(
     rows: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Filter and smooth the lanes ``rows[i]`` (one length) with variances
-    ``q[i]`` and ``r[i]``, which ``_lane_ok`` must accept.
+    ``q[i]`` and ``r[i]``.
 
     Yields ``(lo, smoothed)`` per chunk of lanes: ``smoothed[:, j]`` equals
     ``denoise_trace`` of lane ``lo + j`` bit for bit.  It is a time-major
     view of one workspace, under ``_LANE_BYTES`` unless a single lane needs
-    more, that the next chunk overwrites.  Each time step applies the IEEE
+    more, that the next chunk overwrites.  Lanes come up to the first that
+    ``denoise_trace`` refuses or whose result is not finite, and then that
+    lane's ``denoise_trace`` error is raised.  Each time step applies the IEEE
     operations of ``kf_filter`` and ``rts_smooth``, in their order, across
     the chunk; the model's unit ``f`` and ``h`` and zero ``gu`` are folded
     away, which changes no bit.
     """
-    total = len(rows)
-    if total == 0:
+    if len(rows) == 0:
         return
+    # The lanes whose variances _check_variances accepts, up to the first refused.
+    accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
+    stop = len(rows) if accepted.all() else int(np.argmin(accepted))
     n = len(rows[0])
-    width = min(total, max(1, _LANE_BYTES // (2 * 8 * n)))
+    width = max(1, min(stop, _LANE_BYTES // (2 * 8 * n)))
     # Time-major means (the input, until the forward pass overwrites it) and
     # posterior variances; a chunk of m lanes uses the first n*m entries.
     x_buf = np.empty(n * width)
@@ -125,10 +129,10 @@ def _smooth_lanes(
     per_lane = np.empty((4, width))
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     # Overflow gives inf or nan as it does for the scalar path's Python
-    # floats, silently; the callers reject non-finite results.
+    # floats, silently; such a lane is refused below.
     with np.errstate(all="ignore"):
-        for lo in range(0, total, width):
-            m = min(width, total - lo)
+        for lo in range(0, stop, width):
+            m = min(width, stop - lo)
             xs = x_buf[: n * m].reshape(n, m)
             ps = p_buf[: n * m].reshape(n, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
@@ -162,4 +166,10 @@ def _smooth_lanes(
                 add(x, step, out=x)
             for j in np.flatnonzero(rs == 0.0):
                 xs[:, j] = rows[lo + j]  # r = 0 is the identity map
+            bad = np.flatnonzero(~np.isfinite(xs).all(axis=0))
+            if bad.size:
+                yield lo, xs[:, : bad[0]]
+                _finite(xs[:, bad[0]])  # raises denoise_trace's "not finite" error
             yield lo, xs
+    if stop < len(rows):
+        _check_variances(float(q[stop]), float(r[stop]))

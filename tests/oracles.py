@@ -4,10 +4,10 @@ The step oracle works in exact rational arithmetic and the smoother oracle
 solves the equivalent batch least-squares problem directly; neither imports
 the library's filter code, so agreement is evidence rather than tautology.
 
-The two per-trace loops at the end are the other kind of reference: they
-run the library's scalar ``denoise_trace`` (which the oracles above check)
-one trace at a time, and the lane-batched callers must match them bit for
-bit, errors included.
+The per-trace loops at the end are the other kind of reference: they run
+the library's scalar ``denoise_trace``, ``lowpass``, ``envelope`` and
+``psnr`` one trace at a time, and the lane-batched and scan-line callers
+must match them bit for bit, errors included.
 """
 
 import math
@@ -18,10 +18,12 @@ import numpy as np
 from scipy.linalg import solveh_banded
 
 from ascankit.adapt import default_noise_window, default_q_grid, estimate_r
-from ascankit.metrics import psnr
+from ascankit.baseline import differential_subtract, lowpass
+from ascankit.metrics import envelope, psnr
 from ascankit.model import (
     DataError,
     InfinitePsnrError,
+    NumericsError,
     QSelectionReport,
     RoiSpec,
     Volume,
@@ -208,3 +210,59 @@ def scalar_denoised_volume(
     if background is not None:
         out = out - denoised(background)
     return out
+
+
+def scalar_baseline_denoise(
+    volume: Volume, background: Optional[Volume], cutoff_hz: float
+) -> np.ndarray:
+    """The flat data of ``baseline_denoise`` as one ``lowpass`` (and one
+    ``differential_subtract``) per trace."""
+    out = np.empty(volume.nx * volume.ny * volume.nt)
+    for x in range(volume.nx):
+        for y in range(volume.ny):
+            filtered = lowpass(volume.trace(x, y), cutoff_hz)
+            if background is not None:
+                filtered = differential_subtract(
+                    filtered, lowpass(background.trace(x, y), cutoff_hz)
+                )
+            off = (x * volume.ny + y) * volume.nt
+            out[off : off + volume.nt] = filtered.samples
+    return out
+
+
+def scalar_reconstruct(volume: Volume) -> np.ndarray:
+    """The pixels of ``reconstruct``: one ``envelope`` maximum per trace."""
+    pixels = np.empty((volume.nx, volume.ny))
+    for x in range(volume.nx):
+        for y in range(volume.ny):
+            pixels[x, y] = envelope(volume.trace(x, y)).samples.max()
+    return pixels
+
+
+def _named_psnr(volume: Volume, x: int, y: int, roi: RoiSpec, source: str) -> float:
+    try:
+        return psnr(volume.trace(x, y), roi)
+    except NumericsError as exc:
+        raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
+
+
+def scalar_metrics_rows(volume: Volume, roi: RoiSpec, source: str):
+    """The rows of ``ascankit metrics``: one ``psnr`` per trace; an error
+    names its source and trace."""
+    return [
+        (x, y, _named_psnr(volume, x, y, roi, source))
+        for x in range(volume.nx)
+        for y in range(volume.ny)
+    ]
+
+
+def scalar_compare_rows(pipeline: Volume, reference: Volume, roi: RoiSpec):
+    """The rows of ``ascankit compare``'s report: at each trace the pipeline
+    output is scored, then the baseline output; an error names its trace."""
+    rows = []
+    for x in range(pipeline.nx):
+        for y in range(pipeline.ny):
+            scored = _named_psnr(pipeline, x, y, roi, "pipeline output")
+            ref = _named_psnr(reference, x, y, roi, "baseline output")
+            rows.append((x, y, scored, ref, scored - ref))
+    return rows

@@ -197,9 +197,6 @@ class TestPipelineDenoise:
         small = Volume(nx=1, ny=1, nt=volume.nt, dt=volume.dt, data=np.zeros(volume.nt))
         calls = []
         monkeypatch.setattr(
-            "ascankit.baseline.denoise_trace", lambda *args: calls.append(args)
-        )
-        monkeypatch.setattr(
             "ascankit.baseline._smooth_lanes", lambda *args: calls.append(args) or iter(())
         )
         with pytest.raises(DataError, match="dimensions"):

@@ -1,6 +1,7 @@
 """On-disk formats: volume pairs, PGM images, CSV tables, and config files."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,21 @@ class TestVolumeRoundTrip:
         assert np.array_equal(
             back.data, volume.data.astype(np.float32).astype(np.float64)
         )
+
+    def test_f32_read_holds_one_cast_copy(self, tmp_path):
+        # The raw bytes plus one f64 copy is 3x the payload; the finiteness
+        # check adds a quarter.  A second f64 cast would add 2x more.
+        volume = Volume.from_grid(np.random.default_rng(0).standard_normal((8, 8, 4096)), 1e-8)
+        path = str(tmp_path / "vol.pavol")
+        write_volume(volume, path, dtype="f32le")
+        payload = (tmp_path / "vol.pavol.bin").stat().st_size
+        tracemalloc.start()
+        try:
+            read_volume(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * payload
 
     def test_rewrite_defaults_to_f64_header(self, tmp_path):
         volume = _volume224()

@@ -20,7 +20,7 @@ from ascankit import rts
 from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
-from ascankit.rts import _lane_ok, _smooth_lanes, denoise_trace
+from ascankit.rts import _smooth_lanes, denoise_trace
 from ascankit.synth import default_spec, synth_volume
 from oracles import scalar_denoised_volume, scalar_select_q
 
@@ -144,14 +144,17 @@ class TestKernel:
     )
     def test_takes_exactly_the_variances_denoise_trace_accepts(self, q, r):
         # Accepted variances can still overflow into a non-finite result,
-        # which both paths reject when they build the output trace.
+        # which both paths refuse with the same error.
+        rows = [np.array([1.0, -2.0, 0.5])]
         try:
-            denoise_trace(Trace([1.0, -2.0, 0.5], 1e-6), q, r)
+            want = denoise_trace(Trace(rows[0], 1e-6), q, r).samples
         except DataError as exc:
-            accepted = "variance" not in str(exc)
+            assert _error(list, _smooth_lanes(rows, np.array([q]), np.array([r]))) == (
+                DataError, str(exc)
+            )
         else:
-            accepted = True
-        assert _lane_ok(q, r) == accepted
+            (lo, smoothed), = _smooth_lanes(rows, np.array([q]), np.array([r]))
+            assert np.array_equal(_bits(smoothed[:, 0]), _bits(want))
 
 
 class TestSelectQMatchesScalarLoop:
@@ -181,6 +184,19 @@ class TestSelectQMatchesScalarLoop:
         want = _error(scalar_select_q, volume, **kwargs)
         with _lanes_per_chunk(4):
             assert _error(select_q, volume, **kwargs) == want
+
+    @pytest.mark.parametrize("lanes", [None, 4])
+    def test_overflowing_envelope_raises_the_scalar_error(self, lanes):
+        # The smoothed lanes are finite, but their envelopes are not.
+        huge = np.full(NT, 1e306)
+        huge[:16] = 1e-3
+        volume = _with_traces(_scan(seed=34), {(2, 1): huge})
+        kwargs = dict(grid=GRID, n_sample=9, seed=2, noise_window=16, roi=ROI)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _error(scalar_select_q, volume, **kwargs)
+            with _lanes_per_chunk(lanes):
+                assert _error(select_q, volume, **kwargs) == want
+        assert want == (DataError, "trace sample 0 is not finite")
 
     def test_infinite_median_r_is_the_scalar_numerics_error(self):
         volume = Volume.from_grid(np.tile(_loud_head(), (2, 2, 1)), 1e-8)
