@@ -8,7 +8,6 @@ from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.signal import filtfilt, firwin
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
 from .model import DataError, Trace, Volume, _finite, validate_volume
@@ -53,6 +52,8 @@ def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.nd
         raise DataError(
             f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
         )
+    from scipy.signal import filtfilt, firwin  # slow to import, so only where it is used
+
     taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
     padlen = min(3 * LOWPASS_TAPS, lines.shape[-1] - 1)
     for line in lines:
@@ -101,15 +102,20 @@ def pipeline_denoise(
     rows = [samples for source in sources for samples in source.data.reshape(n_traces, nt)]
     rs = _noise_powers(rows, window)
     out = np.empty((n_traces, nt))
-    received = 0  # lanes done; an error belongs to the next one
+    received = 0  # the lane an error belongs to
+    # Finite traces of opposite sign can differ by more than the largest
+    # float; each difference is checked as baseline_denoise checks it.
     try:
-        for lo, smoothed in _smooth_lanes(rows, np.full(len(rows), float(q)), np.array(rs)):
-            for j, samples in enumerate(smoothed.T, start=lo):
-                if j < n_traces:
-                    out[j] = samples
-                else:
-                    out[j - n_traces] -= samples
-            received = lo + smoothed.shape[1]
+        with np.errstate(over="ignore"):
+            for lo, smoothed in _smooth_lanes(rows, np.full(len(rows), float(q)), np.array(rs)):
+                for received, samples in enumerate(smoothed.T, start=lo):
+                    if received < n_traces:
+                        out[received] = samples
+                    else:
+                        line = out[received - n_traces]
+                        line -= samples
+                        _finite(line)
+                received = lo + smoothed.shape[1]
     except (DataError, ArithmeticError) as exc:
         x, y = divmod(received % n_traces, volume.ny)
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc

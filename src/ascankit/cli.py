@@ -136,8 +136,7 @@ def _read_background(config: PipelineConfig) -> Optional[Volume]:
     return read_volume(config.background_path)
 
 
-def _select(config: PipelineConfig, volume: Volume, what: str, source: str) -> QSelectionReport:
-    roi = _roi(config, what, volume, source)
+def _select(config: PipelineConfig, volume: Volume, roi: RoiSpec) -> QSelectionReport:
     return select_q(
         volume,
         grid=config.q_grid,
@@ -148,10 +147,16 @@ def _select(config: PipelineConfig, volume: Volume, what: str, source: str) -> Q
     )
 
 
-def _resolve_q(config: PipelineConfig, volume: Volume, source: str) -> float:
+def _resolve_q(
+    config: PipelineConfig, volume: Volume, source: str, roi: Optional[RoiSpec] = None
+) -> float:
+    """The configured q, or the selected one for q='auto'; ``roi``, when
+    given, is the one ``_roi`` has already checked and warned about."""
     if config.q != "auto":
         return config.q
-    report = _select(config, volume, "q='auto'", source)
+    if roi is None:
+        roi = _roi(config, "q='auto'", volume, source)
+    report = _select(config, volume, roi)
     print(f"q_final: {report.q_final!r}")
     return report.q_final
 
@@ -245,7 +250,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_qselect(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
-    report = _select(config, volume, "qselect", args.input)
+    report = _select(config, volume, _roi(config, "qselect", volume, args.input))
     rows: List[Tuple[object, ...]] = [
         (x, y, r, best_q, best_psnr, report.q_final)
         for (x, y), r, best_q, best_psnr in zip(
@@ -320,7 +325,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     volume = read_volume(args.input)
     background = _read_background(config)
     roi = _roi(config, "compare", volume, args.input)
-    q = _resolve_q(config, volume, args.input)
+    q = _resolve_q(config, volume, args.input, roi)
     window = _window(config, volume)
 
     pipeline = pipeline_denoise(volume, background, q, noise_window=window)

@@ -11,6 +11,7 @@ from .model import (
     DataError,
     EnvelopeImage,
     InfinitePsnrError,
+    NumericsError,
     RoiSpec,
     Trace,
     Volume,
@@ -58,11 +59,19 @@ def _score(env: np.ndarray, roi: RoiSpec) -> float:
     _finite(env)
     inside = env[roi.t_lo : roi.t_hi]
     outside = np.concatenate((env[: roi.t_lo], env[roi.t_hi :]))
-    noise_power = float(outside @ outside / outside.size)
+    with np.errstate(over="ignore"):
+        noise_power = float(outside @ outside / outside.size)
     if noise_power == 0.0:
         raise InfinitePsnrError("noise power outside the roi is zero")
+    if not math.isfinite(noise_power):
+        raise NumericsError("noise power outside the roi overflows")
     peak = float(inside.max())
-    return float("-inf") if peak == 0.0 else 10.0 * math.log10(peak * peak / noise_power)
+    if peak == 0.0:
+        return float("-inf")
+    ratio = peak * peak / noise_power
+    if not 0.0 < ratio < math.inf:
+        raise NumericsError(f"peak-to-noise power ratio {ratio!r} has no finite dB value")
+    return 10.0 * math.log10(ratio)
 
 
 def _psnrs(rows: np.ndarray, roi: RoiSpec) -> Iterator[float]:
@@ -79,7 +88,8 @@ def psnr(trace: Trace, roi: RoiSpec) -> float:
     The signal level is the envelope maximum inside the ROI; the noise power
     is the mean-square envelope outside it.  Zero noise power is reported as
     InfinitePsnrError rather than a value; a zero peak over non-zero noise
-    yields ``-inf``.
+    yields ``-inf``.  A noise power or a peak-to-noise ratio beyond the
+    float range raises NumericsError.
     """
     roi.checked_for(len(trace))
     return _score(_envelopes(trace.samples), roi)

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Set, Tuple
 
 import numpy as np
-from scipy.signal import gausspulse
 
 from .model import DataError, Trace, Volume
 
@@ -96,6 +95,8 @@ def clean_samples(spec: SynthSpec) -> np.ndarray:
     """Deterministic component of a trace: main pulse plus reflections."""
     if spec.pulse_amp == 0.0:
         return np.zeros(spec.nt)
+    from scipy.signal import gausspulse  # slow to import, so only where it is used
+
     t = np.arange(spec.nt) * spec.dt
     shape = gausspulse(t - spec.pulse_time_s, fc=spec.pulse_center_hz,
                        bw=FRACTIONAL_BANDWIDTH)

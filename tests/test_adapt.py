@@ -174,6 +174,13 @@ class TestSelectQ:
         with pytest.raises(DataError, match="n_sample"):
             select_q(_example_volume(), [1e-4], n_sample=n_sample, seed=0, roi=ROI)
 
+    def test_overflowing_noise_power_raises_instead_of_skipping(self):
+        samples = np.full(256, 1e-3)
+        samples[100:200] = 1e200
+        volume = Volume(nx=1, ny=1, nt=256, dt=1e-8, data=samples)
+        with pytest.raises(NumericsError, match="noise power outside the roi overflows"):
+            select_q(volume, [1e-4, 1e-2], n_sample=1, noise_window=16, roi=RoiSpec(30, 90))
+
     def test_rejects_empty_grid(self):
         with pytest.raises(DataError, match="non-empty"):
             select_q(_example_volume(), [], n_sample=2, seed=0, roi=ROI)

@@ -203,6 +203,14 @@ class TestPipelineDenoise:
             pipeline_denoise(volume, small, 1e-4, noise_window=16)
         assert calls == []
 
+    def test_overflowing_difference_is_reported_with_trace_location(self):
+        # Finite smoothed traces of opposite sign whose difference overflows.
+        data, back = np.full((2, 2, 64), 1e-3), np.full((2, 2, 64), 1e-3)
+        data[1, 0, 16:], back[1, 0, 16:] = 1e308, -1e308
+        volume, background = Volume.from_grid(data, 1e-8), Volume.from_grid(back, 1e-8)
+        with pytest.raises(DataError, match=r"^trace \(x=1, y=0\): trace sample 16 is not finite$"):
+            pipeline_denoise(volume, background, 1e-3, noise_window=16)
+
     def test_bad_q_is_reported_with_trace_location(self):
         volume, _, _ = _small_volume(seed=12)
         with pytest.raises(DataError, match=r"trace \(x=0, y=0\)"):

@@ -338,6 +338,14 @@ class TestCompare:
         mean = float(summary["mean_psnr_gain_db"])
         assert float(summary["min_psnr_gain_db"]) <= mean <= float(summary["max_psnr_gain_db"])
 
+    def test_auto_q_warns_once_about_an_edge_roi(self, tiny_scan, tmp_path, capsys):
+        rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                   "--q", "auto", "--roi", "10:200", "--output", str(tmp_path / "cmp")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "warning: roi [10:200) reaches into the outer 10%" in err
+
     def test_two_runs_are_byte_identical(self, tiny_scan, tmp_path):
         outs = []
         for tag in ("one", "two"):
@@ -352,6 +360,52 @@ class TestCompare:
 
 
 class TestFailureModes:
+    @pytest.fixture
+    def loud_outside_roi(self, tmp_path):
+        """A trace whose envelope energy outside the roi 30:90 overflows."""
+        samples = np.full(256, 1e-3)
+        samples[100:200] = 1e200
+        path = tmp_path / "loud.pavol"
+        write_volume(Volume(nx=1, ny=1, nt=256, dt=1e-8, data=samples), str(path))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (["metrics"], "{input}: trace (x=0, y=0): "),
+            (["compare", "--q", "1e-3", "--lp-cutoff-hz", "1e7"], "pipeline output: trace (x=0, y=0): "),
+            (["qselect", "--q-grid", "1e-4,1e-2", "--n-sample", "1"], ""),
+        ],
+        ids=["metrics", "compare", "qselect"],
+    )
+    def test_overflowing_noise_power_is_one_line_exit_three(
+        self, loud_outside_roi, tmp_path, capsys, argv, where
+    ):
+        out = tmp_path / "out"
+        rc = main([*argv, "--input", loud_outside_roi, "--roi", "30:90",
+                   "--noise-window", "16", "--output", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: {where.format(input=loud_outside_roi)}noise power outside the roi overflows\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_background_difference_exits_two(self, tmp_path, capsys):
+        data, back = np.full(64, 1e-3), np.full(64, 1e-3)
+        data[16:], back[16:] = 1e308, -1e308
+        for name, samples in (("scan", data), ("bg", back)):
+            write_volume(Volume(nx=1, ny=1, nt=64, dt=1e-8, data=samples),
+                         str(tmp_path / f"{name}.pavol"))
+        out = tmp_path / "o.pavol"
+        rc = main(["denoise", "--input", str(tmp_path / "scan.pavol"), "--q", "1e-3",
+                   "--background", str(tmp_path / "bg.pavol"), "--noise-window", "16",
+                   "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: trace (x=0, y=0): trace sample 16 is not finite\n"
+        )
+        assert not out.exists()
+
     def test_missing_input_volume_exits_two(self, tmp_path, capsys):
         rc = main(["denoise", "--input", str(tmp_path / "nope.pavol"), "--q", "0.001",
                    "--output", str(tmp_path / "o.pavol")])

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.signal import gausspulse
 
-from ascankit.metrics import envelope, psnr, psnr_gain, reconstruct
+from ascankit.metrics import _score, envelope, psnr, psnr_gain, reconstruct
 from ascankit.model import (
     DataError,
     EnvelopeImage,
     InfinitePsnrError,
+    NumericsError,
     RoiSpec,
     Trace,
     Volume,
@@ -167,6 +168,24 @@ class TestPsnr:
     def test_silent_noise_region_is_a_distinct_condition(self):
         with pytest.raises(InfinitePsnrError, match="noise power"):
             psnr(Trace(np.zeros(64), 1e-8), RoiSpec(16, 48))
+
+    def test_overflowing_noise_power_is_a_numerics_error(self):
+        # Finite envelope values whose energy outside the roi overflows.
+        samples = np.full(256, 1e-3)
+        samples[100:200] = 1e200
+        with pytest.raises(NumericsError, match="noise power outside the roi overflows") as exc:
+            psnr(Trace(samples, 1e-8), RoiSpec(30, 90))
+        assert type(exc.value) is NumericsError
+
+    @pytest.mark.parametrize(
+        "inside,outside", [(1e160, 1e-3), (1e-200, 1e150)], ids=["overflow", "underflow"]
+    )
+    def test_peak_ratio_beyond_the_float_range_is_a_numerics_error(self, inside, outside):
+        env = np.full(256, outside)
+        env[90:110] = inside
+        with pytest.raises(NumericsError, match="has no finite dB value") as exc:
+            _score(env, RoiSpec(90, 110))
+        assert type(exc.value) is NumericsError
 
 
 class TestPsnrGain:
