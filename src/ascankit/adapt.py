@@ -134,17 +134,23 @@ def select_q(
     # One lane per (trace, candidate), trace-major: lanes are scored in the
     # order of a loop over traces and then candidates, one at a time, since
     # a whole chunk's complex spectra would outweigh the kernel's workspace.
+    # Every lane before a failing one has been scored, so an error names
+    # the trace of lane len(scores).
     scores = []
-    for _, smoothed in _smooth_lanes(
-        [samples for samples in traces for _ in grid_list],
-        np.tile(grid_arr, len(traces)),
-        np.repeat(rs, len(grid_list)),
-    ):
-        for samples in smoothed.T:
-            try:
-                scores.append(_score(_envelopes(samples), roi))
-            except InfinitePsnrError:
-                scores.append(math.inf)
+    try:
+        for _, smoothed in _smooth_lanes(
+            [samples for samples in traces for _ in grid_list],
+            np.tile(grid_arr, len(traces)),
+            np.repeat(rs, len(grid_list)),
+        ):
+            for samples in smoothed.T:
+                try:
+                    scores.append(_score(_envelopes(samples), roi))
+                except InfinitePsnrError:
+                    scores.append(math.inf)
+    except (DataError, NumericsError) as exc:
+        x, y = ids[len(scores) // len(grid_list)]
+        raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
 
     best_qs = []
     best_scores = []

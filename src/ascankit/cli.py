@@ -136,15 +136,20 @@ def _read_background(config: PipelineConfig) -> Optional[Volume]:
     return read_volume(config.background_path)
 
 
-def _select(config: PipelineConfig, volume: Volume, roi: RoiSpec) -> QSelectionReport:
-    return select_q(
-        volume,
-        grid=config.q_grid,
-        n_sample=config.n_sample,
-        seed=config.seed,
-        noise_window=_window(config, volume),
-        roi=roi,
-    )
+def _select(
+    config: PipelineConfig, volume: Volume, roi: RoiSpec, source: str
+) -> QSelectionReport:
+    try:
+        return select_q(
+            volume,
+            grid=config.q_grid,
+            n_sample=config.n_sample,
+            seed=config.seed,
+            noise_window=_window(config, volume),
+            roi=roi,
+        )
+    except (DataError, NumericsError) as exc:
+        raise type(exc)(f"{source}: {exc}") from exc
 
 
 def _resolve_q(
@@ -156,7 +161,7 @@ def _resolve_q(
         return config.q
     if roi is None:
         roi = _roi(config, "q='auto'", volume, source)
-    report = _select(config, volume, roi)
+    report = _select(config, volume, roi, source)
     print(f"q_final: {report.q_final!r}")
     return report.q_final
 
@@ -250,7 +255,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_qselect(args: argparse.Namespace) -> int:
     config = _load_config(args)
     volume = read_volume(args.input)
-    report = _select(config, volume, _roi(config, "qselect", volume, args.input))
+    report = _select(config, volume, _roi(config, "qselect", volume, args.input), args.input)
     rows: List[Tuple[object, ...]] = [
         (x, y, r, best_q, best_psnr, report.q_final)
         for (x, y), r, best_q, best_psnr in zip(

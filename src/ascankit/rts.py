@@ -12,7 +12,10 @@ the whole trace, so it is checked against a direct tridiagonal solve in the
 tests.
 
 The volume-level paths run many traces at once through ``_smooth_lanes``,
-which matches the scalar ``denoise_trace`` bit for bit.
+which matches the scalar ``denoise_trace`` bit for bit.  Its variances and
+gains depend on ``(q, r)`` alone and in floating point settle to a fixed
+point or a 2-cycle, the steady-state filter (Anderson & Moore, *Optimal
+Filtering*, 1979); from there the kernel reuses two gains for the means.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = ["rts_smooth", "denoise_trace"]
 
 #: Cap, in bytes, on the (samples x lanes) arrays ``_smooth_lanes`` holds.
 _LANE_BYTES = 4 << 20
+#: Time steps between ``_smooth_lanes``' checks for settled variances.
+_CHECK_EVERY = 128
 
 
 def rts_smooth(
@@ -99,6 +104,12 @@ def _check_variances(q: float, r: float) -> None:
         raise DataError("measurement-noise variance r must be finite and >= 0")
 
 
+def _settled(ps: np.ndarray, k: int) -> bool:
+    """Whether every lane's posterior variance ``ps[k]`` repeats ``ps[k - 2]``
+    bit for bit, so that every later one is ``ps[k - 1]`` or ``ps[k]``."""
+    return k >= 2 and np.array_equal(ps[k].view(np.uint64), ps[k - 2].view(np.uint64))
+
+
 def _smooth_lanes(
     rows: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray]]:
@@ -113,7 +124,10 @@ def _smooth_lanes(
     lane's ``denoise_trace`` error is raised.  Each time step applies the IEEE
     operations of ``kf_filter`` and ``rts_smooth``, in their order, across
     the chunk; the model's unit ``f`` and ``h`` and zero ``gu`` are folded
-    away, which changes no bit.
+    away, which changes no bit.  Once a check every ``_CHECK_EVERY`` steps
+    finds each lane's posterior variance equal to the one two steps back,
+    all later ones are equal too, since the map is deterministic; the rest of
+    both passes then alternates two gain vectors built by the same operations.
     """
     if len(rows) == 0:
         return
@@ -144,21 +158,42 @@ def _smooth_lanes(
             # mean x_post + 0.0 is left at x_post: a posterior is a sum
             # x_prior + g*(y - x_prior) with x_prior != -0.0, and such a sum
             # is never -0.0, so the + 0.0 would change no bit.
-            x_prev = xs[0] + 0.0
-            p_prev = rs
-            for x, p in zip(xs, ps):
-                add(p_prev, qs, out=p_prior)
-                add(p_prior, rs, out=denom)
-                divide(p_prior, denom, out=gain)
+            x_prev, p_prev = xs[0] + 0.0, rs
+            settled = n - 1
+            for k0 in range(0, n, _CHECK_EVERY):
+                k1 = min(k0 + _CHECK_EVERY, n)
+                for x, p in zip(xs[k0:k1], ps[k0:k1]):
+                    add(p_prev, qs, out=p_prior)
+                    add(p_prior, rs, out=denom)
+                    divide(p_prior, denom, out=gain)
+                    subtract(x, x_prev, out=step)
+                    multiply(gain, step, out=step)
+                    add(x_prev, step, out=x)
+                    multiply(rs, p_prior, out=p)
+                    divide(p, denom, out=p)
+                    x_prev, p_prev = x, p
+                if _settled(ps, k1 - 1):
+                    settled = k1 - 1
+                    break
+            # After ``settled``, p_post[k] is post[k % 2], and the gains are
+            # built from it with the same operations as above.
+            post = [ps[settled - 1], ps[settled]][:: 1 if settled % 2 else -1]
+            gains = [(p + qs) / (p + qs + rs) for p in post]
+            for k, x in enumerate(xs[settled + 1 :], settled + 1):
                 subtract(x, x_prev, out=step)
-                multiply(gain, step, out=step)
+                multiply(gains[(k - 1) % 2], step, out=step)
                 add(x_prev, step, out=x)
-                multiply(rs, p_prior, out=p)
-                divide(p, denom, out=p)
-                x_prev, p_prev = x, p
+                x_prev = x
             # Backward, in place: c = p_post[k] / p_prior[k+1], where
             # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
-            for x, x_next, p in zip(xs[-2::-1], xs[:0:-1], ps[-2::-1]):
+            gains = [p / (p + qs) for p in post]
+            for k in range(n - 2, settled, -1):
+                x = xs[k]
+                subtract(xs[k + 1], x, out=step)
+                multiply(gains[k % 2], step, out=step)
+                add(x, step, out=x)
+            top = min(settled + 1, n - 1)
+            for x, x_next, p in zip(xs[:top][::-1], xs[1 : top + 1][::-1], ps[:top][::-1]):
                 add(p, qs, out=p_prior)
                 divide(p, p_prior, out=gain)
                 subtract(x_next, x, out=step)

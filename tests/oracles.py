@@ -162,15 +162,18 @@ def scalar_select_q(
     grid_list = [float(g) for g in grid_arr]
     best_qs = []
     best_scores = []
-    for trace, r in zip(traces, rs):
+    for (x, y), trace, r in zip(ids, traces, rs):
         best_q = grid_list[0]
         best_score = -math.inf
         for q_cand in grid_list:
-            denoised = denoise_trace(trace, q_cand, r)
             try:
-                score = psnr(denoised, roi)
-            except InfinitePsnrError:
-                score = math.inf
+                denoised = denoise_trace(trace, q_cand, r)
+                try:
+                    score = psnr(denoised, roi)
+                except InfinitePsnrError:
+                    score = math.inf
+            except (DataError, NumericsError) as exc:
+                raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
             if score > best_score:
                 best_score = score
                 best_q = q_cand

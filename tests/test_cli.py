@@ -374,7 +374,8 @@ class TestFailureModes:
         [
             (["metrics"], "{input}: trace (x=0, y=0): "),
             (["compare", "--q", "1e-3", "--lp-cutoff-hz", "1e7"], "pipeline output: trace (x=0, y=0): "),
-            (["qselect", "--q-grid", "1e-4,1e-2", "--n-sample", "1"], ""),
+            (["qselect", "--q-grid", "1e-4,1e-2", "--n-sample", "1"],
+             "{input}: trace (x=0, y=0): "),
         ],
         ids=["metrics", "compare", "qselect"],
     )

@@ -20,7 +20,7 @@ from ascankit import rts
 from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
-from ascankit.rts import _smooth_lanes, denoise_trace
+from ascankit.rts import _settled, _smooth_lanes, denoise_trace
 from ascankit.synth import default_spec, synth_volume
 from oracles import scalar_denoised_volume, scalar_select_q
 
@@ -157,6 +157,130 @@ class TestKernel:
             assert np.array_equal(_bits(smoothed[:, 0]), _bits(want))
 
 
+#: (q, r) of lanes whose variances settle, in the scalar recursion, to a fixed
+#: point (at steps 177 and 20), to a 2-cycle (at steps 167 and 101; in the
+#: second both gains alternate too), at once (r = 0), or not within thousands
+#: of steps (r/q = 1e12).
+PERIOD_1 = [(1e-2, 1.0), (1.0, 1.0)]
+PERIOD_2 = [(0.012, 1.0), (0.034, 1.0)]
+SILENT = [(1e-3, 0.0)]
+UNSETTLED = [(1e-12, 1.0)]
+
+
+class _SettleSpy:
+    """Stands in for ``rts._settled``: records each check as ``(k, settled)``
+    and, at a check that succeeds, the variances ``(ps[k - 1], ps[k])``."""
+
+    def __init__(self):
+        self.checks, self.variances = [], []
+
+    def __call__(self, ps, k):
+        settled = _settled(ps, k)
+        self.checks.append((k, settled))
+        if settled:
+            self.variances.append((ps[k - 1].copy(), ps[k].copy()))
+        return settled
+
+
+def _long_lanes(pairs, n, seed=0):
+    rows = np.random.default_rng(seed).standard_normal((len(pairs), n)).cumsum(axis=1)
+    qs, rs = (np.array(values) for values in zip(*pairs))
+    return rows, qs, rs
+
+
+def _smooth_checked(rows, qs, rs, width=None):
+    """Run the kernel with ``width`` lanes a chunk (default: all), check every
+    lane against ``denoise_trace`` bit for bit, and return the settle spy."""
+    n = rows.shape[1]
+    spy = _SettleSpy()
+    with mock.patch.object(rts, "_settled", spy), mock.patch.object(
+        rts, "_LANE_BYTES", (width or len(rows)) * 2 * 8 * n
+    ):
+        for lo, smoothed in _smooth_lanes(list(rows), qs, rs):
+            for j, got in enumerate(smoothed.T):
+                want = denoise_trace(Trace(rows[lo + j], 1e-6), qs[lo + j], rs[lo + j])
+                assert np.array_equal(_bits(got), _bits(want.samples)), lo + j
+    return spy
+
+
+class TestSettledLanes:
+    """Lanes long enough for the kernel's settle checks, which the short
+    lanes of ``TestKernel`` never reach."""
+
+    def test_a_lane_that_never_settles_keeps_its_chunk_on_the_full_recursion(self):
+        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024)
+        spy = _smooth_checked(rows, qs, rs)
+        assert spy.checks == [(k, False) for k in range(127, 1024, 128)]
+
+    def test_settled_lanes_of_both_periods_take_the_steady_path(self):
+        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, 1024)
+        spy = _smooth_checked(rows, qs, rs)
+        assert spy.checks == [(127, False), (255, True)]
+        (before, last), = spy.variances
+        assert (before != last).tolist() == [False, False, True, True, False]
+
+    @pytest.mark.parametrize(
+        "pairs, n, checks",
+        [
+            ([(1.0, 1.0)] * 3, 128, [(127, True)]),
+            ([(1.0, 1.0)] * 3, 129, [(127, True)]),
+            ([(1.0, 1.0)] * 3, 130, [(127, True)]),
+            (PERIOD_1 + PERIOD_2, 256, [(127, False), (255, True)]),
+            (PERIOD_1 + PERIOD_2, 257, [(127, False), (255, True)]),
+            (PERIOD_1 + PERIOD_2, 258, [(127, False), (255, True)]),
+        ],
+    )
+    def test_settling_at_the_last_steps_leaves_few_or_no_steady_steps(self, pairs, n, checks):
+        rows, qs, rs = _long_lanes(pairs, n, seed=n)
+        assert _smooth_checked(rows, qs, rs).checks == checks
+
+    def test_each_chunk_settles_on_its_own(self):
+        # Chunks of two: [P1, P1], [unsettled, P2], [P2, r = 0], [q = r].
+        pairs = PERIOD_1 + UNSETTLED + PERIOD_2 + SILENT + [(1.0, 1.0)]
+        rows, qs, rs = _long_lanes(pairs, 640, seed=3)
+        spy = _smooth_checked(rows, qs, rs, width=2)
+        assert spy.checks == (
+            [(127, False), (255, True)]
+            + [(k, False) for k in range(127, 640, 128)]
+            + [(127, True)]
+            + [(127, True)]
+        )
+
+    @st.composite
+    def settling_lane_sets(draw):
+        n = draw(st.integers(min_value=100, max_value=1500))
+        count = draw(st.integers(min_value=1, max_value=6))
+        ratio = st.one_of(st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
+                          st.just(1e-12))
+        scale = st.floats(min_value=-6.0, max_value=6.0).map(lambda e: 10.0**e)
+        rs = np.array([draw(scale) for _ in range(count)])
+        qs = np.array([draw(ratio) for _ in range(count)]) * rs
+        rs[[draw(st.booleans()) for _ in range(count)]] = 0.0
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        rows = rng.standard_normal((count, n)) * draw(scale)
+        return rows, qs, rs, draw(st.integers(min_value=1, max_value=count))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(settling_lane_sets())
+    def test_long_lanes_match_denoise_trace_bit_for_bit(self, lanes):
+        rows, qs, rs, width = lanes
+        _smooth_checked(rows, qs, rs, width)
+
+    def test_settled_prior_variance_is_the_closed_form(self):
+        # The steady-state prior variance P solves P = P*r/(P + r) + q.
+        r = 2.5e-3
+        qs = np.logspace(-4.0, 6.0, 41) * r
+        rs = np.full_like(qs, r)
+        rows = np.random.default_rng(5).standard_normal((len(qs), 2048)) * math.sqrt(r)
+        spy = _smooth_checked(rows, qs, rs)
+        assert spy.checks[-1] == (1663, True)  # the slowest lane settles at step 1632
+        (before, last), = spy.variances
+        assert np.flatnonzero(before != last).tolist() == [16, 17]  # period 2; the rest, 1
+        closed = (qs + np.sqrt(qs * qs + 4.0 * qs * rs)) / 2.0
+        for p_post in (before, last):
+            np.testing.assert_allclose(p_post + qs, closed, rtol=1e-12, atol=0.0)
+
+
 class TestSelectQMatchesScalarLoop:
     @pytest.mark.parametrize("lanes", [None, 3])
     @pytest.mark.parametrize("grid", [GRID, None])
@@ -196,7 +320,7 @@ class TestSelectQMatchesScalarLoop:
             want = _error(scalar_select_q, volume, **kwargs)
             with _lanes_per_chunk(lanes):
                 assert _error(select_q, volume, **kwargs) == want
-        assert want == (DataError, "trace sample 0 is not finite")
+        assert want == (DataError, "trace (x=2, y=1): trace sample 0 is not finite")
 
     def test_infinite_median_r_is_the_scalar_numerics_error(self):
         volume = Volume.from_grid(np.tile(_loud_head(), (2, 2, 1)), 1e-8)
