@@ -16,6 +16,10 @@ which matches the scalar ``denoise_trace`` bit for bit.  Its variances and
 gains depend on ``(q, r)`` alone and in floating point settle to a fixed
 point or a 2-cycle, the steady-state filter (Anderson & Moore, *Optimal
 Filtering*, 1979); from there the kernel reuses two gains for the means.
+Its workspace holds the means of every step, and the variances of every
+step only where they fit; otherwise one variance per block of steps, from
+which the backward pass recomputes the rest (the store-or-recompute trade of
+Griewank & Walther's *revolve*, 2000).
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from .model import (
 
 __all__ = ["rts_smooth", "denoise_trace"]
 
-#: Cap, in bytes, on the (samples x lanes) arrays ``_smooth_lanes`` holds.
+#: Cap, in bytes, on ``_smooth_lanes``' workspace: every step's means, and
+#: the variances in full or as per-block checkpoints (``_chunking``).
 _LANE_BYTES = 4 << 20
 #: Time steps between ``_smooth_lanes``' checks for settled variances.
 _CHECK_EVERY = 128
@@ -105,9 +110,21 @@ def _check_variances(q: float, r: float) -> None:
 
 
 def _settled(ps: np.ndarray, k: int) -> bool:
-    """Whether every lane's posterior variance ``ps[k]`` repeats ``ps[k - 2]``
-    bit for bit, so that every later one is ``ps[k - 1]`` or ``ps[k]``."""
-    return k >= 2 and np.array_equal(ps[k].view(np.uint64), ps[k - 2].view(np.uint64))
+    """Whether every lane's variance at step ``k``, ``ps[-1]``, repeats
+    ``ps[-3]`` bit for bit, so that every later one is ``ps[-2]`` or ``ps[-1]``."""
+    return k >= 2 and np.array_equal(ps[-1].view(np.uint64), ps[-3].view(np.uint64))
+
+
+def _chunking(stop: int, n: int) -> Tuple[int, bool]:
+    """Lanes per chunk for ``stop`` lanes of ``n`` samples, and whether their
+    variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` at the
+    narrowest equal width, where a lane holds its means, a checkpoint per
+    block and one block of variances, and the variances in full if they fit."""
+    block = min(_CHECK_EVERY, n)
+    lane = 8 * (n + -(-n // block) + block)
+    chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
+    width = max(1, -(-stop // chunks))
+    return width, width * 2 * 8 * n > _LANE_BYTES
 
 
 def _smooth_lanes(
@@ -128,6 +145,9 @@ def _smooth_lanes(
     finds each lane's posterior variance equal to the one two steps back,
     all later ones are equal too, since the map is deterministic; the rest of
     both passes then alternates two gain vectors built by the same operations.
+    Where the variances do not fit in full (``_chunking``), the backward pass
+    recomputes each block's from the last of the block before it, by the
+    forward pass's own operations.
     """
     if len(rows) == 0:
         return
@@ -135,11 +155,15 @@ def _smooth_lanes(
     accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
     stop = len(rows) if accepted.all() else int(np.argmin(accepted))
     n = len(rows[0])
-    width = max(1, min(stop, _LANE_BYTES // (2 * 8 * n)))
+    width, checkpointed = _chunking(stop, n)
+    block = min(_CHECK_EVERY, n)
+    starts = range(0, n, block)
     # Time-major means (the input, until the forward pass overwrites it) and
-    # posterior variances; a chunk of m lanes uses the first n*m entries.
+    # posterior variances: all, or two steps before a block, the block and
+    # the last of each block.  A chunk of m lanes uses m entries a row.
+    p_rows = 2 + block + len(starts) if checkpointed else n
     x_buf = np.empty(n * width)
-    p_buf = np.empty(n * width)
+    p_buf = np.empty(p_rows * width)
     per_lane = np.empty((4, width))
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     # Overflow gives inf or nan as it does for the scalar path's Python
@@ -148,7 +172,7 @@ def _smooth_lanes(
         for lo in range(0, stop, width):
             m = min(width, stop - lo)
             xs = x_buf[: n * m].reshape(n, m)
-            ps = p_buf[: n * m].reshape(n, m)
+            ps = p_buf[: p_rows * m].reshape(p_rows, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
             p_prior, denom, gain, step = per_lane[:, :m]
             for j in range(m):
@@ -160,9 +184,11 @@ def _smooth_lanes(
             # is never -0.0, so the + 0.0 would change no bit.
             x_prev, p_prev = xs[0] + 0.0, rs
             settled = n - 1
-            for k0 in range(0, n, _CHECK_EVERY):
-                k1 = min(k0 + _CHECK_EVERY, n)
-                for x, p in zip(xs[k0:k1], ps[k0:k1]):
+            for last, k0 in enumerate(starts):
+                k1 = min(k0 + block, n)
+                at = 2 if checkpointed else k0  # the row of step k0's variance
+                window = ps[: at + k1 - k0]
+                for x, p in zip(xs[k0:k1], window[at:]):
                     add(p_prev, qs, out=p_prior)
                     add(p_prior, rs, out=denom)
                     divide(p_prior, denom, out=gain)
@@ -172,12 +198,15 @@ def _smooth_lanes(
                     multiply(rs, p_prior, out=p)
                     divide(p, denom, out=p)
                     x_prev, p_prev = x, p
-                if _settled(ps, k1 - 1):
+                if _settled(window, k1 - 1):
                     settled = k1 - 1
                     break
+                if checkpointed:  # keep the last variance, and carry the last two
+                    ps[2 + block + last] = p_prev
+                    ps[:2] = ps[block : block + 2]
             # After ``settled``, p_post[k] is post[k % 2], and the gains are
             # built from it with the same operations as above.
-            post = [ps[settled - 1], ps[settled]][:: 1 if settled % 2 else -1]
+            post = window[-2:][:: 1 if settled % 2 else -1]
             gains = [(p + qs) / (p + qs + rs) for p in post]
             for k, x in enumerate(xs[settled + 1 :], settled + 1):
                 subtract(x, x_prev, out=step)
@@ -193,16 +222,29 @@ def _smooth_lanes(
                 multiply(gains[k % 2], step, out=step)
                 add(x, step, out=x)
             top = min(settled + 1, n - 1)
-            for x, x_next, p in zip(xs[:top][::-1], xs[1 : top + 1][::-1], ps[:top][::-1]):
-                add(p, qs, out=p_prior)
-                divide(p, p_prior, out=gain)
-                subtract(x_next, x, out=step)
-                multiply(gain, step, out=step)
-                add(x, step, out=x)
+            for b in range(last, -1, -1):
+                k0 = starts[b]
+                k1 = min(k0 + block, top)
+                if checkpointed and b < last:
+                    p_prev = ps[1 + block + b] if b else rs
+                    for p in ps[2 : 2 + block]:
+                        add(p_prev, qs, out=p_prior)
+                        add(p_prior, rs, out=denom)
+                        multiply(rs, p_prior, out=p)
+                        divide(p, denom, out=p)
+                        p_prev = p
+                p_back = ps[2 if checkpointed else k0 :][: k1 - k0][::-1]
+                for x, x_next, p in zip(xs[k0:k1][::-1], xs[k0 + 1 : k1 + 1][::-1], p_back):
+                    add(p, qs, out=p_prior)
+                    divide(p, p_prior, out=gain)
+                    subtract(x_next, x, out=step)
+                    multiply(gain, step, out=step)
+                    add(x, step, out=x)
             for j in np.flatnonzero(rs == 0.0):
                 xs[:, j] = rows[lo + j]  # r = 0 is the identity map
-            bad = np.flatnonzero(~np.isfinite(xs).all(axis=0))
-            if bad.size:
+            # Unlike np.isfinite(xs), min and max need no n x m temporary.
+            if not (np.isfinite(xs.min()) and np.isfinite(xs.max())):
+                bad = np.flatnonzero(~np.isfinite(xs.min(axis=0)) | ~np.isfinite(xs.max(axis=0)))
                 yield lo, xs[:, : bad[0]]
                 _finite(xs[:, bad[0]])  # raises denoise_trace's "not finite" error
             yield lo, xs

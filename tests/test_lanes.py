@@ -10,6 +10,7 @@ workspace (one chunk here) and with a cap small enough to force many chunks.
 import contextlib
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -39,12 +40,48 @@ def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
 
 
+def _lane_bytes(n):
+    """What a lane of ``n`` samples costs the kernel's workspace by its sizing
+    rule: its means, a variance checkpoint per block of ``_CHECK_EVERY``
+    steps and one block of recomputed variances."""
+    block = min(rts._CHECK_EVERY, n)
+    return 8 * (n + math.ceil(n / block) + block)
+
+
+def _cap(nbytes):
+    return mock.patch.object(rts, "_LANE_BYTES", nbytes)
+
+
 def _lanes_per_chunk(lanes):
     """Cap the kernel's workspace at ``lanes`` lanes of length ``NT``; with
     ``None``, keep the default cap, which holds every lane used here."""
     if lanes is None:
         return contextlib.nullcontext()
-    return mock.patch.object(rts, "_LANE_BYTES", lanes * 2 * 8 * NT)
+    return _cap(lanes * _lane_bytes(NT))
+
+
+def _chunks(rows, qs, rs):
+    """Run the kernel, and check that its chunks are the fewest that fit the
+    cap, all as wide as the first but the last; return copies of them."""
+    count, n = len(rows), len(rows[0])
+    width, _ = rts._chunking(count, n)
+    fewest = math.ceil(count / max(1, rts._LANE_BYTES // _lane_bytes(n)))
+    chunks, views = [], []
+    for lo, smoothed in _smooth_lanes(list(rows), qs, rs):
+        chunks.append((lo, smoothed.copy()))
+        views.append(smoothed)
+    assert [lo for lo, _ in chunks] == list(range(0, count, width))
+    assert len(chunks) == fewest and width == math.ceil(count / fewest)
+    assert all(smoothed.shape == (n, min(width, count - lo)) for lo, smoothed in chunks)
+    assert all(np.shares_memory(views[0], later) for later in views)  # one workspace
+    return chunks
+
+
+def _assert_denoised(rows, qs, rs, chunks):
+    for lo, smoothed in chunks:
+        for j, got in enumerate(smoothed.T):
+            want = denoise_trace(Trace(rows[lo + j], 1e-6), qs[lo + j], rs[lo + j])
+            assert np.array_equal(_bits(got), _bits(want.samples)), lo + j
 
 
 def _scan(seed: int, nx: int = 3, ny: int = 3) -> Volume:
@@ -109,20 +146,9 @@ class TestKernel:
     @given(lane_sets())
     def test_every_lane_matches_denoise_trace_bit_for_bit(self, lanes):
         rows, qs, rs, width = lanes
-        n = rows.shape[1]
-        chunks, views = [], []
-        with mock.patch.object(rts, "_LANE_BYTES", width * 2 * 8 * n):
-            for lo, smoothed in _smooth_lanes(list(rows), qs, rs):
-                chunks.append((lo, smoothed.copy()))
-                views.append(smoothed)
-        assert [lo for lo, _ in chunks] == list(range(0, len(rows), width))
-        assert all(smoothed.shape == (n, min(width, len(rows) - lo)) for lo, smoothed in chunks)
-        assert all(np.shares_memory(views[0], later) for later in views)  # one workspace
-        for lo, smoothed in chunks:
-            for j in range(smoothed.shape[1]):
-                lane = lo + j
-                want = denoise_trace(Trace(rows[lane], 1e-6), qs[lane], rs[lane]).samples
-                assert np.array_equal(_bits(smoothed[:, j]), _bits(want)), lane
+        with _cap(width * _lane_bytes(rows.shape[1])):
+            chunks = _chunks(rows, qs, rs)
+        _assert_denoised(rows, qs, rs, chunks)
 
     def test_negative_zero_first_sample_comes_out_positive(self):
         rows = [np.array([-0.0, -0.0, -0.0]), np.array([-0.0])]
@@ -132,6 +158,23 @@ class TestKernel:
         assert not np.signbit(smoothed[:, 0]).any()
         (lo, smoothed), = _smooth_lanes(rows[1:], np.array([1.0]), np.array([0.0]))
         assert np.signbit(smoothed[0, 0])  # r = 0 copies the sample through
+
+    def test_a_lane_smoothed_to_all_positive_infinity_is_refused(self):
+        # Overflow at the last step makes every smoothed sample of lane 1
+        # +inf, and leaves the chunk's minimum finite.
+        tail = np.zeros(64)
+        tail[-2:] = [-1.7e308, 1.7e308]
+        rows = [np.linspace(0.0, 1.0, 64), tail, np.ones(64)]
+        qs, rs = np.array([1.0, 1e6, 1.0]), np.ones(3)
+        chunks = []
+
+        def run():
+            for lo, smoothed in _smooth_lanes(rows, qs, rs):
+                chunks.append((lo, smoothed.copy()))
+
+        assert _error(run) == _error(denoise_trace, Trace(tail, 1e-6), 1e6, 1.0)
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (64, 1))]
+        _assert_denoised(rows, qs, rs, chunks)
 
     def test_no_lanes_yields_nothing(self):
         assert list(_smooth_lanes([], np.array([]), np.array([]))) == []
@@ -169,7 +212,8 @@ UNSETTLED = [(1e-12, 1.0)]
 
 class _SettleSpy:
     """Stands in for ``rts._settled``: records each check as ``(k, settled)``
-    and, at a check that succeeds, the variances ``(ps[k - 1], ps[k])``."""
+    and, at a check that succeeds, the variances of steps ``k - 1`` and
+    ``k``, the last two rows of ``ps``."""
 
     def __init__(self):
         self.checks, self.variances = [], []
@@ -178,7 +222,7 @@ class _SettleSpy:
         settled = _settled(ps, k)
         self.checks.append((k, settled))
         if settled:
-            self.variances.append((ps[k - 1].copy(), ps[k].copy()))
+            self.variances.append((ps[-2].copy(), ps[-1].copy()))
         return settled
 
 
@@ -188,18 +232,14 @@ def _long_lanes(pairs, n, seed=0):
     return rows, qs, rs
 
 
-def _smooth_checked(rows, qs, rs, width=None):
-    """Run the kernel with ``width`` lanes a chunk (default: all), check every
-    lane against ``denoise_trace`` bit for bit, and return the settle spy."""
-    n = rows.shape[1]
+def _smooth_checked(rows, qs, rs, width=None, cap=None):
+    """Run the kernel with a cap of ``width`` lanes (default: all) or ``cap``
+    bytes, check every lane against ``denoise_trace`` bit for bit, and
+    return the settle spy."""
     spy = _SettleSpy()
-    with mock.patch.object(rts, "_settled", spy), mock.patch.object(
-        rts, "_LANE_BYTES", (width or len(rows)) * 2 * 8 * n
-    ):
-        for lo, smoothed in _smooth_lanes(list(rows), qs, rs):
-            for j, got in enumerate(smoothed.T):
-                want = denoise_trace(Trace(rows[lo + j], 1e-6), qs[lo + j], rs[lo + j])
-                assert np.array_equal(_bits(got), _bits(want.samples)), lo + j
+    cap = cap or (width or len(rows)) * _lane_bytes(rows.shape[1])
+    with mock.patch.object(rts, "_settled", spy), _cap(cap):
+        _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
     return spy
 
 
@@ -247,8 +287,8 @@ class TestSettledLanes:
         )
 
     @st.composite
-    def settling_lane_sets(draw):
-        n = draw(st.integers(min_value=100, max_value=1500))
+    def settling_lane_sets(draw, n=st.integers(min_value=100, max_value=1500)):
+        n = draw(n)
         count = draw(st.integers(min_value=1, max_value=6))
         ratio = st.one_of(st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0**e),
                           st.just(1e-12))
@@ -279,6 +319,92 @@ class TestSettledLanes:
         closed = (qs + np.sqrt(qs * qs + 4.0 * qs * rs)) / 2.0
         for p_post in (before, last):
             np.testing.assert_allclose(p_post + qs, closed, rtol=1e-12, atol=0.0)
+
+
+def _stored_and_checkpointed(rows, qs, rs):
+    """The settle spies of one chunk of ``rows`` run with its variances
+    stored in full and with them checkpointed, each checked bit for bit."""
+    count, n = rows.shape
+    full = count * 2 * 8 * n
+    for cap, checkpointed in [(full, False), (count * _lane_bytes(n), True)]:
+        with _cap(cap):
+            assert rts._chunking(count, n) == (count, checkpointed)
+    return _smooth_checked(rows, qs, rs, cap=full), _smooth_checked(rows, qs, rs)
+
+
+class TestCheckpointedLanes:
+    """Chunks too wide to store their variances in full, which the backward
+    pass recomputes block by block from per-block checkpoints."""
+
+    @pytest.mark.parametrize(
+        "pairs, n, settled",
+        [
+            ([(1.0, 1.0)] * 3, 1024, 127),  # in block 0: nothing recomputed
+            (PERIOD_1 + PERIOD_2 + SILENT, 1024, 255),  # some within block 0
+            (PERIOD_1 + PERIOD_2 + SILENT, 300, 255),
+            (PERIOD_2, 257, 255),
+            (PERIOD_1 + SILENT + UNSETTLED, 1024, None),  # every block recomputed
+            (PERIOD_1 + SILENT + UNSETTLED, 1025, None),  # a last block of one step
+            (PERIOD_1 + SILENT + UNSETTLED, 1026, None),  # and of two
+            # Settling at steps 256 and 257 is seen only in such last blocks,
+            # whose checks compare with steps of the block before.
+            ([(0.004883376234556759, 1.0)] * 2, 257, 256),
+            ([(0.004647425240565497, 1.0)] * 2, 258, 257),
+        ],
+    )
+    def test_recomputed_variances_are_the_stored_ones(self, pairs, n, settled):
+        rows, qs, rs = _long_lanes(pairs, n, seed=n)
+        stored, checkpointed = _stored_and_checkpointed(rows, qs, rs)
+        assert [k for k, ok in stored.checks if ok] == ([] if settled is None else [settled])
+        assert checkpointed.checks == stored.checks
+        assert _bits(checkpointed.variances).tolist() == _bits(stored.variances).tolist()
+
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
+        rows = list(np.ones((2, 300)))
+        qs, rs = np.array([1.0, 1.0]), np.array([-1.0, 1.0])
+        want = _error(denoise_trace, Trace(rows[0], 1e-6), qs[0], rs[0])
+        with _cap(cap or rts._LANE_BYTES):
+            assert rts._chunking(0, 300) == (1, cap is not None)
+            assert _error(list, _smooth_lanes(rows, qs, rs)) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100, 128, 300])
+    def test_lanes_over_the_cap_are_checkpointed_one_a_chunk(self, n):
+        rows, qs, rs = _long_lanes(PERIOD_1 + SILENT, n, seed=n)
+        with _cap(1):
+            assert rts._chunking(len(rows), n) == (1, True)
+            chunks = _chunks(rows, qs, rs)
+        _assert_denoised(rows, qs, rs, chunks)
+
+    @st.composite
+    def capped_lane_sets(draw):
+        rows, qs, rs, _ = draw(TestSettledLanes.settling_lane_sets(
+            n=st.one_of(st.integers(1, 130), st.integers(131, 700))
+        ))
+        full = len(rows) * 2 * 8 * rows.shape[1]
+        return rows, qs, rs, draw(st.integers(min_value=1, max_value=full + full // 2))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(capped_lane_sets())
+    def test_any_cap_gives_the_fewest_chunks_and_the_same_bits(self, lanes):
+        rows, qs, rs, cap = lanes
+        with _cap(cap):
+            chunks = _chunks(rows, qs, rs)
+        _assert_denoised(rows, qs, rs, chunks)
+
+    @pytest.mark.parametrize("count, n, checkpointed", [(120, 4096, True), (512, 1024, False)])
+    def test_peak_allocation_stays_under_the_cap(self, count, n, checkpointed):
+        rows, qs, rs = _long_lanes([(1e-2, 1.0)] * count, n)
+        rows = list(rows)
+        assert rts._chunking(count, n)[1] == checkpointed
+        tracemalloc.start()
+        try:
+            for _ in _smooth_lanes(rows, qs, rs):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= rts._LANE_BYTES + (64 << 10)
 
 
 class TestSelectQMatchesScalarLoop:
