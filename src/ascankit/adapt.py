@@ -22,7 +22,6 @@ from .model import (
     RoiSpec,
     Trace,
     Volume,
-    validate_volume,
 )
 from .rts import _smooth_lanes
 
@@ -101,7 +100,6 @@ def select_q(
     When ``grid`` is omitted it is derived from the sampled traces via
     :func:`default_q_grid`.
     """
-    validate_volume(volume)
     roi.checked_for(volume.nt)
     n_traces = volume.nx * volume.ny
     n_sample = int(n_sample)
@@ -129,7 +127,6 @@ def select_q(
             raise DataError("q grid must be non-empty")
         if not np.all(np.isfinite(grid_arr)) or (grid_arr <= 0.0).any():
             raise DataError("q grid values must be finite and > 0")
-    grid_list = [float(g) for g in grid_arr]
 
     # One lane per (trace, candidate), trace-major: lanes are scored in the
     # order of a loop over traces and then candidates, one at a time, since
@@ -139,9 +136,9 @@ def select_q(
     scores = []
     try:
         for _, smoothed in _smooth_lanes(
-            [samples for samples in traces for _ in grid_list],
+            [samples for samples in traces for _ in grid_arr],
             np.tile(grid_arr, len(traces)),
-            np.repeat(rs, len(grid_list)),
+            np.repeat(rs, grid_arr.size),
         ):
             for samples in smoothed.T:
                 try:
@@ -149,26 +146,20 @@ def select_q(
                 except InfinitePsnrError:
                     scores.append(math.inf)
     except (DataError, NumericsError) as exc:
-        x, y = ids[len(scores) // len(grid_list)]
+        x, y = ids[len(scores) // grid_arr.size]
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
 
-    best_qs = []
-    best_scores = []
-    for lo in range(0, len(scores), len(grid_list)):
-        best_q = grid_list[0]
-        best_score = -math.inf
-        for q_cand, score in zip(grid_list, scores[lo : lo + len(grid_list)]):
-            if score > best_score:
-                best_score = score
-                best_q = q_cand
-        best_qs.append(best_q)
-        best_scores.append(best_score)
+    # argmax keeps the first of tied scores, the lowest grid index.
+    table = np.reshape(scores, (len(traces), grid_arr.size))
+    best_qs = grid_arr[table.argmax(axis=1)]
 
-    return QSelectionReport(
-        grid=tuple(grid_list),
-        sampled_trace_ids=tuple(ids),
-        best_q_per_trace=tuple(best_qs),
-        q_final=float(np.mean(best_qs)),
-        r_per_trace=tuple(rs),
-        best_psnr_per_trace=tuple(best_scores),
-    )
+    # Winners near the largest float can sum past it; the report refuses that mean.
+    with np.errstate(over="ignore"):
+        return QSelectionReport(
+            grid=tuple(grid_arr),
+            sampled_trace_ids=tuple(ids),
+            best_q_per_trace=tuple(best_qs),
+            q_final=float(np.mean(best_qs)),
+            r_per_trace=tuple(rs),
+            best_psnr_per_trace=tuple(table.max(axis=1)),
+        )

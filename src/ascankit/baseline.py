@@ -10,7 +10,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
-from .model import DataError, Trace, Volume, _finite, validate_volume
+from .model import DataError, Trace, Volume, _finite
 from .rts import _smooth_lanes
 
 __all__ = [
@@ -52,6 +52,9 @@ def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.nd
         raise DataError(
             f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
         )
+    # firwin refuses a cutoff whose fraction of Nyquist rounds to zero.
+    if cutoff_hz / nyquist == 0.0:
+        raise DataError(f"cutoff {cutoff_hz!r} Hz is too small a fraction of Nyquist {nyquist!r}")
     from scipy.signal import filtfilt, firwin  # slow to import, so only where it is used
 
     taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
@@ -61,12 +64,10 @@ def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.nd
 
 
 def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
-    """Validate a volume and its optional background, which must match the
-    volume's grid and dt."""
-    validate_volume(volume)
+    """Check that the optional background matches the volume's grid and dt;
+    each Volume was checked on its own when it was built."""
     if background is None:
         return
-    validate_volume(background)
     if (background.nx, background.ny, background.nt) != (volume.nx, volume.ny, volume.nt):
         raise DataError(
             "background dimensions "

@@ -30,6 +30,7 @@ from .baseline import baseline_denoise, pipeline_denoise
 from .bench import ZERO_STATS, CorpusEntry, corpus_entry, format_manifest, parse_manifest
 from .io import (
     PipelineConfig,
+    _read,
     atomic_write_text,
     config_from_strings,
     config_to_strings,
@@ -199,8 +200,7 @@ def _resolve_synth_source(source: str) -> CorpusEntry:
         raise FileNotFoundError(
             f"synth source {source!r} is neither a corpus entry nor a manifest file"
         )
-    with open(source, "r", encoding="utf-8") as handle:
-        return parse_manifest(handle.read(), source=source)
+    return parse_manifest(_read(source, "manifest"), source=source)
 
 
 def _clean_volume(entry: CorpusEntry) -> Volume:
@@ -429,19 +429,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+#: Every character str.splitlines() breaks at, mapped to its escaped form, so
+#: that a file name or a value quoted in a diagnostic cannot break its line.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     except (OSError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     except NumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

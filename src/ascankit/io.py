@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import DataError, EnvelopeImage, RoiSpec, Volume, validate_volume
+from .model import DataError, EnvelopeImage, RoiSpec, Volume
 
 __all__ = [
     "VOLUME_MAGIC",
@@ -76,6 +76,21 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _read(path: str, what: str, binary: bool = False) -> Union[str, bytes]:
+    """The contents of the ``what`` file at ``path``, as UTF-8 text unless
+    ``binary``.  A missing file, a NUL in the path and text that is not
+    UTF-8 each raise an error that names the path."""
+    try:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except ValueError as exc:  # a path with a NUL in it, which open() refuses
+        raise DataError(f"{what} path {path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +176,6 @@ def write_volume(
     provenance: Optional[str] = None,
 ) -> None:
     """Write ``volume`` as a text header at ``path`` plus ``path + '.bin'``."""
-    validate_volume(volume)
     if dtype not in _DTYPES:
         raise DataError(f"unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
     data_name = os.path.basename(path) + ".bin"
@@ -195,12 +209,7 @@ def write_volume(
 
 def read_volume(path: str) -> Volume:
     """Read a header/data pair back into a Volume (samples promoted to f64)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"volume header not found: {path}") from None
-    pairs = parse_kv(text, source=path)
+    pairs = parse_kv(_read(path, "volume header"), source=path)
     magic = require_field(pairs, "magic", path)
     if magic != VOLUME_MAGIC:
         raise DataError(f"{path}: bad magic {magic!r}; expected {VOLUME_MAGIC!r}")
@@ -216,11 +225,7 @@ def read_volume(path: str) -> Volume:
     if layout != _LAYOUT:
         raise DataError(f"{path}: unsupported layout {layout!r}")
     data_file = _data_path(path, require_field(pairs, "data", path))
-    try:
-        with open(data_file, "rb") as handle:
-            raw = handle.read()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"volume data not found: {data_file}") from None
+    raw = _read(data_file, "volume data", binary=True)
     item = _DTYPES[dtype].itemsize
     expected = nx * ny * nt * item
     if len(raw) != expected:
@@ -228,9 +233,8 @@ def read_volume(path: str) -> Volume:
             f"{data_file}: has {len(raw)} bytes but header {path} requires "
             f"{nx}*{ny}*{nt}*{item} = {expected}"
         )
-    # The Volume constructor casts to f64 in its one copy.
-    volume = Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=np.frombuffer(raw, dtype=_DTYPES[dtype]))
-    return validate_volume(volume)
+    # The Volume constructor casts to f64 in its one copy, then checks it.
+    return Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=np.frombuffer(raw, dtype=_DTYPES[dtype]))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +372,7 @@ _CONFIG_KEYS = {field.name for field in fields(PipelineConfig)}
 
 def read_config(path: str) -> PipelineConfig:
     """Load a PipelineConfig from a flat key-value file."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"config file not found: {path}") from None
-    pairs = parse_kv(text, source=path)
+    pairs = parse_kv(_read(path, "config file"), source=path)
     unknown = sorted(set(pairs) - _CONFIG_KEYS)
     if unknown:
         raise DataError(f"{path}: unknown config keys {unknown}")

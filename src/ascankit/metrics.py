@@ -16,7 +16,6 @@ from .model import (
     Trace,
     Volume,
     _finite,
-    validate_volume,
 )
 
 __all__ = ["envelope", "reconstruct", "psnr", "psnr_gain"]
@@ -49,7 +48,6 @@ def envelope(trace: Trace) -> Trace:
 
 def reconstruct(volume: Volume) -> EnvelopeImage:
     """Project a volume to an image: pixel (x, y) is that trace's envelope peak."""
-    validate_volume(volume)
     pixels = [_finite(_envelopes(line)).max(axis=-1) for line in volume.grid()]
     return EnvelopeImage(nx=volume.nx, ny=volume.ny, pixels=pixels)
 

@@ -78,9 +78,10 @@ class Volume:
     """A scan grid of traces stored x-major, then y, with t fastest.
 
     ``data`` is kept flat; the trace at (x, y) occupies the contiguous slice
-    ``data[(x*ny + y)*nt : (x*ny + y + 1)*nt]``.  Construction only normalises
-    the payload — run :func:`validate_volume` to check the invariants, which
-    all pipeline entry points do.
+    ``data[(x*ny + y)*nt : (x*ny + y + 1)*nt]``.  Construction copies the
+    payload once and checks it with :func:`validate_volume`, so every Volume
+    holds ``nx*ny*nt`` finite samples and code that receives one need not
+    check it again.
     """
 
     nx: int
@@ -97,6 +98,7 @@ class Volume:
         object.__setattr__(self, "nt", int(self.nt))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "data", data)
+        validate_volume(self)
 
     @classmethod
     def from_grid(cls, grid, dt: float) -> "Volume":
@@ -119,8 +121,8 @@ class Volume:
 def validate_volume(volume: Volume) -> Volume:
     """Check all Volume invariants, returning the volume unchanged.
 
-    Raises DataError naming the first offending index when samples are
-    missing, extra, or non-finite.
+    Every Volume runs this check when it is built.  Raises DataError naming
+    the first offending index when samples are missing, extra, or non-finite.
     """
     if volume.nx < 1 or volume.ny < 1 or volume.nt < 1:
         raise DataError(
@@ -265,6 +267,8 @@ class QSelectionReport:
         if any(b not in grid_set for b in best):
             raise DataError("best_q_per_trace contains a value outside the grid")
         mean = float(np.mean(best))
+        if not math.isfinite(mean):
+            raise NumericsError("the mean of best_q_per_trace overflows")
         if abs(self.q_final - mean) > 1e-12 * max(1.0, abs(mean)):
             raise DataError("q_final must equal the mean of best_q_per_trace")
 

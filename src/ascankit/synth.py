@@ -166,20 +166,18 @@ def synth_volume(
 
     clean_on = clean_samples(base)
     clean_off = np.zeros(base.nt)
-    nt = base.nt
-    signal = np.empty(nx * ny * nt)
-    background = np.empty(nx * ny * nt)
+    signal = np.empty((nx, ny, base.nt))
+    background = np.empty((nx, ny, base.nt))
+    # Each trace is _assemble's sum, written straight into the grid; the
+    # Volumes check that every sample is finite.
     for x in range(nx):
         for y in range(ny):
             clean = clean_on if (x, y) in mask else clean_off
-            off = (x * ny + y) * nt
-            part = _assemble(base, clean, _trace_rng(base.seed, _SIGNAL_ARM, x, y))
-            signal[off : off + nt] = part.trace.samples
-            part = _assemble(base, clean_off, _trace_rng(base.seed, _BACKGROUND_ARM, x, y))
-            background[off : off + nt] = part.trace.samples
-    volume = Volume(nx=nx, ny=ny, nt=nt, dt=base.dt, data=signal)
-    bg_volume = Volume(nx=nx, ny=ny, nt=nt, dt=base.dt, data=background)
-    return volume, bg_volume, mask
+            noise, artifacts = _random_parts(base, _trace_rng(base.seed, _SIGNAL_ARM, x, y))
+            signal[x, y] = clean + noise + artifacts
+            noise, artifacts = _random_parts(base, _trace_rng(base.seed, _BACKGROUND_ARM, x, y))
+            background[x, y] = clean_off + noise + artifacts
+    return Volume.from_grid(signal, base.dt), Volume.from_grid(background, base.dt), mask
 
 
 def default_spec(seed: int = 0, **overrides) -> SynthSpec:

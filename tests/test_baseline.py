@@ -126,7 +126,7 @@ class TestLowpass:
         out = lowpass(Trace([1.0, 2.0, 3.0, 4.0], 1e-8), 5e6)
         assert len(out) == 4
 
-    @pytest.mark.parametrize("cutoff", [0.0, -1e6, 5e7, 6e7, float("nan")])
+    @pytest.mark.parametrize("cutoff", [0.0, -1e6, 5e7, 6e7, float("nan"), 1e-320])
     def test_rejects_cutoff_outside_open_nyquist_interval(self, cutoff):
         # dt = 1e-8 puts Nyquist at 50 MHz.
         with pytest.raises(DataError, match="cutoff"):

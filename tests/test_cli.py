@@ -8,10 +8,12 @@ read those artifacts back.
 
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
 
+from ascankit import model
 from ascankit.baseline import baseline_denoise, pipeline_denoise
 from ascankit.bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
 from ascankit.cli import main
@@ -164,6 +166,14 @@ class TestSynth:
         manifest.write_text(format_manifest(_tiny_entry(name="../evil")))
         assert main(["synth", str(manifest), "--output", str(tmp_path / "out")]) == 2
         assert "not usable as a file name" in capsys.readouterr().err
+
+    def test_manifest_that_is_not_utf8_exits_two_naming_it(self, tmp_path, capsys):
+        manifest = tmp_path / "m.in"
+        manifest.write_bytes(b"name: \xff\n")
+        assert main(["synth", str(manifest), "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: manifest is not UTF-8: invalid start byte at byte 6\n"
+        )
 
     def test_unknown_source_names_both_interpretations(self, tmp_path, capsys):
         rc = main(["synth", "phantom-l", "--output", str(tmp_path)])
@@ -357,6 +367,42 @@ class TestCompare:
         for name in ("report.csv", "summary.txt", "input.pgm", "pipeline.pgm",
                      "baseline.pgm"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestVolumesAreCheckedOnce:
+    """Every Volume is checked when it is built, and nowhere after."""
+
+    def _checks(self, monkeypatch, argv):
+        checked = []
+        check = model.validate_volume
+
+        def spy(volume):
+            checked.append(volume)
+            return check(volume)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ascankit") and (
+                getattr(module, "validate_volume", None) is check
+            ):
+                monkeypatch.setattr(module, "validate_volume", spy)
+        assert main(argv) == 0
+        return len(checked)
+
+    def test_denoise_with_a_background_checks_three_volumes(
+        self, tiny_scan, tmp_path, monkeypatch
+    ):
+        # The scan, its background and the denoised result.
+        argv = ["denoise", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                "--output", str(tmp_path / "out.pavol")]
+        assert self._checks(monkeypatch, argv) == 3
+
+    def test_compare_with_a_background_checks_four_volumes(
+        self, tiny_scan, tmp_path, monkeypatch
+    ):
+        # The scan, its background and the two methods' results.
+        argv = ["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                "--output", str(tmp_path / "cmp")]
+        assert self._checks(monkeypatch, argv) == 4
 
 
 class TestFailureModes:

@@ -71,16 +71,14 @@ class TestVolume:
             Volume.from_grid(np.zeros((2, 2)), 1e-6)
 
     def test_validate_length_mismatch(self):
-        volume = Volume(nx=2, ny=2, nt=3, dt=1e-6, data=np.zeros(11))
         with pytest.raises(DataError, match="11"):
-            validate_volume(volume)
+            Volume(nx=2, ny=2, nt=3, dt=1e-6, data=np.zeros(11))
 
     def test_validate_names_non_finite_coordinate(self):
         data = np.zeros(2 * 3 * 4)
         data[(1 * 3 + 2) * 4 + 1] = np.nan
-        volume = Volume(nx=2, ny=3, nt=4, dt=1e-6, data=data)
         with pytest.raises(DataError, match=r"x=1, y=2, t=1"):
-            validate_volume(volume)
+            Volume(nx=2, ny=3, nt=4, dt=1e-6, data=data)
 
     def test_validate_returns_volume(self):
         volume = Volume.from_grid(np.zeros((1, 1, 2)), 1e-6)
