@@ -31,7 +31,7 @@ from .io import (
     require_field,
 )
 from .kalman import kf_filter, random_walk_params
-from .metrics import _psnrs, envelope
+from .metrics import _envelopes, _psnrs, envelope
 from .model import DataError, QSelectionReport, RoiSpec, Trace, Volume
 from .rts import rts_smooth
 from .synth import SynthSpec, clean_samples, synth_volume
@@ -423,7 +423,7 @@ def _mean_gain_db(
     gains = []
     for x in range(volume.nx):
         ys = [y for y in range(volume.ny) if (x, y) in entry.mask]
-        scores = (_psnrs(result.grid()[x, ys], entry.roi) for result in (pipeline, reference))
+        scores = [_psnrs(_envelopes(v.grid()[x, ys]), entry.roi) for v in (pipeline, reference)]
         gains += [scored - ref for scored, ref in zip(*scores)]
     return float(np.mean(gains))
 

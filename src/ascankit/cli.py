@@ -41,8 +41,8 @@ from .io import (
     write_image,
     write_volume,
 )
-from .metrics import _psnrs, reconstruct
-from .model import DataError, NumericsError, QSelectionReport, RoiSpec, Volume
+from .metrics import _envelopes, _psnrs, reconstruct
+from .model import DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Volume
 from .synth import clean_samples, default_spec
 
 __all__ = ["main", "UsageError"]
@@ -219,9 +219,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         )
     if not _SAFE_NAME.match(entry.name):
         raise DataError(f"entry name {entry.name!r} is not usable as a file name")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the Volumes refuse overflows
+            (volume, background, _), clean = entry.generate(), _clean_volume(entry)
+    except (DataError, OverflowError) as exc:  # gausspulse's float arithmetic can overflow
+        raise DataError(f"{args.source}: {exc}") from exc
     os.makedirs(args.output, exist_ok=True)
-
-    volume, background, _ = entry.generate()
     name = entry.name
     paths = {
         "scan": os.path.join(args.output, f"{name}.pavol"),
@@ -237,7 +240,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         provenance=note + ", signal-free background arm",
     )
     write_volume(
-        _clean_volume(entry), paths["clean"], dtype=args.dtype,
+        clean, paths["clean"], dtype=args.dtype,
         provenance=note + ", noiseless ground truth",
     )
     atomic_write_text(paths["manifest"], format_manifest(entry))
@@ -303,11 +306,17 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scores(volume: Volume, roi: RoiSpec, source: str) -> Iterator[Tuple[int, int, float]]:
+def _scores(
+    volume: Volume, roi: RoiSpec, source: str, pixels: Optional[np.ndarray] = None
+) -> Iterator[Tuple[int, int, float]]:
     """``(x, y, psnr)`` of each trace of ``volume``, in trace order, one scan
-    line's envelopes at a time; an error names the trace it arose on."""
+    line's envelopes at a time; an error names the trace it arose on.  Row x of
+    ``pixels``, if given, gets line x's envelope maxima: ``reconstruct``'s pixels."""
     for x, line in enumerate(volume.grid()):
-        scores = _psnrs(line, roi)
+        envs = _envelopes(line)
+        if pixels is not None:
+            pixels[x] = envs.max(axis=-1)
+        scores = _psnrs(envs, roi)
         for y in range(volume.ny):
             try:
                 score = next(scores)
@@ -337,10 +346,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     reference = baseline_denoise(volume, background, config.lp_cutoff_hz)
 
     # At each trace the pipeline is scored first, so its error comes first.
+    pixels = np.empty((2, volume.nx, volume.ny))
     rows = [
         (x, y, scored, ref, scored - ref)
         for (x, y, scored), (_, _, ref) in zip(
-            _scores(pipeline, roi, "pipeline output"), _scores(reference, roi, "baseline output")
+            _scores(pipeline, roi, "pipeline output", pixels[0]),
+            _scores(reference, roi, "baseline output", pixels[1]),
         )
     ]
 
@@ -365,8 +376,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "n_gain_positive": str(int((gain_arr > 0).sum())),
     }
     atomic_write_text(summary_path, format_kv(summary))
-    for tag, vol in (("input", volume), ("pipeline", pipeline), ("baseline", reference)):
-        write_image(reconstruct(vol), os.path.join(args.output, f"{tag}.pgm"))
+    images = [reconstruct(volume)] + [EnvelopeImage(volume.nx, volume.ny, p) for p in pixels]
+    for tag, image in zip(("input", "pipeline", "baseline"), images):
+        write_image(image, os.path.join(args.output, f"{tag}.pgm"))
     print(f"mean_psnr_gain_db: {float(gain_arr.mean())!r}")
     print(f"wrote {report_path}")
     print(f"wrote {summary_path}")
@@ -442,10 +454,12 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if "\0" in args.output:
+            raise UsageError(f"ascankit {args.subcommand}: --output cannot contain a NUL")
         return args.func(args)
     except UsageError as exc:
         return _fail(exc, 1)
-    except (OSError, DataError) as exc:
+    except (OSError, DataError, MemoryError) as exc:
         return _fail(exc, 2)
     except NumericsError as exc:
         return _fail(exc, 3)

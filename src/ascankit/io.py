@@ -109,7 +109,8 @@ def format_kv(pairs: Mapping[str, str]) -> str:
     for key, value in pairs.items():
         key = str(key)
         value = str(value)
-        if ":" in key or not _is_single_line(key) or not _is_single_line(value):
+        # parse_kv strips each value, so one that stripping would change is refused.
+        if ":" in key or value != value.strip() or not _is_single_line(key + value):
             raise DataError(f"key/value not representable: {key!r}: {value!r}")
         lines.append(f"{key}: {value}")
     return "\n".join(lines) + "\n"
@@ -203,8 +204,9 @@ def write_volume(
             f"volume sample at (x={x}, y={y}, t={t}) = {float(volume.data[flat])!r} "
             f"overflows {dtype}"
         )
+    header = format_kv(pairs)
     atomic_write_bytes(path + ".bin", samples.tobytes())
-    atomic_write_text(path, format_kv(pairs))
+    atomic_write_text(path, header)
 
 
 def read_volume(path: str) -> Volume:

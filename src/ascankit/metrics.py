@@ -54,30 +54,34 @@ def reconstruct(volume: Volume) -> EnvelopeImage:
 
 def _score(env: np.ndarray, roi: RoiSpec) -> float:
     """``psnr`` of one envelope, with ``roi`` already checked for its length."""
-    _finite(env)
-    inside = env[roi.t_lo : roi.t_hi]
-    outside = np.concatenate((env[: roi.t_lo], env[roi.t_hi :]))
+    return next(_psnrs(env[np.newaxis], roi))
+
+
+def _psnrs(envs: np.ndarray, roi: RoiSpec) -> Iterator[float]:
+    """``psnr`` of each row of the 2-D envelopes ``envs``, in order.  All rows'
+    noise powers, roi peaks and finiteness are taken at once, as lists, so a suspended
+    generator holds no array of its own; a row's checks run when its score is asked for."""
+    roi.checked_for(envs.shape[-1])
+    outside = np.concatenate((envs[:, : roi.t_lo], envs[:, roi.t_hi :]), axis=-1)
     with np.errstate(over="ignore"):
-        noise_power = float(outside @ outside / outside.size)
-    if noise_power == 0.0:
-        raise InfinitePsnrError("noise power outside the roi is zero")
-    if not math.isfinite(noise_power):
-        raise NumericsError("noise power outside the roi overflows")
-    peak = float(inside.max())
-    if peak == 0.0:
-        return float("-inf")
-    ratio = peak * peak / noise_power
-    if not 0.0 < ratio < math.inf:
-        raise NumericsError(f"peak-to-noise power ratio {ratio!r} has no finite dB value")
-    return 10.0 * math.log10(ratio)
-
-
-def _psnrs(rows: np.ndarray, roi: RoiSpec) -> Iterator[float]:
-    """``psnr`` of each row of the 2-D ``rows``, in order.  The envelopes
-    are taken all at once; each score is computed when it is asked for."""
-    roi.checked_for(rows.shape[-1])
-    for env in _envelopes(rows):
-        yield _score(env, roi)
+        noise_powers = (np.vecdot(outside, outside) / outside.shape[-1]).tolist()
+    del outside
+    peaks = envs[:, roi.t_lo : roi.t_hi].max(axis=-1).tolist()
+    finite = np.isfinite(envs).all(axis=-1).tolist()
+    for env, ok, noise_power, peak in zip(envs, finite, noise_powers, peaks):
+        if not ok:
+            _finite(env)
+        if noise_power == 0.0:
+            raise InfinitePsnrError("noise power outside the roi is zero")
+        if not math.isfinite(noise_power):
+            raise NumericsError("noise power outside the roi overflows")
+        if peak == 0.0:
+            yield float("-inf")
+            continue
+        ratio = peak * peak / noise_power
+        if not 0.0 < ratio < math.inf:
+            raise NumericsError(f"peak-to-noise power ratio {ratio!r} has no finite dB value")
+        yield 10.0 * math.log10(ratio)
 
 
 def psnr(trace: Trace, roi: RoiSpec) -> float:

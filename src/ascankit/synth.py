@@ -73,6 +73,8 @@ class SynthSpec:
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
                 raise DataError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.impulse_rate > self.nt:  # the draws for more would outweigh the trace
+            raise DataError(f"impulse_rate must be <= nt = {self.nt}, got {self.impulse_rate!r}")
         reflections = tuple((float(t), float(a)) for t, a in self.reflections)
         object.__setattr__(self, "reflections", reflections)
         for time_s, rel_amp in reflections:
@@ -159,6 +161,8 @@ def synth_volume(
     for name, value in (("nx", nx), ("ny", ny)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise DataError(f"{name} must be a positive integer, got {value!r}")
+    if nx * ny * base.nt > np.iinfo(np.intp).max // 8:
+        raise DataError(f"a {nx}x{ny}x{base.nt} volume exceeds the address space")
     mask = frozenset((int(x), int(y)) for x, y in mask)
     for x, y in sorted(mask):
         if not (0 <= x < nx and 0 <= y < ny):

@@ -7,7 +7,9 @@ the library's filter code, so agreement is evidence rather than tautology.
 The per-trace loops at the end are the other kind of reference: they run
 the library's scalar ``denoise_trace``, ``lowpass``, ``envelope`` and
 ``psnr`` one trace at a time, and the lane-batched and scan-line callers
-must match them bit for bit, errors included.
+must match them bit for bit, errors included.  ``scalar_score`` writes out
+``psnr``'s scoring of one envelope on 1-D arrays, for the library's scoring
+of whole lines to match.
 """
 
 import math
@@ -22,6 +24,7 @@ from ascankit.baseline import differential_subtract, lowpass
 from ascankit.metrics import envelope, psnr
 from ascankit.model import (
     DataError,
+    _finite,
     InfinitePsnrError,
     NumericsError,
     QSelectionReport,
@@ -240,6 +243,26 @@ def scalar_reconstruct(volume: Volume) -> np.ndarray:
         for y in range(volume.ny):
             pixels[x, y] = envelope(volume.trace(x, y)).samples.max()
     return pixels
+
+
+def scalar_score(env: np.ndarray, roi: RoiSpec) -> float:
+    """``psnr`` of one envelope: its peak inside ``roi`` against its mean
+    square outside, with every check in ``psnr``'s order."""
+    _finite(env)
+    outside = np.concatenate((env[: roi.t_lo], env[roi.t_hi :]))
+    with np.errstate(over="ignore"):
+        noise_power = float(outside @ outside / outside.size)
+    if noise_power == 0.0:
+        raise InfinitePsnrError("noise power outside the roi is zero")
+    if not math.isfinite(noise_power):
+        raise NumericsError("noise power outside the roi overflows")
+    peak = float(env[roi.t_lo : roi.t_hi].max())
+    if peak == 0.0:
+        return float("-inf")
+    ratio = peak * peak / noise_power
+    if not 0.0 < ratio < math.inf:
+        raise NumericsError(f"peak-to-noise power ratio {ratio!r} has no finite dB value")
+    return 10.0 * math.log10(ratio)
 
 
 def _named_psnr(volume: Volume, x: int, y: int, roi: RoiSpec, source: str) -> float:

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from ascankit import model
+from ascankit import metrics, model
 from ascankit.baseline import baseline_denoise, pipeline_denoise
 from ascankit.bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
 from ascankit.cli import main
@@ -403,6 +403,29 @@ class TestVolumesAreCheckedOnce:
         argv = ["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
                 "--output", str(tmp_path / "cmp")]
         assert self._checks(monkeypatch, argv) == 4
+
+
+class TestEnvelopesAreTakenOnce:
+    def test_compare_takes_three_envelopes_per_scan_line(self, tiny_scan, tmp_path, monkeypatch):
+        # One of each line of the scan, for its image, and one of each line
+        # of either method's result, for its scores and its image too.
+        shapes = []
+        envelopes = metrics._envelopes
+
+        def spy(rows):
+            shapes.append(rows.shape)
+            return envelopes(rows)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ascankit") and (
+                getattr(module, "_envelopes", None) is envelopes
+            ):
+                monkeypatch.setattr(module, "_envelopes", spy)
+        volume = read_volume(tiny_scan["scan"])
+        argv = ["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                "--q", "1e-3", "--output", str(tmp_path / "cmp")]
+        assert main(argv) == 0
+        assert shapes == [(volume.ny, volume.nt)] * (3 * volume.nx)
 
 
 class TestFailureModes:

@@ -1,10 +1,13 @@
 """The command-line failure contract, fuzzed in process through main().
 
-Each example starts from a small valid scan, background and config, spoils
-one input (a flag, a config value, a volume header field, or the payload's
-length or values) and runs one subcommand.  Whatever happens, the command
-exits with 0, 1, 2 or 3; a failure prints exactly one ``error: `` line on
-stderr, after any warnings, and never a traceback or a Python warning.
+Each example starts from a small valid scan, background, config and synth
+manifest, spoils one input (a flag, a config value, a volume header field,
+the payload's length or values, a manifest field, or the ``--output`` path)
+and runs one subcommand.  Whatever happens, the command exits with 0, 1, 2
+or 3; a failure prints exactly one ``error: `` line on stderr, after any
+warnings, and never a traceback or a Python warning.  Every command runs in
+a fresh directory inside the test's own, which is also its working
+directory, so that even a relative or empty output path stays inside it.
 """
 
 import contextlib
@@ -18,9 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ascankit.bench import ZERO_STATS, CorpusEntry, format_manifest, parse_manifest
 from ascankit.cli import main
-from ascankit.io import format_kv, parse_kv, write_volume
-from ascankit.model import Volume
+from ascankit.io import format_kv, parse_kv, read_volume, write_volume
+from ascankit.model import RoiSpec, Volume
+from ascankit.synth import SynthSpec
 
 NX, NY, NT = 2, 2, 64
 
@@ -41,6 +46,23 @@ FLAGS = ("--q", "--q-grid", "--n-sample", "--seed", "--noise-window", "--roi",
          "--lp-cutoff-hz", "--background", "--config", "--dtype", "--frob")
 
 SUBCOMMANDS = ("qselect", "denoise", "baseline", "reconstruct", "metrics", "compare")
+
+#: A valid synth manifest for an NX x NY x NT scan with a pulse and an echo.
+MANIFEST = parse_kv(format_manifest(CorpusEntry(
+    name="tiny",
+    spec=SynthSpec(nt=NT, dt=1e-8, pulse_center_hz=5e6, pulse_time_s=3.2e-7, pulse_amp=1.0,
+                   noise_sigma=0.05, impulse_rate=0.5, impulse_amp=0.3,
+                   reflections=((4.8e-7, 0.5),), seed=0),
+    nx=NX, ny=NY, mask=frozenset({(0, 0), (1, 1)}), roi=RoiSpec(24, 40), lp_cutoff_hz=1e7,
+    noise_window=16, q_grid=(1e-4, 1e-3, 1e-2), n_sample=2, expected=ZERO_STATS,
+)))
+
+#: The grid sizes and the impulse rate size what synth allocates, so they
+#: take only values that are small, malformed, or beyond any address space.
+SIZE_VALUES = ("", "0", "-1", "1", "2", "3", "63", "64", "65", "1.5", "1e3", "nan", "x",
+               "99999999999999999999999")
+RATE_VALUES = ("", "0", "-1", "0.5", "64", "64.5", "1e20", "1e308", "nan", "inf", "x",
+               "99999999999999999999999")
 
 # Values near the edges of what each field accepts, mixed with arbitrary text.
 EDGES = (
@@ -68,7 +90,26 @@ def scan_dir(tmp_path_factory):
     write_volume(Volume.from_grid(rng.normal(0.0, 0.05, (NX, NY, NT)), 1e-8),
                  str(root / "bg.pavol"))
     (root / "run.config").write_text(format_kv(CONFIG))
+    (root / "tiny.manifest").write_text(format_kv(MANIFEST))
     return root
+
+
+@contextlib.contextmanager
+def _workdir(scan_dir):
+    """A fresh copy of the inputs in a directory inside ``scan_dir``, which is
+    the working directory while the block runs and is removed after it."""
+    work = tempfile.mkdtemp(dir=scan_dir)
+    cwd = os.getcwd()
+    try:
+        os.mkdir(os.path.join(work, "run"))
+        for name in ("scan.pavol", "scan.pavol.bin", "bg.pavol", "bg.pavol.bin", "run.config",
+                     "tiny.manifest"):
+            shutil.copy(scan_dir / name, os.path.join(work, "run"))
+        os.chdir(os.path.join(work, "run"))
+        yield os.path.join(work, "run")
+    finally:
+        os.chdir(cwd)
+        shutil.rmtree(work)
 
 
 mutations = st.one_of(
@@ -152,25 +193,110 @@ class TestEveryBadInputIsOneLine:
     @example("qselect", ("config", "q_grid", "1e308"))
     @example("baseline", ("config", "lp_cutoff_hz", "1e-320"))
     def test_exit_code_and_one_error_line(self, scan_dir, subcommand, mutation):
-        work = tempfile.mkdtemp(dir=scan_dir)
-        try:
-            for name in ("scan.pavol", "scan.pavol.bin", "bg.pavol", "bg.pavol.bin",
-                         "run.config"):
-                shutil.copy(scan_dir / name, work)
+        with _workdir(scan_dir) as work:
             argv = [subcommand, "--input", os.path.join(work, "scan.pavol"),
                     "--output", os.path.join(work, "out")]
             if subcommand != "reconstruct":
                 argv += ["--config", os.path.join(work, "run.config")]
             argv += _apply(work, mutation)
+            _check_contract(*_run(argv))
+
+
+def _check_contract(rc, err, caught):
+    assert rc in (0, 1, 2, 3)
+    assert caught == []
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    if rc == 0:
+        assert all(line.startswith("warning: ") for line in lines), err
+    else:
+        assert len(lines) >= 1 and lines[-1].startswith("error: "), err
+        assert all(line.startswith("warning: ") for line in lines[:-1]), err
+
+
+synth_mutations = st.one_of(
+    st.tuples(st.just("field"), st.sampled_from(("nx", "ny", "synth_nt")),
+              st.sampled_from(SIZE_VALUES)),
+    st.tuples(st.just("field"), st.just("synth_impulse_rate"), st.sampled_from(RATE_VALUES)),
+    st.tuples(st.just("field"), st.sampled_from(sorted(
+        set(MANIFEST) - {"nx", "ny", "synth_nt", "synth_impulse_rate"}) + ["speed"]), VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(MANIFEST))),
+    st.tuples(st.just("flag"), st.sampled_from(("--seed", "--dtype", "--frob")), VALUES),
+    st.tuples(st.just("source"), st.sampled_from(("missing.manifest", ".", "", "default",
+                                                  "noise-only", "scan.pavol"))),
+)
+
+
+class TestSynthIsOneLine:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(mutation=synth_mutations)
+    # Each of these once ended in a traceback or a Python warning.
+    @example(("field", "synth_pulse_center_hz", "1e160"))
+    @example(("field", "synth_impulse_rate", "1e20"))
+    @example(("field", "synth_dt", "1e300"))
+    @example(("field", "synth_noise_sigma", "1e308"))
+    @example(("field", "nx", "99999999999999999999999"))
+    @example(("field", "synth_nt", "99999999999999999999999"))
+    def test_exit_code_and_one_error_line(self, scan_dir, mutation):
+        with _workdir(scan_dir):
+            source, extra = "tiny.manifest", []
+            if mutation[0] in ("field", "drop"):
+                pairs = dict(MANIFEST)
+                if mutation[0] == "field":
+                    pairs[mutation[1]] = mutation[2]
+                else:
+                    del pairs[mutation[1]]
+                lines = [f"{key}: {value}" for key, value in pairs.items()]
+                with open(source, "w", encoding="utf-8") as handle:
+                    handle.write("\n".join(lines) + "\n")
+            elif mutation[0] == "flag":
+                extra = [f"{mutation[1]}={mutation[2]}"]
+            else:
+                source = mutation[1]
+            rc, err, caught = _run(["synth", source, "--output", "out"] + extra)
+            _check_contract(rc, err, caught)
+            if rc == 0:  # what synth writes, the readers read back
+                written = sorted(os.listdir("out"))
+                for name in written:
+                    if name.endswith(".pavol"):
+                        read_volume(os.path.join("out", name))
+                    elif name.endswith(".manifest"):
+                        with open(os.path.join("out", name), encoding="utf-8") as handle:
+                            parse_manifest(handle.read())
+                assert len([name for name in written if name.endswith(".pavol")]) == 3
+
+    @pytest.mark.parametrize("value", ["1e160", "1e300"])
+    def test_pulse_beyond_the_float_range_names_the_manifest(self, scan_dir, value):
+        key = "synth_pulse_center_hz" if value == "1e160" else "synth_dt"
+        with _workdir(scan_dir):
+            with open("tiny.manifest", "w", encoding="utf-8") as handle:
+                handle.write(format_kv({**MANIFEST, key: value}))
+            rc, err, caught = _run(["synth", "tiny.manifest", "--output", "out"])
+            assert not os.path.exists("out")
+        assert (rc, caught) == (2, [])
+        assert err.startswith("error: tiny.manifest: ") and err.count("\n") == 1, err
+
+
+#: Output paths a user might pass: relative, empty, parent, missing, taken by
+#: a file or a directory, one of the inputs, too long, or not a path at all.
+OUTPUTS = ("", ".", "..", " ", "out", "no/such/out", "adir", "adir/", "afile", "afile/out",
+           "scan.pavol", "scan.pavol.bin", "run.config", "a\nb", "a:b", "é", "x" * 300, "a\x00b")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("output", OUTPUTS)
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS + ("synth",))
+    def test_exit_code_and_one_error_line(self, scan_dir, subcommand, output):
+        with _workdir(scan_dir):
+            os.mkdir("adir")
+            open("afile", "w").close()
+            if subcommand == "synth":
+                argv = ["synth", "tiny.manifest", "--output", output]
+            else:
+                argv = [subcommand, "--input", "scan.pavol", "--output", output]
+                if subcommand != "reconstruct":
+                    argv += ["--config", "run.config"]
             rc, err, caught = _run(argv)
-        finally:
-            shutil.rmtree(work)
-        assert rc in (0, 1, 2, 3)
-        assert caught == []
-        lines = err.splitlines()
-        assert "Traceback" not in err
-        if rc == 0:
-            assert all(line.startswith("warning: ") for line in lines), err
-        else:
-            assert len(lines) >= 1 and lines[-1].startswith("error: "), err
-            assert all(line.startswith("warning: ") for line in lines[:-1]), err
+            _check_contract(rc, err, caught)
+            if rc == 0 and subcommand in ("denoise", "baseline"):
+                read_volume(output)

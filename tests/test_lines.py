@@ -15,7 +15,7 @@ from ascankit import cli
 from ascankit.baseline import LOWPASS_TAPS, _lowpassed, baseline_denoise, lowpass, pipeline_denoise
 from ascankit.bench import CorpusEntry, ZERO_STATS, _mean_gain_db
 from ascankit.io import format_csv, read_volume, write_volume
-from ascankit.metrics import _envelopes, envelope, psnr, reconstruct
+from ascankit.metrics import _envelopes, _psnrs, envelope, psnr, reconstruct
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
 from ascankit.synth import default_spec, synth_volume
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     scalar_compare_rows,
     scalar_metrics_rows,
     scalar_reconstruct,
+    scalar_score,
 )
 
 DT = 1e-8
@@ -117,6 +118,120 @@ class TestRowForms:
             for y in range(ny):
                 want = lowpass(Trace(grid[x, y], DT), CUTOFF).samples
                 assert np.array_equal(_bits(line[y]), _bits(want)), (x, y)
+
+
+def _until_error(scores):
+    """The scores yielded before the first error, and that error's type and
+    message (None if there is none)."""
+    got = []
+    try:
+        for score in scores:
+            got.append(score)
+    except (DataError, NumericsError) as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+def _row(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """A trace of NT samples whose score, on ROI, takes one of psnr's paths."""
+    if kind == "ordinary":
+        samples = rng.standard_normal(NT) * 10.0 ** rng.integers(-6, 7)
+        samples[140:160] += 8.0 * samples.std()
+        return samples
+    if kind == "silent":  # zero noise power
+        return np.zeros(NT)
+    if kind == "loud outside":  # finite envelope, its energy outside ROI overflows
+        samples = np.full(NT, 1e-3)
+        samples[:60] = 1e200
+        return samples
+    if kind == "huge":  # finite samples, an envelope that is not
+        return _huge()
+    samples = np.zeros(NT)  # "peak ratio": the squared peak overflows
+    samples[150:152] = 5e154
+    samples[:100] += 1e-3
+    return samples
+
+
+def _envelope_row(kind: str, rng: np.random.Generator) -> np.ndarray:
+    """An envelope of NT values on which ``_score`` takes one of its paths."""
+    env = np.abs(rng.standard_normal(NT)) * 10.0 ** rng.integers(-6, 7)
+    at = int(rng.integers(0, NT))
+    if kind == "silent outside":
+        env[: ROI.t_lo] = env[ROI.t_hi :] = 0.0
+    elif kind == "loud outside":
+        env[ROI.t_hi :] = 1e200
+    elif kind == "not finite":
+        env[at] = (np.nan, np.inf)[at % 2]
+    elif kind == "zero peak":
+        env[ROI.t_lo : ROI.t_hi] = 0.0
+    elif kind == "peak ratio over":
+        env[:], env[ROI.t_lo + at % 100] = 1e-3, 1e160
+    elif kind == "peak ratio under":
+        env[:], env[ROI.t_lo : ROI.t_hi] = 1e150, 1e-200
+    return env
+
+
+ROW_KINDS = ("ordinary", "silent", "loud outside", "huge", "peak ratio")
+ENVELOPE_KINDS = ("ordinary", "silent outside", "loud outside", "not finite", "zero peak",
+                  "peak ratio over", "peak ratio under")
+
+
+class TestLineScores:
+    """``_psnrs`` scores a line's envelopes at once and must yield what a
+    per-trace loop would, up to and including its first error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(
+            st.one_of(st.just("ordinary"), st.sampled_from(ROW_KINDS)), min_size=1, max_size=8
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_line_scores_are_the_per_trace_psnrs(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.array([_row(kind, rng) for kind in kinds])
+        with np.errstate(over="ignore", invalid="ignore"):  # the "huge" rows' envelopes
+            want, want_error = _until_error(psnr(Trace(row, DT), ROI) for row in rows)
+            reference = _until_error(scalar_score(_envelopes(row), ROI) for row in rows)
+            got, got_error = _until_error(_psnrs(_envelopes(rows), ROI))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_error == want_error
+        assert np.array_equal(_bits(reference[0]), _bits(want)) and reference[1] == want_error
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(
+            st.one_of(st.just("ordinary"), st.sampled_from(ENVELOPE_KINDS)),
+            min_size=1, max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_line_scores_are_the_per_envelope_scores(self, kinds, seed):
+        # Envelopes reach the paths that no trace's envelope can: a roi peak
+        # of exactly zero, and a peak ratio that underflows.
+        rng = np.random.default_rng(seed)
+        envs = np.array([_envelope_row(kind, rng) for kind in kinds])
+        want, want_error = _until_error(scalar_score(env, ROI) for env in envs)
+        got, got_error = _until_error(_psnrs(envs, ROI))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_error == want_error
+        if "zero peak" in kinds[: len(want)]:
+            assert -np.inf in want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(min_value=1, max_value=4000),
+        ny=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_vecdot_is_each_rows_dot_product(self, n, ny, seed):
+        # _psnrs takes every row's noise power with one vecdot, and the
+        # reference with one @ on a fresh array: they must agree bit for bit.
+        rng = np.random.default_rng(seed)
+        rows = np.abs(rng.standard_normal((ny, n))) * 10.0 ** rng.integers(-150, 151)
+        got = np.vecdot(rows, rows)
+        assert np.array_equal(_bits(got), _bits([row @ row for row in rows]))
+        assert np.array_equal(_bits(got), _bits([row.copy() @ row.copy() for row in rows]))
 
 
 class TestVolumePassesMatchScalarLoops:

@@ -49,6 +49,12 @@ class TestSynthSpecValidation:
         with pytest.raises(DataError, match=field):
             default_spec(**{field: -0.1})
 
+    def test_rejects_more_impulses_than_samples(self):
+        # An impulse costs its draws; past one a sample they outweigh the trace.
+        assert default_spec(nt=64, pulse_time_s=0.0, impulse_rate=64.0).impulse_rate == 64.0
+        with pytest.raises(DataError, match=r"impulse_rate must be <= nt = 64, got 64\.5"):
+            default_spec(nt=64, pulse_time_s=0.0, impulse_rate=64.5)
+
     def test_rejects_reflection_outside_span(self):
         with pytest.raises(DataError, match="reflection time"):
             default_spec(reflections=((2.5e-5, 0.5),))
