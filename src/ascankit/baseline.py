@@ -39,13 +39,38 @@ def differential_subtract(signal: Trace, background: Trace) -> Trace:
 
 
 def lowpass(trace: Trace, cutoff_hz: float) -> Trace:
-    """Zero-phase low-pass: a Hamming-windowed sinc FIR run forward and backward."""
+    """Zero-phase low-pass: a Hamming-windowed sinc FIR run forward and backward.
+
+    The output is scipy's ``filtfilt(taps, [1.0], x, padlen=min(3 * LOWPASS_TAPS,
+    nt - 1))`` bit for bit: the trace is padded with its odd extension at both
+    ends, filtered forward from the steady state of its first sample, filtered
+    backward from the steady state of the forward output's last sample, and
+    the padding is cut off again.  ``_lowpassed`` computes only the samples
+    that survive the cut.
+    """
     filtered, = _lowpassed(trace.samples[np.newaxis], cutoff_hz, trace.dt)
     return Trace(filtered, trace.dt)
 
 
 def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.ndarray]:
-    """``lowpass`` of each ``lines[i]`` along its last axis, with the taps built once."""
+    """``lowpass`` of each ``lines[i]`` along its last axis, with the taps built once.
+
+    With ``m = LOWPASS_TAPS - 1`` and a padding of ``p >= m`` samples (every
+    trace longer than ``m``), each kept output of the backward pass is a dot
+    product of all the taps with ``m + 1`` forward outputs, and each of those
+    is one with ``m + 1`` samples of the padded trace.  Together they reach
+    ``m`` samples into each padding, never further, and use only outputs at
+    least ``m`` deep into each pass.  The steady-state initial conditions
+    change only a pass's first ``m`` outputs, so they never reach a kept
+    sample either.  Two valid-mode correlations of the trace with its
+    ``m``-sample odd extension at each end therefore give the kept samples,
+    and with the same bits: numpy's ``correlate`` makes the same ``dot`` call
+    for each full-overlap output as ``filtfilt``'s full-mode ``convolve``.
+
+    A trace of ``nt <= m`` samples is padded by only ``nt - 1``, so the
+    initial conditions and the partial sums at its ends reach the kept
+    samples; it runs through ``filtfilt`` itself.
+    """
     cutoff_hz = float(cutoff_hz)
     nyquist = 0.5 / dt
     if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
@@ -58,9 +83,29 @@ def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.nd
     from scipy.signal import filtfilt, firwin  # slow to import, so only where it is used
 
     taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
-    padlen = min(3 * LOWPASS_TAPS, lines.shape[-1] - 1)
+    m = LOWPASS_TAPS - 1
+    nt = lines.shape[-1]
+    # A trace whose odd extension overflows gets a non-finite low-pass, which
+    # the callers report; the errstate covers the extension, not the yield.
+    if nt <= m:
+        for line in lines:
+            with np.errstate(over="ignore", invalid="ignore"):
+                filtered = filtfilt(taps, [1.0], line, padlen=nt - 1)
+            yield filtered
+        return
+    rev = taps[::-1].copy()
     for line in lines:
-        yield filtfilt(taps, [1.0], line, padlen=padlen)
+        with np.errstate(over="ignore", invalid="ignore"):
+            padded = np.concatenate(
+                (2 * line[..., :1] - line[..., m:0:-1], line,
+                 2 * line[..., -1:] - line[..., -2 : -m - 2 : -1]),
+                axis=-1,
+            )
+        filtered = np.empty_like(line)
+        for out, samples in zip(filtered.reshape(-1, nt), padded.reshape(-1, nt + 2 * m)):
+            forward = np.correlate(samples, rev, "valid")
+            out[:] = np.correlate(forward[::-1], rev, "valid")[::-1]
+        yield filtered
 
 
 def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
@@ -130,16 +175,21 @@ def baseline_denoise(
     cutoff_hz: float,
 ) -> Volume:
     """Reference method: low-pass every trace, then subtract the low-passed
-    background when one is given."""
+    background when one is given.  An error names the trace it arose on."""
     _check_inputs(volume, background)
     out = np.empty((volume.nx, volume.ny, volume.nt))
     lines = _lowpassed(volume.grid(), cutoff_hz, volume.dt)
     backs = repeat(0.0)  # without a background: x - 0.0 is x, bit for bit
     if background is not None:
         backs = _lowpassed(background.grid(), cutoff_hz, volume.dt)
-    for line, filtered, back in zip(out, lines, backs):
-        np.subtract(filtered, back, out=line)
+    for x, (line, filtered, back) in enumerate(zip(out, lines, backs)):
+        with np.errstate(over="ignore"):  # finite low-passes can differ by more than a float
+            np.subtract(filtered, back, out=line)
         if not np.isfinite(line).all():  # a bad filtered sample spoils the difference too
             # Trace by trace: the filtered trace, its filtered background, their difference.
-            _finite(np.stack(np.broadcast_arrays(filtered, back, line), axis=1))
+            for y, trace in enumerate(np.stack(np.broadcast_arrays(filtered, back, line), axis=1)):
+                try:
+                    _finite(trace)
+                except DataError as exc:
+                    raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
     return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)

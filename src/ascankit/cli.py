@@ -30,6 +30,7 @@ from .baseline import baseline_denoise, pipeline_denoise
 from .bench import ZERO_STATS, CorpusEntry, corpus_entry, format_manifest, parse_manifest
 from .io import (
     PipelineConfig,
+    _encoded,
     _read,
     atomic_write_text,
     config_from_strings,
@@ -224,6 +225,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             (volume, background, _), clean = entry.generate(), _clean_volume(entry)
     except (DataError, OverflowError) as exc:  # gausspulse's float arithmetic can overflow
         raise DataError(f"{args.source}: {exc}") from exc
+    for checked in (volume, background, clean):  # so that a refused dtype leaves no directory
+        _encoded(checked, args.dtype)
     os.makedirs(args.output, exist_ok=True)
     name = entry.name
     paths = {

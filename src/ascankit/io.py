@@ -13,6 +13,7 @@ never leaves a truncated artifact behind.
 from __future__ import annotations
 
 import csv
+import errno
 import io as _stdio
 import math
 import os
@@ -56,7 +57,16 @@ _BYTE_ORDER = "little-endian"
 # atomic writes
 
 
+def _check_file_path(path: str) -> None:
+    """Refuse a ``path`` that cannot name a file: empty, ending in a separator,
+    or an existing directory.  Called before anything is written, so that a
+    refused path leaves nothing behind, not even a temp file beside its parent."""
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output names a directory, not a file", path)
+
+
 def atomic_write_bytes(path: str, data: bytes) -> None:
+    _check_file_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -170,6 +180,24 @@ def _data_path(header_path: str, basename: str) -> str:
     return os.path.join(os.path.dirname(os.path.abspath(header_path)), basename)
 
 
+def _encoded(volume: Volume, dtype: str) -> np.ndarray:
+    """``volume``'s samples in ``dtype``; an error names the first that overflows it."""
+    if dtype not in _DTYPES:
+        raise DataError(f"unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
+    with np.errstate(over="ignore"):
+        samples = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype])
+    overflow = ~np.isfinite(samples)
+    if overflow.any():
+        flat = int(np.flatnonzero(overflow)[0])
+        x, rem = divmod(flat, volume.ny * volume.nt)
+        y, t = divmod(rem, volume.nt)
+        raise DataError(
+            f"volume sample at (x={x}, y={y}, t={t}) = {float(volume.data[flat])!r} "
+            f"overflows {dtype}"
+        )
+    return samples
+
+
 def write_volume(
     volume: Volume,
     path: str,
@@ -177,8 +205,7 @@ def write_volume(
     provenance: Optional[str] = None,
 ) -> None:
     """Write ``volume`` as a text header at ``path`` plus ``path + '.bin'``."""
-    if dtype not in _DTYPES:
-        raise DataError(f"unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
+    samples = _encoded(volume, dtype)
     data_name = os.path.basename(path) + ".bin"
     pairs = {
         "magic": VOLUME_MAGIC,
@@ -193,18 +220,8 @@ def write_volume(
     }
     if provenance is not None:
         pairs["provenance"] = provenance
-    with np.errstate(over="ignore"):
-        samples = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype])
-    overflow = ~np.isfinite(samples)
-    if overflow.any():
-        flat = int(np.flatnonzero(overflow)[0])
-        x, rem = divmod(flat, volume.ny * volume.nt)
-        y, t = divmod(rem, volume.nt)
-        raise DataError(
-            f"volume sample at (x={x}, y={y}, t={t}) = {float(volume.data[flat])!r} "
-            f"overflows {dtype}"
-        )
     header = format_kv(pairs)
+    _check_file_path(path)  # the header's, before the payload is written
     atomic_write_bytes(path + ".bin", samples.tobytes())
     atomic_write_text(path, header)
 
@@ -270,7 +287,11 @@ def write_image(image: EnvelopeImage, path: str) -> None:
         "cols": str(image.nx),
         "degenerate": "true" if degenerate else "false",
     }
-    atomic_write_text(path + ".meta", format_kv(meta))
+    try:
+        atomic_write_text(path + ".meta", format_kv(meta))
+    except OSError:  # e.g. a sidecar name too long: no image is left without one
+        os.unlink(path)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ The step oracle works in exact rational arithmetic and the smoother oracle
 solves the equivalent batch least-squares problem directly; neither imports
 the library's filter code, so agreement is evidence rather than tautology.
 
+``scalar_lowpass`` calls scipy's ``filtfilt`` directly; the library computes
+only the samples that ``filtfilt`` keeps, and calls it only for traces no
+longer than the taps.
+
 The per-trace loops at the end are the other kind of reference: they run
 the library's scalar ``denoise_trace``, ``lowpass``, ``envelope`` and
 ``psnr`` one trace at a time, and the lane-batched and scan-line callers
@@ -18,9 +22,10 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.signal import filtfilt, firwin
 
 from ascankit.adapt import default_noise_window, default_q_grid, estimate_r
-from ascankit.baseline import differential_subtract, lowpass
+from ascankit.baseline import LOWPASS_TAPS, differential_subtract, lowpass
 from ascankit.metrics import envelope, psnr
 from ascankit.model import (
     DataError,
@@ -29,6 +34,7 @@ from ascankit.model import (
     NumericsError,
     QSelectionReport,
     RoiSpec,
+    Trace,
     Volume,
     validate_volume,
 )
@@ -192,6 +198,15 @@ def scalar_select_q(
     )
 
 
+def scalar_lowpass(samples: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
+    """``lowpass`` of a 1-D array as scipy computes it: ``filtfilt`` of the
+    Hamming-windowed ``firwin`` taps, padded by ``min(3 * LOWPASS_TAPS, n - 1)``.
+    An odd extension that overflows gives non-finite samples, not warnings."""
+    taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return filtfilt(taps, [1.0], samples, padlen=min(3 * LOWPASS_TAPS, len(samples) - 1))
+
+
 def scalar_denoised_volume(
     volume: Volume, background: Optional[Volume], q: float, noise_window: int
 ) -> np.ndarray:
@@ -222,15 +237,19 @@ def scalar_baseline_denoise(
     volume: Volume, background: Optional[Volume], cutoff_hz: float
 ) -> np.ndarray:
     """The flat data of ``baseline_denoise`` as one ``lowpass`` (and one
-    ``differential_subtract``) per trace."""
+    ``differential_subtract``) per trace; an error names its trace."""
     out = np.empty(volume.nx * volume.ny * volume.nt)
+    lowpass(Trace(np.zeros(volume.nt), volume.dt), cutoff_hz)  # the cutoff, before any trace
     for x in range(volume.nx):
         for y in range(volume.ny):
-            filtered = lowpass(volume.trace(x, y), cutoff_hz)
-            if background is not None:
-                filtered = differential_subtract(
-                    filtered, lowpass(background.trace(x, y), cutoff_hz)
-                )
+            try:
+                filtered = lowpass(volume.trace(x, y), cutoff_hz)
+                if background is not None:
+                    filtered = differential_subtract(
+                        filtered, lowpass(background.trace(x, y), cutoff_hz)
+                    )
+            except DataError as exc:
+                raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
             off = (x * volume.ny + y) * volume.nt
             out[off : off + volume.nt] = filtered.samples
     return out

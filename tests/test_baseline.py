@@ -4,11 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import gausspulse
 
 from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.baseline import (
     LOWPASS_TAPS,
+    _lowpassed,
     baseline_denoise,
     differential_subtract,
     lowpass,
@@ -19,6 +21,8 @@ from ascankit.metrics import psnr
 from ascankit.model import DataError, Trace, Volume
 from ascankit.rts import denoise_trace
 from ascankit.synth import clean_samples, default_spec, synth_trace, synth_volume
+from oracles import scalar_lowpass
+from test_lines import _EXTENSION_OVERFLOWS, _bits
 
 
 def _small_volume(seed=0, nx=2, ny=2, with_pulse=True):
@@ -135,6 +139,48 @@ class TestLowpass:
     def test_taps_constant_is_odd(self):
         # An even-length FIR would put the group delay between samples.
         assert LOWPASS_TAPS % 2 == 1
+
+
+def _check_is_filtfilt(lines: np.ndarray, cutoff: float, dt: float = 1e-8) -> None:
+    """``_lowpassed`` of each scan line of ``lines``, and ``lowpass`` of each
+    trace, equal scipy's ``filtfilt`` bit for bit."""
+    got = list(_lowpassed(lines, cutoff, dt))
+    assert len(got) == len(lines)
+    for line, filtered in zip(lines, got):
+        for samples, row in zip(line, filtered):
+            want = _bits(scalar_lowpass(samples, cutoff, dt))
+            assert np.array_equal(_bits(row), want)
+            assert np.array_equal(_bits(lowpass(Trace(samples, dt), cutoff).samples), want)
+
+
+class TestLowpassIsFiltfilt:
+    """The low-pass computes only the samples that ``filtfilt`` keeps; for
+    traces longer than the taps it never calls ``filtfilt``, so it is checked
+    against scipy itself.  dt = 1e-8 puts Nyquist at 50 MHz."""
+
+    @pytest.mark.parametrize("nt", [2, 4, 64, 99, 100, 101, 102, 303, 304, 512, 1023])
+    @pytest.mark.parametrize("cutoff", [1e3, 5e6, 2.5e7, 4.99e7])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_equals_filtfilt(self, nt, cutoff, scale):
+        rng = np.random.default_rng(nt)
+        _check_is_filtfilt(rng.standard_normal((2, 3, nt)) * scale, cutoff)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        nt=st.integers(min_value=2, max_value=700),
+        fraction=st.floats(min_value=1e-6, max_value=0.999),
+        exponent=st.integers(min_value=-150, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_equals_filtfilt_at_any_length(self, nt, fraction, exponent, seed):
+        rng = np.random.default_rng(seed)
+        _check_is_filtfilt(rng.standard_normal((1, 2, nt)) * 10.0**exponent, fraction * 5e7)
+
+    def test_overflowing_extension_is_not_finite_where_filtfilt_is_not(self):
+        filtered, = _lowpassed(_EXTENSION_OVERFLOWS[np.newaxis, np.newaxis], 5e6, 1e-8)
+        want = scalar_lowpass(_EXTENSION_OVERFLOWS, 5e6, 1e-8)
+        assert not np.isfinite(want[0])
+        assert np.array_equal(_bits(filtered[0]), _bits(want))  # inf and nan where it has them
 
 
 class TestPipelineDenoise:

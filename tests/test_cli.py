@@ -9,9 +9,12 @@ read those artifacts back.
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.signal
+from scipy.signal import _signaltools
 
 from ascankit import metrics, model
 from ascankit.baseline import baseline_denoise, pipeline_denoise
@@ -428,6 +431,43 @@ class TestEnvelopesAreTakenOnce:
         assert shapes == [(volume.ny, volume.nt)] * (3 * volume.nx)
 
 
+class TestFirReferenceSkipsFiltfilt:
+    """On traces longer than its taps, the FIR reference computes only the
+    samples that scipy's ``filtfilt`` keeps, without calling it or solving
+    for its initial conditions (``lfilter_zi``)."""
+
+    def _calls(self, monkeypatch, tmp_path, nt):
+        calls = {"filtfilt": 0, "lfilter_zi": 0}
+
+        def counted(name, fn):
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(scipy.signal, "filtfilt", counted("filtfilt", scipy.signal.filtfilt))
+        zi = counted("lfilter_zi", _signaltools.lfilter_zi)
+        monkeypatch.setattr(scipy.signal, "lfilter_zi", zi)
+        monkeypatch.setattr(_signaltools, "lfilter_zi", zi)  # the one filtfilt calls
+        rng = np.random.default_rng(nt)
+        for name in ("scan", "bg"):
+            write_volume(Volume.from_grid(rng.normal(0.0, 0.05, (2, 2, nt)), 1e-8),
+                         str(tmp_path / f"{name}.pavol"))
+        argv = ["compare", "--input", str(tmp_path / "scan.pavol"),
+                "--background", str(tmp_path / "bg.pavol"), "--q", "1e-3",
+                "--noise-window", "16", "--roi", f"{nt // 4}:{nt // 2}",
+                "--lp-cutoff-hz", "5e6", "--output", str(tmp_path / "cmp")]
+        assert main(argv) == 0
+        return calls
+
+    def test_long_traces_call_no_filtfilt(self, monkeypatch, tmp_path):
+        assert self._calls(monkeypatch, tmp_path, 256) == {"filtfilt": 0, "lfilter_zi": 0}
+
+    def test_short_traces_call_filtfilt_once_per_scan_line_and_arm(self, monkeypatch, tmp_path):
+        # Two scan lines of the scan and two of its background.
+        assert self._calls(monkeypatch, tmp_path, 64) == {"filtfilt": 4, "lfilter_zi": 4}
+
+
 class TestFailureModes:
     @pytest.fixture
     def loud_outside_roi(self, tmp_path):
@@ -473,6 +513,49 @@ class TestFailureModes:
         assert rc == 2
         assert capsys.readouterr().err == (
             "error: trace (x=0, y=0): trace sample 16 is not finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nt", [64, 256])  # filtered by filtfilt, and without it
+    @pytest.mark.parametrize("argv", [
+        ["baseline"],
+        # A q this small keeps the pipeline's output finite, so the FIR runs.
+        ["compare", "--q", "1e-12", "--noise-window", "16"],
+    ], ids=["baseline", "compare"])
+    def test_overflowing_low_pass_is_one_line_naming_the_trace(
+        self, tmp_path, capsys, argv, nt
+    ):
+        data = np.random.default_rng(3).normal(0.0, 0.05, (2, 2, nt))
+        data[1, 0, nt // 2 :] = -1e308  # 2*x[-1] - x[-k] of the odd extension overflows
+        data[1, 0, -1] = 1e308
+        path = tmp_path / "loud.pavol"
+        write_volume(Volume.from_grid(data, 1e-8), str(path))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--input", str(path), "--lp-cutoff-hz", "5e6",
+                       "--roi", f"{nt // 4}:{nt // 2}", "--output", str(out)])
+        assert (rc, [str(w.message) for w in caught]) == (2, [])
+        err = capsys.readouterr().err
+        assert err.startswith("error: trace (x=1, y=0): trace sample "), err
+        assert err.endswith(" is not finite\n") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_overflowing_low_pass_difference_is_one_line(self, tmp_path, capsys):
+        data, back = np.full(256, 1e-3), np.full(256, 1e-3)
+        data[40:60], back[40:60] = 1e308, -1e308  # finite low-passes, not their difference
+        for name, samples in (("scan", data), ("bg", back)):
+            write_volume(Volume(nx=1, ny=1, nt=256, dt=1e-8, data=samples),
+                         str(tmp_path / f"{name}.pavol"))
+        out = tmp_path / "o.pavol"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["baseline", "--input", str(tmp_path / "scan.pavol"),
+                       "--background", str(tmp_path / "bg.pavol"), "--lp-cutoff-hz", "5e6",
+                       "--output", str(out)])
+        assert (rc, [str(w.message) for w in caught]) == (2, [])
+        assert capsys.readouterr().err == (
+            "error: trace (x=0, y=0): trace sample 44 is not finite\n"
         )
         assert not out.exists()
 

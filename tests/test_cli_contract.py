@@ -5,9 +5,10 @@ manifest, spoils one input (a flag, a config value, a volume header field,
 the payload's length or values, a manifest field, or the ``--output`` path)
 and runs one subcommand.  Whatever happens, the command exits with 0, 1, 2
 or 3; a failure prints exactly one ``error: `` line on stderr, after any
-warnings, and never a traceback or a Python warning.  Every command runs in
-a fresh directory inside the test's own, which is also its working
-directory, so that even a relative or empty output path stays inside it.
+warnings, never a traceback or a Python warning, and leaves no new file or
+directory behind.  Every command runs in a fresh directory inside the test's
+own, which is also its working directory, so that even a relative or empty
+output path stays inside it.
 """
 
 import contextlib
@@ -112,6 +113,15 @@ def _workdir(scan_dir):
         shutil.rmtree(work)
 
 
+def _tree(root):
+    """Every file and directory under ``root``, as paths relative to it."""
+    return sorted(
+        os.path.relpath(os.path.join(top, name), root)
+        for top, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 mutations = st.one_of(
     st.tuples(st.just("flag"), st.sampled_from(FLAGS), VALUES),
     st.tuples(st.just("config"), st.sampled_from(sorted(CONFIG) + ["speed"]), VALUES),
@@ -199,7 +209,18 @@ class TestEveryBadInputIsOneLine:
             if subcommand != "reconstruct":
                 argv += ["--config", os.path.join(work, "run.config")]
             argv += _apply(work, mutation)
-            _check_contract(*_run(argv))
+            _run_checked(work, argv)
+
+
+def _run_checked(work, argv):
+    """The exit code of ``argv`` run in ``work``, checked against the contract;
+    a failed run must leave ``work`` and its parent as it found them."""
+    before = _tree(os.path.dirname(work))
+    rc, err, caught = _run(argv)
+    _check_contract(rc, err, caught)
+    if rc != 0:
+        assert _tree(os.path.dirname(work)) == before
+    return rc
 
 
 def _check_contract(rc, err, caught):
@@ -238,7 +259,7 @@ class TestSynthIsOneLine:
     @example(("field", "nx", "99999999999999999999999"))
     @example(("field", "synth_nt", "99999999999999999999999"))
     def test_exit_code_and_one_error_line(self, scan_dir, mutation):
-        with _workdir(scan_dir):
+        with _workdir(scan_dir) as work:
             source, extra = "tiny.manifest", []
             if mutation[0] in ("field", "drop"):
                 pairs = dict(MANIFEST)
@@ -253,8 +274,7 @@ class TestSynthIsOneLine:
                 extra = [f"{mutation[1]}={mutation[2]}"]
             else:
                 source = mutation[1]
-            rc, err, caught = _run(["synth", source, "--output", "out"] + extra)
-            _check_contract(rc, err, caught)
+            rc = _run_checked(work, ["synth", source, "--output", "out"] + extra)
             if rc == 0:  # what synth writes, the readers read back
                 written = sorted(os.listdir("out"))
                 for name in written:
@@ -276,18 +296,27 @@ class TestSynthIsOneLine:
         assert (rc, caught) == (2, [])
         assert err.startswith("error: tiny.manifest: ") and err.count("\n") == 1, err
 
+    def test_sample_beyond_the_dtype_leaves_no_directory(self, scan_dir):
+        with _workdir(scan_dir) as work:
+            with open("tiny.manifest", "w", encoding="utf-8") as handle:
+                handle.write(format_kv({**MANIFEST, "synth_pulse_amp": "1e308"}))
+            argv = ["synth", "tiny.manifest", "--output", "new/out", "--dtype", "f32le"]
+            assert _run_checked(work, argv) == 2
+
 
 #: Output paths a user might pass: relative, empty, parent, missing, taken by
-#: a file or a directory, one of the inputs, too long, or not a path at all.
+#: a file or a directory, one of the inputs, too long (or too long only once
+#: a sidecar's suffix is added), or not a path at all.
 OUTPUTS = ("", ".", "..", " ", "out", "no/such/out", "adir", "adir/", "afile", "afile/out",
-           "scan.pavol", "scan.pavol.bin", "run.config", "a\nb", "a:b", "é", "x" * 300, "a\x00b")
+           "scan.pavol", "scan.pavol.bin", "run.config", "a\nb", "a:b", "é", "x" * 252,
+           "x" * 300, "a\x00b")
 
 
 class TestOutputPaths:
     @pytest.mark.parametrize("output", OUTPUTS)
     @pytest.mark.parametrize("subcommand", SUBCOMMANDS + ("synth",))
     def test_exit_code_and_one_error_line(self, scan_dir, subcommand, output):
-        with _workdir(scan_dir):
+        with _workdir(scan_dir) as work:
             os.mkdir("adir")
             open("afile", "w").close()
             if subcommand == "synth":
@@ -296,7 +325,6 @@ class TestOutputPaths:
                 argv = [subcommand, "--input", "scan.pavol", "--output", output]
                 if subcommand != "reconstruct":
                     argv += ["--config", "run.config"]
-            rc, err, caught = _run(argv)
-            _check_contract(rc, err, caught)
+            rc = _run_checked(work, argv)
             if rc == 0 and subcommand in ("denoise", "baseline"):
                 read_volume(output)

@@ -92,7 +92,7 @@ def _bump(height: float) -> np.ndarray:
     return samples
 
 
-#: filtfilt's odd extension 2*x[0] - x[k] of this finite trace overflows, so
+#: The low-pass's odd extension 2*x[0] - x[k] of this finite trace overflows, so
 #: its low-pass is not finite from sample 0.
 _EXTENSION_OVERFLOWS = np.r_[1e308, np.full(NT - 1, -1e308)]
 
@@ -273,7 +273,8 @@ class TestVolumePassesMatchScalarLoops:
         with np.errstate(over="ignore", invalid="ignore"):
             want = _error(scalar_baseline_denoise, volume, background, CUTOFF)
             assert _error(baseline_denoise, volume, background, CUTOFF) == want
-        assert want == (DataError, f"trace sample {sample} is not finite")
+        x, y = min({**volume_traces, **(background_traces or {})})  # the first bad trace
+        assert want == (DataError, f"trace (x={x}, y={y}): trace sample {sample} is not finite")
 
     def test_reconstruct_overflow_raises_the_scalar_error(self):
         volume = _with_traces(_scan(seed=3), {(1, 2): _huge()})
