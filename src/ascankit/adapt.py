@@ -9,11 +9,11 @@ denoise-and-score path) and averaging the per-trace winners.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .metrics import _envelopes, _score
+from .metrics import _envelopes, _psnrs
 from .model import (
     DataError,
     InfinitePsnrError,
@@ -23,7 +23,7 @@ from .model import (
     Trace,
     Volume,
 )
-from .rts import _smooth_lanes
+from .rts import _smooth_lanes, _transposed
 
 __all__ = [
     "estimate_r",
@@ -37,11 +37,14 @@ _GRID_POINTS = 15
 #: The auto grid spans [1e-6, 1e-1] times the sampled noise floor.
 _GRID_LO = 1e-6
 _GRID_HI = 1e-1
+#: Samples per block of lanes that ``select_q`` scores at once.
+_SCORED_SAMPLES = 1 << 16
 
 
 def estimate_r(trace: Trace, noise_window: int) -> float:
     """Mean-square of the first ``noise_window`` samples."""
-    return _noise_powers([trace.samples], _checked_window(noise_window, len(trace)))[0]
+    w = _checked_window(noise_window, len(trace))
+    return float(_noise_powers(trace.samples[np.newaxis, :w])[0])
 
 
 def _checked_window(noise_window: int, n: int) -> int:
@@ -51,12 +54,14 @@ def _checked_window(noise_window: int, n: int) -> int:
     return w
 
 
-def _noise_powers(rows: Sequence[np.ndarray], w: int) -> List[float]:
-    # One dot product per row: a sum over an axis would add in another order
-    # and change the last bits.  An overflow is r = inf, which the filter
-    # refuses with its own one-line error, so numpy need not warn of it.
+def _noise_powers(heads: np.ndarray) -> np.ndarray:
+    """Mean square of each row of the 2-D ``heads``."""
+    # One dot product per row, as ``head @ head`` takes it: a sum over an axis
+    # would add in another order and change the last bits.  An overflow is
+    # r = inf, which the filter refuses with its own one-line error, so numpy
+    # need not warn of it.
     with np.errstate(over="ignore"):
-        return [float(head @ head / w) for head in (row[:w] for row in rows)]
+        return np.vecdot(heads, heads) / heads.shape[-1]
 
 
 def default_noise_window(nt: int) -> int:
@@ -115,9 +120,8 @@ def select_q(
     ids = [(int(i) // volume.ny, int(i) % volume.ny) for i in flat_ids]
 
     rows = volume.data.reshape(n_traces, volume.nt)
-    traces = [rows[i] for i in flat_ids]
     window = _checked_window(noise_window, volume.nt)
-    rs = _noise_powers(traces, window)
+    rs = _noise_powers(rows[flat_ids, :window]).tolist()
 
     if grid is None:
         grid_arr = default_q_grid(rs)
@@ -128,29 +132,40 @@ def select_q(
         if not np.all(np.isfinite(grid_arr)) or (grid_arr <= 0.0).any():
             raise DataError("q grid values must be finite and > 0")
 
-    # One lane per (trace, candidate), trace-major: lanes are scored in the
-    # order of a loop over traces and then candidates, one at a time, since
-    # a whole chunk's complex spectra would outweigh the kernel's workspace.
-    # Every lane before a failing one has been scored, so an error names
-    # the trace of lane len(scores).
+    # One lane per (trace, candidate), trace-major: each trace is a block of
+    # as many lanes as candidates, a read-only view of its one row.  Lanes are
+    # scored in the order of a loop over traces and then candidates, a block
+    # of lanes at a time, since a whole chunk's complex spectra would
+    # outweigh the kernel's workspace.  An unbounded PSNR scores +inf, and
+    # scoring resumes at the next lane.  Every lane before a failing one has
+    # been scored, so an error names the trace of lane len(scores).
     scores = []
+    # Lane-major copies of a block: the scores take each row's dot products
+    # with the bits of a contiguous trace's.
+    block = np.empty((max(1, _SCORED_SAMPLES // volume.nt), volume.nt))
     try:
         for _, smoothed in _smooth_lanes(
-            [samples for samples in traces for _ in grid_arr],
-            np.tile(grid_arr, len(traces)),
+            [np.broadcast_to(rows[i], (grid_arr.size, volume.nt)) for i in flat_ids],
+            np.tile(grid_arr, n_sample),
             np.repeat(rs, grid_arr.size),
         ):
-            for samples in smoothed.T:
-                try:
-                    scores.append(_score(_envelopes(samples), roi))
-                except InfinitePsnrError:
-                    scores.append(math.inf)
+            for j in range(0, smoothed.shape[1], len(block)):
+                lanes = block[: smoothed.shape[1] - j]
+                _transposed(lanes, smoothed[:, j : j + len(lanes)])
+                envs = _envelopes(lanes)
+                first = len(scores)
+                while len(scores) < first + len(envs):
+                    try:
+                        for score in _psnrs(envs[len(scores) - first :], roi):
+                            scores.append(score)
+                    except InfinitePsnrError:
+                        scores.append(math.inf)
     except (DataError, NumericsError) as exc:
         x, y = ids[len(scores) // grid_arr.size]
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
 
     # argmax keeps the first of tied scores, the lowest grid index.
-    table = np.reshape(scores, (len(traces), grid_arr.size))
+    table = np.reshape(scores, (n_sample, grid_arr.size))
     best_qs = grid_arr[table.argmax(axis=1)]
 
     # Winners near the largest float can sum past it; the report refuses that mean.

@@ -11,7 +11,7 @@ import numpy as np
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
 from .model import DataError, Trace, Volume, _finite
-from .rts import _smooth_lanes
+from .rts import _first_bad, _smooth_lanes, _transposed
 
 __all__ = [
     "differential_subtract",
@@ -125,6 +125,10 @@ def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
         )
 
 
+def _subtract(lines: np.ndarray, back: np.ndarray) -> None:
+    np.subtract(lines, back, out=lines)
+
+
 def pipeline_denoise(
     volume: Volume,
     background: Optional[Volume],
@@ -145,27 +149,32 @@ def pipeline_denoise(
     # kernel run.  An error names the trace it arose on.
     n_traces, nt = volume.nx * volume.ny, volume.nt
     sources = [volume] if background is None else [volume, background]
-    rows = [samples for source in sources for samples in source.data.reshape(n_traces, nt)]
-    rs = _noise_powers(rows, window)
+    blocks = [source.data.reshape(n_traces, nt) for source in sources]
+    rs = np.concatenate([_noise_powers(block[:, :window]) for block in blocks])
     out = np.empty((n_traces, nt))
     received = 0  # the lane an error belongs to
     # Finite traces of opposite sign can differ by more than the largest
     # float; each difference is checked as baseline_denoise checks it.
     try:
         with np.errstate(over="ignore"):
-            for lo, smoothed in _smooth_lanes(rows, np.full(len(rows), float(q)), np.array(rs)):
-                for received, samples in enumerate(smoothed.T, start=lo):
-                    if received < n_traces:
-                        out[received] = samples
-                    else:
-                        line = out[received - n_traces]
-                        line -= samples
-                        _finite(line)
-                received = lo + smoothed.shape[1]
+            for lo, smoothed in _smooth_lanes(blocks, np.full(len(rs), float(q)), rs):
+                # Volume lanes are copied into their rows of ``out``, and
+                # background lanes subtracted from them.
+                hi = lo + smoothed.shape[1]
+                mid = min(max(lo, n_traces), hi)
+                _transposed(out[lo:mid], smoothed[:, : mid - lo])
+                if mid < hi:
+                    lines = out[mid - n_traces : hi - n_traces]
+                    _transposed(lines, smoothed[:, mid - lo :], _subtract)
+                    bad = _first_bad(lines, axis=1)
+                    if bad is not None:
+                        received = mid + bad
+                        _finite(lines[bad])
+                received = hi
     except (DataError, ArithmeticError) as exc:
         x, y = divmod(received % n_traces, volume.ny)
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
-    del smoothed, samples  # views that would keep the kernel's workspace alive
+    del smoothed  # a view that would keep the kernel's workspace alive
     return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import re
 import sys
@@ -212,6 +213,18 @@ def _clean_volume(entry: CorpusEntry) -> Volume:
     return Volume.from_grid(grid, entry.spec.dt)
 
 
+def _check_name_lengths(directory: str, paths: List[str]) -> None:
+    """Refuse a path in ``directory`` whose name is too long for the file
+    system that holds it, or will hold it once ``directory`` is made."""
+    existing = os.path.abspath(directory)
+    while not os.path.isdir(existing):
+        existing = os.path.dirname(existing)
+    limit = os.pathconf(existing, "PC_NAME_MAX")
+    for path in paths:
+        if len(os.fsencode(os.path.basename(path))) > limit:
+            raise OSError(errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), path)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     entry = _resolve_synth_source(args.source)
     if args.seed is not None:
@@ -225,9 +238,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             (volume, background, _), clean = entry.generate(), _clean_volume(entry)
     except (DataError, OverflowError) as exc:  # gausspulse's float arithmetic can overflow
         raise DataError(f"{args.source}: {exc}") from exc
-    for checked in (volume, background, clean):  # so that a refused dtype leaves no directory
-        _encoded(checked, args.dtype)
-    os.makedirs(args.output, exist_ok=True)
     name = entry.name
     paths = {
         "scan": os.path.join(args.output, f"{name}.pavol"),
@@ -236,6 +246,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         "manifest": os.path.join(args.output, f"{name}.manifest"),
         "config": os.path.join(args.output, f"{name}.config"),
     }
+    # A refused dtype or name leaves no directory and no file.
+    for checked in (volume, background, clean):
+        _encoded(checked, args.dtype)
+    volumes = [paths[label] + ".bin" for label in ("scan", "background", "clean")]
+    _check_name_lengths(args.output, [*paths.values(), *volumes])
+    os.makedirs(args.output, exist_ok=True)
     note = f"synthetic scan {name!r}, generator seed {entry.spec.seed}"
     write_volume(volume, paths["scan"], dtype=args.dtype, provenance=note)
     write_volume(
@@ -302,9 +318,16 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 # reconstruct / metrics / compare
 
 
+def _reconstruct(volume: Volume, source: str) -> EnvelopeImage:
+    try:
+        return reconstruct(volume)
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
+
+
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     volume = read_volume(args.input)
-    write_image(reconstruct(volume), args.output)
+    write_image(_reconstruct(volume, args.input), args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -323,7 +346,7 @@ def _scores(
         for y in range(volume.ny):
             try:
                 score = next(scores)
-            except NumericsError as exc:
+            except (DataError, NumericsError) as exc:
                 raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
             yield x, y, score
 
@@ -358,6 +381,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     ]
 
+    # The input's image is made before anything is written, since it can fail.
+    images = [_reconstruct(volume, args.input)]
+    images += [EnvelopeImage(volume.nx, volume.ny, p) for p in pixels]
+
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.csv")
     summary_path = os.path.join(args.output, "summary.txt")
@@ -379,7 +406,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "n_gain_positive": str(int((gain_arr > 0).sum())),
     }
     atomic_write_text(summary_path, format_kv(summary))
-    images = [reconstruct(volume)] + [EnvelopeImage(volume.nx, volume.ny, p) for p in pixels]
     for tag, image in zip(("input", "pipeline", "baseline"), images):
         write_image(image, os.path.join(args.output, f"{tag}.pgm"))
     print(f"mean_psnr_gain_db: {float(gain_arr.mean())!r}")

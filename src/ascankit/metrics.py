@@ -30,7 +30,6 @@ def _envelopes(rows: np.ndarray) -> np.ndarray:
     n = rows.shape[-1]
     if n < 2:
         raise DataError("envelope needs at least 2 samples")
-    spectrum = np.fft.fft(rows)
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -38,7 +37,10 @@ def _envelopes(rows: np.ndarray) -> np.ndarray:
         weights[1 : n // 2] = 2.0
     else:
         weights[1 : (n + 1) // 2] = 2.0
-    return np.abs(np.fft.ifft(spectrum * weights))
+    # A finite trace can have an envelope that overflows; the callers refuse
+    # it, naming the trace, so numpy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.fft.ifft(np.fft.fft(rows) * weights))
 
 
 def envelope(trace: Trace) -> Trace:
@@ -47,14 +49,20 @@ def envelope(trace: Trace) -> Trace:
 
 
 def reconstruct(volume: Volume) -> EnvelopeImage:
-    """Project a volume to an image: pixel (x, y) is that trace's envelope peak."""
-    pixels = [_finite(_envelopes(line)).max(axis=-1) for line in volume.grid()]
+    """Project a volume to an image: pixel (x, y) is that trace's envelope
+    peak.  An envelope that is not finite raises an error naming its trace."""
+    pixels = np.empty((volume.nx, volume.ny))
+    for x, line in enumerate(volume.grid()):
+        envs = _envelopes(line)
+        pixels[x] = envs.max(axis=-1)  # not finite where an envelope is not
+        bad = np.flatnonzero(~np.isfinite(pixels[x]))
+        if bad.size:
+            y = int(bad[0])
+            try:
+                _finite(envs[y])
+            except DataError as exc:
+                raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
     return EnvelopeImage(nx=volume.nx, ny=volume.ny, pixels=pixels)
-
-
-def _score(env: np.ndarray, roi: RoiSpec) -> float:
-    """``psnr`` of one envelope, with ``roi`` already checked for its length."""
-    return next(_psnrs(env[np.newaxis], roi))
 
 
 def _psnrs(envs: np.ndarray, roi: RoiSpec) -> Iterator[float]:
@@ -94,7 +102,7 @@ def psnr(trace: Trace, roi: RoiSpec) -> float:
     float range raises NumericsError.
     """
     roi.checked_for(len(trace))
-    return _score(_envelopes(trace.samples), roi)
+    return next(_psnrs(_envelopes(trace.samples)[np.newaxis], roi))
 
 
 def psnr_gain(before: Trace, after: Trace, roi: RoiSpec) -> float:

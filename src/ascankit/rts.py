@@ -19,12 +19,14 @@ Filtering*, 1979); from there the kernel reuses two gains for the means.
 Its workspace holds the means of every step, and the variances of every
 step only where they fit; otherwise one variance per block of steps, from
 which the backward pass recomputes the rest (the store-or-recompute trade of
-Griewank & Walther's *revolve*, 2000).
+Griewank & Walther's *revolve*, 2000).  Lanes move between their traces and
+the time-major workspace in square tiles, not one strided column at a time
+(the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -43,8 +45,15 @@ from .model import (
 __all__ = ["rts_smooth", "denoise_trace"]
 
 #: Cap, in bytes, on ``_smooth_lanes``' workspace: every step's means, and
-#: the variances in full or as per-block checkpoints (``_chunking``).
-_LANE_BYTES = 4 << 20
+#: the variances in full or as per-block checkpoints (``_chunking``).  At
+#: 16 MiB the pipeline of a 16 x 16 x 1024 scan and its background is one
+#: chunk of 512 lanes, and a sweep of 120 lanes of 4,096 samples keeps its
+#: variances.  Against 4 MiB, that raised ``denoise``'s peak RSS by 3.5 and
+#: 4.9 MB on those two and left ``compare``'s where it was; corpus scoring
+#: went from 21.8 s to 10.9-12.0 s (10.5 s at 32 MiB, 2 cores).
+_LANE_BYTES = 16 << 20
+#: Lanes and steps per tile of ``_transposed``'s copies.
+_TILE = 64
 #: Time steps between ``_smooth_lanes``' checks for settled variances.
 _CHECK_EVERY = 128
 
@@ -127,11 +136,42 @@ def _chunking(stop: int, n: int) -> Tuple[int, bool]:
     return width, width * 2 * 8 * n > _LANE_BYTES
 
 
+def _transposed(dst: np.ndarray, src: np.ndarray, op: Callable = np.copyto) -> None:
+    """``op(dst, src.T)`` for 2-D ``dst``, one ``_TILE`` x ``_TILE`` tile at
+    a time: a strided column at a time would touch a cache line per element,
+    and at wide rows those lines alias in the cache."""
+    rows, cols = dst.shape
+    for i in range(0, rows, _TILE):
+        for k in range(0, cols, _TILE):
+            op(dst[i : i + _TILE, k : k + _TILE], src[k : k + _TILE, i : i + _TILE].T)
+
+
+def _first_bad(lanes: np.ndarray, axis: int) -> Optional[int]:
+    """The first lane of ``lanes`` with a sample that is not finite, its
+    samples along ``axis``, or None.  Unlike ``np.isfinite(lanes)``, min and
+    max need no temporary the size of ``lanes``."""
+    if np.isfinite(lanes.min()) and np.isfinite(lanes.max()):
+        return None
+    return int(np.argmax(~np.isfinite(lanes.min(axis=axis)) | ~np.isfinite(lanes.max(axis=axis))))
+
+
+def _pieces(blocks: Sequence[np.ndarray], lo: int, hi: int) -> List[Tuple[int, np.ndarray]]:
+    """``(j, rows)`` covering lanes ``lo`` to ``hi - 1`` of ``blocks``: ``rows``
+    is a slice of one block whose first row is lane ``lo + j``."""
+    pieces, start = [], 0
+    for block in blocks:
+        a, b = max(lo, start), min(hi, start + len(block))
+        if a < b:
+            pieces.append((a - lo, block[a - start : b - start]))
+        start += len(block)
+    return pieces
+
+
 def _smooth_lanes(
-    rows: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray
+    blocks: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Filter and smooth the lanes ``rows[i]`` (one length) with variances
-    ``q[i]`` and ``r[i]``.
+    """Filter and smooth the lanes, the rows of the 2-D ``blocks`` in order
+    (one length), lane ``i`` with variances ``q[i]`` and ``r[i]``.
 
     Yields ``(lo, smoothed)`` per chunk of lanes: ``smoothed[:, j]`` equals
     ``denoise_trace`` of lane ``lo + j`` bit for bit.  It is a time-major
@@ -149,12 +189,13 @@ def _smooth_lanes(
     recomputes each block's from the last of the block before it, by the
     forward pass's own operations.
     """
-    if len(rows) == 0:
+    count = sum(len(block) for block in blocks)
+    if count == 0:
         return
     # The lanes whose variances _check_variances accepts, up to the first refused.
     accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
-    stop = len(rows) if accepted.all() else int(np.argmin(accepted))
-    n = len(rows[0])
+    stop = count if accepted.all() else int(np.argmin(accepted))
+    n = blocks[0].shape[1]
     width, checkpointed = _chunking(stop, n)
     block = min(_CHECK_EVERY, n)
     starts = range(0, n, block)
@@ -175,8 +216,9 @@ def _smooth_lanes(
             ps = p_buf[: p_rows * m].reshape(p_rows, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
             p_prior, denom, gain, step = per_lane[:, :m]
-            for j in range(m):
-                xs[:, j] = rows[lo + j]
+            pieces = _pieces(blocks, lo, lo + m)
+            for j, lanes in pieces:
+                _transposed(xs[:, j : j + len(lanes)], lanes)
             # The filter starts from x0 = y[0] and p0 = r, and its first prior
             # mean is x0 + 0.0, which turns -0.0 into +0.0.  Every later prior
             # mean x_post + 0.0 is left at x_post: a posterior is a sum
@@ -240,13 +282,13 @@ def _smooth_lanes(
                     subtract(x_next, x, out=step)
                     multiply(gain, step, out=step)
                     add(x, step, out=x)
-            for j in np.flatnonzero(rs == 0.0):
-                xs[:, j] = rows[lo + j]  # r = 0 is the identity map
-            # Unlike np.isfinite(xs), min and max need no n x m temporary.
-            if not (np.isfinite(xs.min()) and np.isfinite(xs.max())):
-                bad = np.flatnonzero(~np.isfinite(xs.min(axis=0)) | ~np.isfinite(xs.max(axis=0)))
-                yield lo, xs[:, : bad[0]]
-                _finite(xs[:, bad[0]])  # raises denoise_trace's "not finite" error
+            for j, lanes in pieces:  # r = 0 is the identity map
+                for i in np.flatnonzero(rs[j : j + len(lanes)] == 0.0):
+                    xs[:, j + i] = lanes[i]
+            bad = _first_bad(xs, axis=0)
+            if bad is not None:
+                yield lo, xs[:, :bad]
+                _finite(xs[:, bad])  # raises denoise_trace's "not finite" error
             yield lo, xs
-    if stop < len(rows):
+    if stop < count:
         _check_variances(float(q[stop]), float(r[stop]))

@@ -256,11 +256,15 @@ def scalar_baseline_denoise(
 
 
 def scalar_reconstruct(volume: Volume) -> np.ndarray:
-    """The pixels of ``reconstruct``: one ``envelope`` maximum per trace."""
+    """The pixels of ``reconstruct``: one ``envelope`` maximum per trace; an
+    error names its trace."""
     pixels = np.empty((volume.nx, volume.ny))
     for x in range(volume.nx):
         for y in range(volume.ny):
-            pixels[x, y] = envelope(volume.trace(x, y)).samples.max()
+            try:
+                pixels[x, y] = envelope(volume.trace(x, y)).samples.max()
+            except DataError as exc:
+                raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
     return pixels
 
 
@@ -287,7 +291,7 @@ def scalar_score(env: np.ndarray, roi: RoiSpec) -> float:
 def _named_psnr(volume: Volume, x: int, y: int, roi: RoiSpec, source: str) -> float:
     try:
         return psnr(volume.trace(x, y), roi)
-    except NumericsError as exc:
+    except (DataError, NumericsError) as exc:
         raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
 
 

@@ -178,6 +178,18 @@ class TestSynth:
             f"error: {manifest}: manifest is not UTF-8: invalid start byte at byte 6\n"
         )
 
+    def test_entry_name_too_long_for_a_file_is_one_line_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # <name>.pavol fits, <name>-background.pavol.bin does not.
+        manifest = tmp_path / "m.in"
+        manifest.write_text(format_manifest(_tiny_entry(name="e" * 240)))
+        out = tmp_path / "out"
+        assert main(["synth", str(manifest), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 36] File name too long: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["m.in"]
+
     def test_unknown_source_names_both_interpretations(self, tmp_path, capsys):
         rc = main(["synth", "phantom-l", "--output", str(tmp_path)])
         assert rc == 2
@@ -556,6 +568,27 @@ class TestFailureModes:
         assert (rc, [str(w.message) for w in caught]) == (2, [])
         assert capsys.readouterr().err == (
             "error: trace (x=0, y=0): trace sample 44 is not finite\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["reconstruct"], ["metrics", "--roi", "100:200"]])
+    def test_overflowing_envelope_is_one_line_naming_the_file_and_trace(
+        self, tmp_path, capsys, argv
+    ):
+        # Finite samples whose sum, the spectrum's DC bin, overflows.
+        data = np.full((2, 3, 256), 1e-3)
+        data[1, 2, 16:] = 1e306
+        data[1, 2, 17::2] = -1e306
+        data[1, 2, 16:200] = 1e306
+        path = tmp_path / "loud.pavol"
+        write_volume(Volume.from_grid(data, 1e-8), str(path))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--input", str(path), "--output", str(out)])
+        assert (rc, [str(w.message) for w in caught]) == (2, [])
+        assert capsys.readouterr().err == (
+            f"error: {path}: trace (x=1, y=2): trace sample 0 is not finite\n"
         )
         assert not out.exists()
 

@@ -76,6 +76,15 @@ EDGES = (
 )
 VALUES = st.one_of(st.sampled_from(EDGES), st.text(max_size=12))
 
+#: Entry names about as long as a file name can be: synth's longest output,
+#: ``<entry>-background.pavol.bin``, is 21 characters longer.
+LONG_NAMES = tuple("e" * n for n in (200, 234, 235, 240, 254, 255, 256, 300))
+
+#: Values that make the finite samples after a trace's quiet head sum, or
+#: reach in the analytic signal, past the largest float: the trace's envelope
+#: overflows, or comes close to it.
+LOUD_VALUES = (1e306, -1e306, 1e307, -1e307, 1.7e308)
+
 
 def _scan_grid(rng):
     t = np.arange(NT)
@@ -136,6 +145,8 @@ mutations = st.one_of(
               st.integers(-NX * NY * NT * 8, 24)),
     st.tuples(st.just("nonfinite"), st.sampled_from(("scan", "bg")),
               st.integers(0, NX * NY * NT - 1), st.sampled_from((np.nan, np.inf, -np.inf))),
+    st.tuples(st.just("loud"), st.sampled_from(("scan", "bg")),
+              st.integers(0, NX * NY - 1), st.sampled_from(LOUD_VALUES), st.booleans()),
 )
 
 
@@ -174,6 +185,13 @@ def _apply(work, mutation):
         with open(header + ".bin", "r+b") as handle:
             size = handle.seek(0, os.SEEK_END)
             handle.truncate(size + mutation[2])
+    elif kind == "loud":  # a finite trace, quiet for 16 samples, then loud
+        _, _, trace, value, alternating = mutation
+        payload = np.fromfile(header + ".bin", dtype="<f8").reshape(NX * NY, NT)
+        payload[trace, 16:] = value
+        if alternating:
+            payload[trace, 17::2] = -value
+        payload.tofile(header + ".bin")
     else:
         payload = np.fromfile(header + ".bin", dtype="<f8")
         payload[mutation[2]] = mutation[3]
@@ -202,6 +220,10 @@ class TestEveryBadInputIsOneLine:
     @example("qselect", ("flag", "--config", "\x0c"))
     @example("qselect", ("config", "q_grid", "1e308"))
     @example("baseline", ("config", "lp_cutoff_hz", "1e-320"))
+    # A finite trace whose envelope overflows: numpy warnings, and an error
+    # naming neither the file nor the trace.
+    @example("reconstruct", ("loud", "scan", 1, 1e307, False))
+    @example("metrics", ("loud", "scan", 2, 1e307, False))
     def test_exit_code_and_one_error_line(self, scan_dir, subcommand, mutation):
         with _workdir(scan_dir) as work:
             argv = [subcommand, "--input", os.path.join(work, "scan.pavol"),
@@ -245,6 +267,7 @@ synth_mutations = st.one_of(
     st.tuples(st.just("flag"), st.sampled_from(("--seed", "--dtype", "--frob")), VALUES),
     st.tuples(st.just("source"), st.sampled_from(("missing.manifest", ".", "", "default",
                                                   "noise-only", "scan.pavol"))),
+    st.tuples(st.just("field"), st.just("entry"), st.sampled_from(LONG_NAMES)),
 )
 
 
@@ -258,6 +281,7 @@ class TestSynthIsOneLine:
     @example(("field", "synth_noise_sigma", "1e308"))
     @example(("field", "nx", "99999999999999999999999"))
     @example(("field", "synth_nt", "99999999999999999999999"))
+    @example(("field", "entry", "e" * 240))  # once wrote two files, then failed
     def test_exit_code_and_one_error_line(self, scan_dir, mutation):
         with _workdir(scan_dir) as work:
             source, extra = "tiny.manifest", []

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascankit import rts
+from ascankit import adapt, rts
 from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
@@ -61,13 +61,14 @@ def _lanes_per_chunk(lanes):
 
 
 def _chunks(rows, qs, rs):
-    """Run the kernel, and check that its chunks are the fewest that fit the
-    cap, all as wide as the first but the last; return copies of them."""
+    """Run the kernel on ``rows`` as three blocks (some may be empty), and
+    check that its chunks are the fewest that fit the cap, all as wide as the
+    first but the last; return copies of them."""
     count, n = len(rows), len(rows[0])
     width, _ = rts._chunking(count, n)
     fewest = math.ceil(count / max(1, rts._LANE_BYTES // _lane_bytes(n)))
     chunks, views = [], []
-    for lo, smoothed in _smooth_lanes(list(rows), qs, rs):
+    for lo, smoothed in _smooth_lanes(np.array_split(np.asarray(rows), 3), qs, rs):
         chunks.append((lo, smoothed.copy()))
         views.append(smoothed)
     assert [lo for lo, _ in chunks] == list(range(0, count, width))
@@ -151,9 +152,9 @@ class TestKernel:
         _assert_denoised(rows, qs, rs, chunks)
 
     def test_negative_zero_first_sample_comes_out_positive(self):
-        rows = [np.array([-0.0, -0.0, -0.0]), np.array([-0.0])]
+        rows = [np.array([[-0.0, -0.0, -0.0]]), np.array([[-0.0]])]
         (lo, smoothed), = _smooth_lanes(rows[:1], np.array([1.0]), np.array([1.0]))
-        want = denoise_trace(Trace(rows[0], 1e-6), 1.0, 1.0).samples
+        want = denoise_trace(Trace(rows[0][0], 1e-6), 1.0, 1.0).samples
         assert np.array_equal(_bits(smoothed[:, 0]), _bits(want))
         assert not np.signbit(smoothed[:, 0]).any()
         (lo, smoothed), = _smooth_lanes(rows[1:], np.array([1.0]), np.array([0.0]))
@@ -164,12 +165,12 @@ class TestKernel:
         # +inf, and leaves the chunk's minimum finite.
         tail = np.zeros(64)
         tail[-2:] = [-1.7e308, 1.7e308]
-        rows = [np.linspace(0.0, 1.0, 64), tail, np.ones(64)]
+        rows = np.array([np.linspace(0.0, 1.0, 64), tail, np.ones(64)])
         qs, rs = np.array([1.0, 1e6, 1.0]), np.ones(3)
         chunks = []
 
         def run():
-            for lo, smoothed in _smooth_lanes(rows, qs, rs):
+            for lo, smoothed in _smooth_lanes([rows], qs, rs):
                 chunks.append((lo, smoothed.copy()))
 
         assert _error(run) == _error(denoise_trace, Trace(tail, 1e-6), 1e6, 1.0)
@@ -178,6 +179,7 @@ class TestKernel:
 
     def test_no_lanes_yields_nothing(self):
         assert list(_smooth_lanes([], np.array([]), np.array([]))) == []
+        assert list(_smooth_lanes([np.ones((0, 3))] * 2, np.array([]), np.array([]))) == []
 
     @pytest.mark.parametrize(
         "q", [float("nan"), float("inf"), -1.0, -0.0, 0.0, 5e-324, 1.0, 1e308]
@@ -188,9 +190,9 @@ class TestKernel:
     def test_takes_exactly_the_variances_denoise_trace_accepts(self, q, r):
         # Accepted variances can still overflow into a non-finite result,
         # which both paths refuse with the same error.
-        rows = [np.array([1.0, -2.0, 0.5])]
+        rows = [np.array([[1.0, -2.0, 0.5]])]
         try:
-            want = denoise_trace(Trace(rows[0], 1e-6), q, r).samples
+            want = denoise_trace(Trace(rows[0][0], 1e-6), q, r).samples
         except DataError as exc:
             assert _error(list, _smooth_lanes(rows, np.array([q]), np.array([r]))) == (
                 DataError, str(exc)
@@ -361,9 +363,9 @@ class TestCheckpointedLanes:
 
     @pytest.mark.parametrize("cap", [None, 1])
     def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
-        rows = list(np.ones((2, 300)))
+        rows = [np.ones((2, 300))]
         qs, rs = np.array([1.0, 1.0]), np.array([-1.0, 1.0])
-        want = _error(denoise_trace, Trace(rows[0], 1e-6), qs[0], rs[0])
+        want = _error(denoise_trace, Trace(rows[0][0], 1e-6), qs[0], rs[0])
         with _cap(cap or rts._LANE_BYTES):
             assert rts._chunking(0, 300) == (1, cap is not None)
             assert _error(list, _smooth_lanes(rows, qs, rs)) == want
@@ -392,14 +394,15 @@ class TestCheckpointedLanes:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
-    @pytest.mark.parametrize("count, n, checkpointed", [(120, 4096, True), (512, 1024, False)])
+    # None: as many lanes as one chunk holds, too many to store their variances.
+    @pytest.mark.parametrize("count, n, checkpointed", [(None, 4096, True), (512, 1024, False)])
     def test_peak_allocation_stays_under_the_cap(self, count, n, checkpointed):
+        count = count or rts._LANE_BYTES // _lane_bytes(n)
         rows, qs, rs = _long_lanes([(1e-2, 1.0)] * count, n)
-        rows = list(rows)
         assert rts._chunking(count, n)[1] == checkpointed
         tracemalloc.start()
         try:
-            for _ in _smooth_lanes(rows, qs, rs):
+            for _ in _smooth_lanes([rows], qs, rs):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -501,3 +504,166 @@ class TestPipelineMatchesScalarLoop:
         assert want[1].endswith("is not finite")
         with _lanes_per_chunk(lanes):
             assert _error(pipeline_denoise, volume, None, 3e-4, noise_window=16) == want
+
+
+class TestDefaultCap:
+    def test_the_benchmark_shapes_run_as_one_chunk_with_stored_variances(self):
+        # The volume pipeline of a 16 x 16 x 1024 scan and its background, and
+        # the q sweep of 8 traces of 4096 samples on a 15-point grid.
+        assert rts._chunking(512, 1024) == (512, False)
+        assert rts._chunking(8 * 15, 4096) == (120, False)
+
+
+#: (q, r) pairs that lanes cycle through: both settle periods, r = 0 and a
+#: lane that never settles.
+MIXED = PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED
+
+
+def _mixed_lanes(count, n, seed=0):
+    return _long_lanes((MIXED * count)[:count], n, seed=seed)
+
+
+class TestTiles:
+    """The kernel copies its lanes in, and ``pipeline_denoise`` and
+    ``select_q`` copy them out, in tiles of ``rts._TILE`` lanes by
+    ``rts._TILE`` steps: lane counts and lengths on both sides of a tile's
+    edge, chunks that mix the volume's and the background's lanes, and a
+    lane that fails in the middle of a tile."""
+
+    @pytest.mark.parametrize(
+        "count, n",
+        [(1, 65), (63, 65), (64, 65), (65, 65), (513, 65),
+         (65, 1), (65, 2), (65, 63), (65, 1024), (513, 1024)],
+    )
+    def test_every_lane_matches_denoise_trace_bit_for_bit(self, count, n):
+        assert rts._TILE == 64
+        rows, qs, rs = _mixed_lanes(count, n, seed=count + n)
+        _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
+
+    def test_a_lane_that_overflows_mid_tile_raises_its_error_after_the_lanes_before_it(self):
+        rows, qs, rs = _mixed_lanes(130, 64)
+        rows[70], qs[70], rs[70] = _overflowing()[:64], 3e-4, 1e-6
+        chunks = []
+
+        def run():
+            for lo, smoothed in _smooth_lanes(np.array_split(rows, 3), qs, rs):
+                chunks.append((lo, smoothed.copy()))
+
+        assert _error(run) == _error(denoise_trace, Trace(rows[70], 1e-6), qs[70], rs[70])
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (64, 70))]
+        _assert_denoised(rows, qs, rs, chunks)
+
+    @pytest.mark.parametrize("lanes", [None, 70, 130])
+    def test_chunks_that_mix_volume_and_background_lanes_are_byte_equal(self, lanes):
+        # 100 traces and 100 background traces: one chunk, chunks of 67 (the
+        # second holds both kinds, split mid-tile), or chunks of 100.
+        volume = _silent(_scan(seed=51, nx=10, ny=10))
+        background = _scan(seed=52, nx=10, ny=10)
+        want = scalar_denoised_volume(volume, background, 3e-4, 16)
+        with _lanes_per_chunk(lanes):
+            got = pipeline_denoise(volume, background, 3e-4, noise_window=16)
+        assert got.data.tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("lanes", [None, 67])
+    @pytest.mark.parametrize(
+        "volume_traces, background_traces",
+        [
+            ({(7, 0): _overflowing(), (9, 5): _loud_head()}, {}),  # lane 70
+            ({}, {(2, 0): _overflowing(), (5, 1): _loud_head()}),  # lane 120
+            ({(0, 3): _loud_head()}, {(0, 1): _overflowing()}),  # a volume lane first
+        ],
+    )
+    def test_a_pipeline_lane_that_fails_mid_tile_is_the_scalar_error(
+        self, lanes, volume_traces, background_traces
+    ):
+        volume = _with_traces(_scan(seed=53, nx=10, ny=10), volume_traces)
+        background = _with_traces(_scan(seed=54, nx=10, ny=10), background_traces)
+        want = _error(scalar_denoised_volume, volume, background, 3e-4, 16)
+        x, y = min(volume_traces or background_traces)
+        assert want[1].startswith(f"trace (x={x}, y={y}): ")
+        with _lanes_per_chunk(lanes):
+            assert _error(pipeline_denoise, volume, background, 3e-4, noise_window=16) == want
+
+    @pytest.mark.parametrize("lanes", [None, 67])
+    @pytest.mark.parametrize(
+        "differences, overflowing, named",
+        [
+            ([(3, 7)], (5, 0), (3, 7)),  # lanes 137 and 150
+            ([(3, 7)], (2, 0), (2, 0)),  # lanes 137 and 120
+            ([(6, 1), (3, 7)], None, (3, 7)),
+        ],
+    )
+    def test_a_difference_that_overflows_mid_tile_is_checked_in_lane_order(
+        self, lanes, differences, overflowing, named
+    ):
+        # Finite smoothed traces of opposite sign whose difference overflows,
+        # and a background lane that the kernel refuses.
+        loud = np.full(NT, 1e-3)
+        loud[16:] = 1e308
+        volume = _with_traces(_scan(seed=55, nx=10, ny=10), {xy: loud for xy in differences})
+        backs = {xy: -loud for xy in differences}
+        if overflowing is not None:
+            backs[overflowing] = _overflowing()
+        background = _with_traces(_scan(seed=56, nx=10, ny=10), backs)
+        got = _error(pipeline_denoise, volume, background, 3e-4, noise_window=16)
+        with _lanes_per_chunk(lanes):
+            assert _error(pipeline_denoise, volume, background, 3e-4, noise_window=16) == got
+        if named == overflowing:
+            assert got == _error(scalar_denoised_volume, volume, background, 3e-4, 16)
+        else:
+            assert got == (DataError, f"trace (x={named[0]}, y={named[1]}): "
+                                      "trace sample 16 is not finite")
+
+    @pytest.mark.parametrize("block", [None, 7, 64])
+    @pytest.mark.parametrize("kind", ["silent", "loud head", "overflowing", "huge envelope"])
+    def test_a_sweep_lane_that_fails_mid_tile_is_the_scalar_error(self, block, kind):
+        # 9 sampled traces on the 15-point derived grid: the fifth trace's
+        # lanes are 60 to 74, across the first tile's edge.
+        volume = _scan(seed=57, nx=4, ny=4)
+        kwargs = dict(n_sample=9, seed=6, noise_window=16, roi=ROI)
+        fifth = np.random.default_rng(6).choice(16, size=9, replace=False)[4]
+        huge = np.full(NT, 1e306)
+        huge[:16] = 1e-3
+        samples = {"silent": np.zeros(NT), "loud head": _loud_head(),
+                   "overflowing": _overflowing(), "huge envelope": huge}[kind]
+        volume = _with_traces(volume, {divmod(int(fifth), 4): samples})
+        scoring = contextlib.nullcontext()
+        if block is not None:
+            scoring = mock.patch.object(adapt, "_SCORED_SAMPLES", block * NT)
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracle's huge envelope
+            want = _outcome(scalar_select_q, volume, **kwargs)
+        with scoring:
+            assert _outcome(select_q, volume, **kwargs) == want
+        if kind == "silent":
+            assert want[0] == "report" and "inf" in want[1]
+        else:
+            x, y = divmod(int(fifth), 4)
+            assert want[0] == "DataError" and want[1].startswith(f"trace (x={x}, y={y}): ")
+
+
+def _outcome(fn, *args, **kwargs):
+    """The fields of ``fn``'s report, or the name and message of its error."""
+    try:
+        return "report", _report_fields(fn(*args, **kwargs))
+    except (DataError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestMemory:
+    def test_pipeline_peak_is_the_output_and_the_kernel_workspace(self):
+        # A cap that holds the volume's and the background's lanes with their
+        # variances exactly: one chunk, whose workspace fills the cap.  The
+        # slack, a quarter of the output, covers the kernel's per-lane vectors
+        # and numpy's buffers for the subtraction.
+        volume, background = _scan(seed=58, nx=32, ny=32), _scan(seed=59, nx=32, ny=32)
+        lanes = 2 * 32 * 32
+        with _cap(lanes * 2 * 8 * NT):
+            assert rts._chunking(lanes, NT) == (lanes, False)
+            tracemalloc.start()
+            try:
+                pipeline_denoise(volume, background, 3e-4, noise_window=16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            slack = volume.data.nbytes // 4
+            assert peak <= volume.data.nbytes + rts._LANE_BYTES + slack

@@ -153,7 +153,7 @@ def _row(kind: str, rng: np.random.Generator) -> np.ndarray:
 
 
 def _envelope_row(kind: str, rng: np.random.Generator) -> np.ndarray:
-    """An envelope of NT values on which ``_score`` takes one of its paths."""
+    """An envelope of NT values on which ``_psnrs`` takes one of its paths."""
     env = np.abs(rng.standard_normal(NT)) * 10.0 ** rng.integers(-6, 7)
     at = int(rng.integers(0, NT))
     if kind == "silent outside":
@@ -281,7 +281,7 @@ class TestVolumePassesMatchScalarLoops:
         with np.errstate(over="ignore", invalid="ignore"):
             want = _error(scalar_reconstruct, volume)
             assert _error(reconstruct, volume) == want
-        assert want == (DataError, "trace sample 0 is not finite")
+        assert want == (DataError, "trace (x=1, y=2): trace sample 0 is not finite")
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(grids())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import gausspulse
 
-from ascankit.metrics import _score, envelope, psnr, psnr_gain, reconstruct
+from ascankit.metrics import _psnrs, envelope, psnr, psnr_gain, reconstruct
 from ascankit.model import (
     DataError,
     EnvelopeImage,
@@ -184,7 +184,7 @@ class TestPsnr:
         env = np.full(256, outside)
         env[90:110] = inside
         with pytest.raises(NumericsError, match="has no finite dB value") as exc:
-            _score(env, RoiSpec(90, 110))
+            next(_psnrs(env[np.newaxis], RoiSpec(90, 110)))
         assert type(exc.value) is NumericsError
 
 
