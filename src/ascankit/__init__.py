@@ -1,18 +1,9 @@
 """A-scan denoising toolkit: adaptive scalar Kalman filtering with backward
 smoothing, background subtraction, envelope reconstruction, and metrics."""
 
+import importlib
+
 from .adapt import default_noise_window, default_q_grid, estimate_r, select_q
-from .bench import (
-    CORPUS_VERSION,
-    GAIN_TOLERANCE_DB,
-    CorpusEntry,
-    ExpectedStats,
-    bench_corpus,
-    corpus_entry,
-    format_manifest,
-    measure_entry,
-    parse_manifest,
-)
 from .baseline import (
     LOWPASS_TAPS,
     baseline_denoise,
@@ -38,17 +29,31 @@ from .model import (
     validate_volume,
 )
 from .rts import denoise_trace, rts_smooth
-from .synth import (
-    FRACTIONAL_BANDWIDTH,
-    SynthSpec,
-    SynthTrace,
-    clean_samples,
-    default_spec,
-    synth_trace,
-    synth_volume,
-)
 
 __version__ = "0.1.0"
+
+#: Names served from ``bench`` and ``synth`` on first use (PEP 562), so that
+#: importing the package, and the CLI that every command starts from, does
+#: not load those two modules.
+_LAZY = dict.fromkeys(
+    ("CORPUS_VERSION", "GAIN_TOLERANCE_DB", "CorpusEntry", "ExpectedStats", "bench_corpus",
+     "corpus_entry", "format_manifest", "measure_entry", "parse_manifest"),
+    "bench",
+) | dict.fromkeys(
+    ("FRACTIONAL_BANDWIDTH", "SynthSpec", "SynthTrace", "clean_samples", "default_spec",
+     "synth_trace", "synth_volume"),
+    "synth",
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CORPUS_VERSION",

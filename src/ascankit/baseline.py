@@ -4,14 +4,14 @@ volume-level denoising pipelines."""
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
 from .model import DataError, Trace, Volume, _finite
-from .rts import _first_bad, _smooth_lanes, _transposed
+from .rts import _TILE, _first_bad, _smooth_lanes, _transposed
 
 __all__ = [
     "differential_subtract",
@@ -23,6 +23,14 @@ __all__ = [
 
 #: Length of the windowed-sinc low-pass used by the reference method.
 LOWPASS_TAPS = 101
+#: Bytes of output per call of ``_lowpassed`` in ``baseline_denoise`` (at
+#: least one trace); a call's workspace is about three times this.  Each call
+#: gives up the GIL a few times, and beside a busy thread getting it back can
+#: take a switch interval, so fewer calls finish sooner.  In ``compare`` the
+#: workspace adds to the pipeline's, which runs beside it: on a 32 x 24 x 256
+#: scan the command's peak RSS rose by 1.3, 0.5 and 0.0 MB at 512, 256 and
+#: 128 KiB, and at 128 KiB a 16 x 16 x 1024 scan took about 5 % longer.
+_FIR_BYTES = 1 << 18
 
 
 def differential_subtract(signal: Trace, background: Trace) -> Trace:
@@ -48,12 +56,29 @@ def lowpass(trace: Trace, cutoff_hz: float) -> Trace:
     the padding is cut off again.  ``_lowpassed`` computes only the samples
     that survive the cut.
     """
-    filtered, = _lowpassed(trace.samples[np.newaxis], cutoff_hz, trace.dt)
-    return Trace(filtered, trace.dt)
+    filtered = np.empty((1, len(trace)))
+    _lowpassed(trace.samples[np.newaxis], _taps(cutoff_hz, trace.dt), filtered)
+    return Trace(filtered[0], trace.dt)
 
 
-def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.ndarray]:
-    """``lowpass`` of each ``lines[i]`` along its last axis, with the taps built once.
+def _taps(cutoff_hz: float, dt: float) -> np.ndarray:
+    """The low-pass's FIR taps for ``cutoff_hz`` at sample spacing ``dt``."""
+    cutoff_hz = float(cutoff_hz)
+    nyquist = 0.5 / dt
+    if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
+        raise DataError(
+            f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
+        )
+    # firwin refuses a cutoff whose fraction of Nyquist rounds to zero.
+    if cutoff_hz / nyquist == 0.0:
+        raise DataError(f"cutoff {cutoff_hz!r} Hz is too small a fraction of Nyquist {nyquist!r}")
+    from scipy.signal import firwin  # slow to import, so only where it is used
+
+    return firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
+
+
+def _lowpassed(rows: np.ndarray, taps: np.ndarray, out: np.ndarray) -> None:
+    """``lowpass`` of each row of the 2-D ``rows`` into the same row of ``out``.
 
     With ``m = LOWPASS_TAPS - 1`` and a padding of ``p >= m`` samples (every
     trace longer than ``m``), each kept output of the backward pass is a dot
@@ -64,48 +89,37 @@ def _lowpassed(lines: np.ndarray, cutoff_hz: float, dt: float) -> Iterator[np.nd
     change only a pass's first ``m`` outputs, so they never reach a kept
     sample either.  Two valid-mode correlations of the trace with its
     ``m``-sample odd extension at each end therefore give the kept samples,
-    and with the same bits: numpy's ``correlate`` makes the same ``dot`` call
-    for each full-overlap output as ``filtfilt``'s full-mode ``convolve``.
+    and with the same bits: ``np.vecdot`` over the windows of a C-ordered
+    row makes the same ``dot`` call for each output as ``filtfilt``'s
+    full-mode ``convolve`` makes for each full-overlap one.  All rows go
+    through each pass in one call, which runs without the GIL.
 
     A trace of ``nt <= m`` samples is padded by only ``nt - 1``, so the
     initial conditions and the partial sums at its ends reach the kept
     samples; it runs through ``filtfilt`` itself.
     """
-    cutoff_hz = float(cutoff_hz)
-    nyquist = 0.5 / dt
-    if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
-        raise DataError(
-            f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
-        )
-    # firwin refuses a cutoff whose fraction of Nyquist rounds to zero.
-    if cutoff_hz / nyquist == 0.0:
-        raise DataError(f"cutoff {cutoff_hz!r} Hz is too small a fraction of Nyquist {nyquist!r}")
-    from scipy.signal import filtfilt, firwin  # slow to import, so only where it is used
-
-    taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
     m = LOWPASS_TAPS - 1
-    nt = lines.shape[-1]
+    nt = rows.shape[-1]
     # A trace whose odd extension overflows gets a non-finite low-pass, which
-    # the callers report; the errstate covers the extension, not the yield.
-    if nt <= m:
-        for line in lines:
-            with np.errstate(over="ignore", invalid="ignore"):
-                filtered = filtfilt(taps, [1.0], line, padlen=nt - 1)
-            yield filtered
-        return
-    rev = taps[::-1].copy()
-    for line in lines:
-        with np.errstate(over="ignore", invalid="ignore"):
-            padded = np.concatenate(
-                (2 * line[..., :1] - line[..., m:0:-1], line,
-                 2 * line[..., -1:] - line[..., -2 : -m - 2 : -1]),
-                axis=-1,
-            )
-        filtered = np.empty_like(line)
-        for out, samples in zip(filtered.reshape(-1, nt), padded.reshape(-1, nt + 2 * m)):
-            forward = np.correlate(samples, rev, "valid")
-            out[:] = np.correlate(forward[::-1], rev, "valid")[::-1]
-        yield filtered
+    # the callers report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nt <= m:
+            from scipy.signal import filtfilt  # slow to import, so only where it is used
+
+            out[:] = filtfilt(taps, [1.0], rows, padlen=nt - 1)
+            return
+        rev = taps[::-1].copy()
+        padded = np.empty((len(rows), nt + 2 * m))
+        padded[:, m:-m] = rows
+        np.subtract(2 * rows[:, :1], rows[:, m:0:-1], out=padded[:, :m])
+        np.subtract(2 * rows[:, -1:], rows[:, -2 : -m - 2 : -1], out=padded[:, -m:])
+        # The forward pass is stored reversed, so that the backward pass reads
+        # C-ordered windows, as np.correlate copies a reversed input: a
+        # negative stride would change the dot calls.
+        backward = np.empty((len(rows), nt + m))
+        np.vecdot(sliding_window_view(padded, LOWPASS_TAPS, axis=-1), rev, out=backward[:, ::-1])
+        del padded
+        np.vecdot(sliding_window_view(backward, LOWPASS_TAPS, axis=-1), rev, out=out[:, ::-1])
 
 
 def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
@@ -125,8 +139,19 @@ def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
         )
 
 
-def _subtract(lines: np.ndarray, back: np.ndarray) -> None:
-    np.subtract(lines, back, out=lines)
+def _subtract_transposed(lines: np.ndarray, lanes: np.ndarray) -> None:
+    """``lines -= lanes.T`` for time-major ``lanes``, a strip of ``_TILE``
+    lines at a time: each strip's lanes are copied to a C-ordered scratch in
+    tiles, so that the subtraction streams along rows of one memory order,
+    not through operands of opposite orders.  The bits are those of one
+    ``np.subtract``."""
+    strip = np.empty((_TILE, min(lines.shape[1], 16 * _TILE)))
+    for i in range(0, len(lines), _TILE):
+        for k in range(0, lines.shape[1], strip.shape[1]):
+            dst = lines[i : i + _TILE, k : k + strip.shape[1]]
+            src = strip[: dst.shape[0], : dst.shape[1]]
+            _transposed(src, lanes[k : k + src.shape[1], i : i + _TILE])
+            np.subtract(dst, src, out=dst)
 
 
 def pipeline_denoise(
@@ -165,7 +190,7 @@ def pipeline_denoise(
                 _transposed(out[lo:mid], smoothed[:, : mid - lo])
                 if mid < hi:
                     lines = out[mid - n_traces : hi - n_traces]
-                    _transposed(lines, smoothed[:, mid - lo :], _subtract)
+                    _subtract_transposed(lines, smoothed[:, mid - lo :])
                     bad = _first_bad(lines, axis=1)
                     if bad is not None:
                         received = mid + bad
@@ -175,6 +200,7 @@ def pipeline_denoise(
         x, y = divmod(received % n_traces, volume.ny)
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
     del smoothed  # a view that would keep the kernel's workspace alive
+    out.setflags(write=False)
     return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)
 
 
@@ -186,19 +212,34 @@ def baseline_denoise(
     """Reference method: low-pass every trace, then subtract the low-passed
     background when one is given.  An error names the trace it arose on."""
     _check_inputs(volume, background)
-    out = np.empty((volume.nx, volume.ny, volume.nt))
-    lines = _lowpassed(volume.grid(), cutoff_hz, volume.dt)
-    backs = repeat(0.0)  # without a background: x - 0.0 is x, bit for bit
-    if background is not None:
-        backs = _lowpassed(background.grid(), cutoff_hz, volume.dt)
-    for x, (line, filtered, back) in enumerate(zip(out, lines, backs)):
-        with np.errstate(over="ignore"):  # finite low-passes can differ by more than a float
-            np.subtract(filtered, back, out=line)
-        if not np.isfinite(line).all():  # a bad filtered sample spoils the difference too
-            # Trace by trace: the filtered trace, its filtered background, their difference.
-            for y, trace in enumerate(np.stack(np.broadcast_arrays(filtered, back, line), axis=1)):
-                try:
-                    _finite(trace)
-                except DataError as exc:
-                    raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
-    return Volume(nx=volume.nx, ny=volume.ny, nt=volume.nt, dt=volume.dt, data=out)
+    taps = _taps(cutoff_hz, volume.dt)
+    n_traces, nt = volume.nx * volume.ny, volume.nt
+    rows = volume.data.reshape(n_traces, nt)
+    backs = None if background is None else background.data.reshape(n_traces, nt)
+    block = max(1, _FIR_BYTES // (8 * nt))
+    out = np.empty((n_traces, nt))
+    for lo in range(0, n_traces, block):
+        lines = out[lo : lo + block]
+        _lowpassed(rows[lo : lo + block], taps, lines)
+        if backs is not None:
+            back = np.empty_like(lines)
+            _lowpassed(backs[lo : lo + block], taps, back)
+            with np.errstate(over="ignore"):  # finite low-passes can differ by more than a float
+                np.subtract(lines, back, out=lines)
+    bad = _first_bad(out, axis=1)  # a bad filtered sample spoils the difference too
+    if bad is not None:
+        # Trace by trace: the filtered trace, its filtered background, their
+        # difference, the first two filtered again, as the difference may
+        # have overwritten the first.
+        trace = np.zeros((3, nt))
+        for source, filtered in ((rows, trace[:1]), (backs, trace[1:2])):
+            if source is not None:
+                _lowpassed(source[bad : bad + 1], taps, filtered)
+        trace[2] = out[bad]
+        x, y = divmod(bad, volume.ny)
+        try:
+            _finite(trace)
+        except DataError as exc:
+            raise DataError(f"trace (x={x}, y={y}): {exc}") from exc
+    out.setflags(write=False)
+    return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)

@@ -21,14 +21,13 @@ import errno
 import os
 import re
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
 from .adapt import default_noise_window, select_q
 from .baseline import baseline_denoise, pipeline_denoise
-from .bench import ZERO_STATS, CorpusEntry, corpus_entry, format_manifest, parse_manifest
 from .io import (
     PipelineConfig,
     _encoded,
@@ -45,7 +44,9 @@ from .io import (
 )
 from .metrics import _envelopes, _psnrs, reconstruct
 from .model import DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Volume
-from .synth import clean_samples, default_spec
+
+if TYPE_CHECKING:
+    from .bench import CorpusEntry
 
 __all__ = ["main", "UsageError"]
 
@@ -173,8 +174,15 @@ def _resolve_q(
 # synth
 
 
+# ``bench`` and ``synth`` are imported where they are used: only ``synth``
+# needs them, and loading them is a noticeable share of every start-up.
+
+
 def _default_entry() -> CorpusEntry:
     """Ad-hoc 4x4 scan around the stock synthetic spec, for quick trials."""
+    from .bench import ZERO_STATS, CorpusEntry
+    from .synth import default_spec
+
     spec = default_spec()
     return CorpusEntry(
         name="default",
@@ -192,6 +200,8 @@ def _default_entry() -> CorpusEntry:
 
 
 def _resolve_synth_source(source: str) -> CorpusEntry:
+    from .bench import corpus_entry, parse_manifest
+
     if source == "default":
         return _default_entry()
     try:
@@ -206,6 +216,8 @@ def _resolve_synth_source(source: str) -> CorpusEntry:
 
 
 def _clean_volume(entry: CorpusEntry) -> Volume:
+    from .synth import clean_samples
+
     clean = clean_samples(entry.spec)
     grid = np.zeros((entry.nx, entry.ny, entry.spec.nt))
     for x, y in entry.mask:
@@ -226,6 +238,8 @@ def _check_name_lengths(directory: str, paths: List[str]) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .bench import format_manifest
+
     entry = _resolve_synth_source(args.source)
     if args.seed is not None:
         entry = dataclasses.replace(
@@ -361,15 +375,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # slow to import, so only where it is used
+
     config = _load_config(args)
     volume = read_volume(args.input)
     background = _read_background(config)
     roi = _roi(config, "compare", volume, args.input)
-    q = _resolve_q(config, volume, args.input, roi)
-    window = _window(config, volume)
-
-    pipeline = pipeline_denoise(volume, background, q, noise_window=window)
-    reference = baseline_denoise(volume, background, config.lp_cutoff_hz)
+    # The reference needs no q, and its FIR passes release the GIL, so it runs
+    # on a second thread while q is chosen and the pipeline runs.  Leaving the
+    # block waits for it on every path; an error of q's or the pipeline's
+    # leaves it unread, and its own surfaces only after theirs, as in a
+    # sequential run.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(baseline_denoise, volume, background, config.lp_cutoff_hz)
+        q = _resolve_q(config, volume, args.input, roi)
+        window = _window(config, volume)
+        pipeline = pipeline_denoise(volume, background, q, noise_window=window)
+    reference = future.result()
 
     # At each trace the pipeline is scored first, so its error comes first.
     pixels = np.empty((2, volume.nx, volume.ny))

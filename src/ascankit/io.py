@@ -65,7 +65,7 @@ def _check_file_path(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, "output names a directory, not a file", path)
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: Union[bytes, memoryview]) -> None:
     _check_file_path(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
@@ -222,7 +222,7 @@ def write_volume(
         pairs["provenance"] = provenance
     header = format_kv(pairs)
     _check_file_path(path)  # the header's, before the payload is written
-    atomic_write_bytes(path + ".bin", samples.tobytes())
+    atomic_write_bytes(path + ".bin", samples.data)
     atomic_write_text(path, header)
 
 
@@ -252,8 +252,13 @@ def read_volume(path: str) -> Volume:
             f"{data_file}: has {len(raw)} bytes but header {path} requires "
             f"{nx}*{ny}*{nt}*{item} = {expected}"
         )
-    # The Volume constructor casts to f64 in its one copy, then checks it.
-    return Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=np.frombuffer(raw, dtype=_DTYPES[dtype]))
+    # An f64 payload backs the Volume as read, and an f32 one its cast; the
+    # Volume constructor checks either.
+    data = np.frombuffer(raw, dtype=_DTYPES[dtype])
+    if data.dtype != np.float64:
+        data = data.astype(np.float64)
+        data.setflags(write=False)
+    return Volume(nx=nx, ny=ny, nt=nt, dt=dt, data=data)
 
 
 # ---------------------------------------------------------------------------

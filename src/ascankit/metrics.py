@@ -68,8 +68,11 @@ def reconstruct(volume: Volume) -> EnvelopeImage:
 def _psnrs(envs: np.ndarray, roi: RoiSpec) -> Iterator[float]:
     """``psnr`` of each row of the 2-D envelopes ``envs``, in order.  All rows'
     noise powers, roi peaks and finiteness are taken at once, as lists, so a suspended
-    generator holds no array of its own; a row's checks run when its score is asked for."""
+    generator holds no array of its own; a row's checks run when its score is asked for.
+    Rows of any memory order are scored as C-ordered ones: the noise powers'
+    dot products sum in another order along a strided row."""
     roi.checked_for(envs.shape[-1])
+    envs = np.ascontiguousarray(envs)
     outside = np.concatenate((envs[:, : roi.t_lo], envs[:, roi.t_hi :]), axis=-1)
     with np.errstate(over="ignore"):
         noise_powers = (np.vecdot(outside, outside) / outside.shape[-1]).tolist()

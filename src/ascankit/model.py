@@ -73,15 +73,29 @@ class Trace:
         return self.samples.size
 
 
+def _handed_over(data) -> bool:
+    """Whether ``data`` can back a Volume without a copy: a native, C-ordered,
+    read-only f64 array that owns its memory, which its maker hands over by
+    making it read-only, or that views an immutable ``bytes`` object.  No
+    other array's samples can change under the Volume."""
+    return (
+        type(data) is np.ndarray
+        and data.dtype == np.float64
+        and data.flags.c_contiguous
+        and not data.flags.writeable
+        and (data.flags.owndata or type(data.base) is bytes)
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Volume:
     """A scan grid of traces stored x-major, then y, with t fastest.
 
     ``data`` is kept flat; the trace at (x, y) occupies the contiguous slice
     ``data[(x*ny + y)*nt : (x*ny + y + 1)*nt]``.  Construction copies the
-    payload once and checks it with :func:`validate_volume`, so every Volume
-    holds ``nx*ny*nt`` finite samples and code that receives one need not
-    check it again.
+    payload once, unless it is handed over (see ``_handed_over``), and checks
+    it with :func:`validate_volume`, so every Volume holds ``nx*ny*nt``
+    finite samples and code that receives one need not check it again.
     """
 
     nx: int
@@ -91,7 +105,10 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=np.float64, copy=True).ravel()
+        data = self.data
+        if not _handed_over(data):
+            data = np.array(data, dtype=np.float64, order="C")
+        data = data.ravel()
         data.setflags(write=False)
         object.__setattr__(self, "nx", int(self.nx))
         object.__setattr__(self, "ny", int(self.ny))

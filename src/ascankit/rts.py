@@ -26,7 +26,7 @@ the time-major workspace in square tiles, not one strided column at a time
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import math
 
@@ -136,14 +136,14 @@ def _chunking(stop: int, n: int) -> Tuple[int, bool]:
     return width, width * 2 * 8 * n > _LANE_BYTES
 
 
-def _transposed(dst: np.ndarray, src: np.ndarray, op: Callable = np.copyto) -> None:
-    """``op(dst, src.T)`` for 2-D ``dst``, one ``_TILE`` x ``_TILE`` tile at
+def _transposed(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy ``src.T`` into 2-D ``dst``, one ``_TILE`` x ``_TILE`` tile at
     a time: a strided column at a time would touch a cache line per element,
     and at wide rows those lines alias in the cache."""
     rows, cols = dst.shape
     for i in range(0, rows, _TILE):
         for k in range(0, cols, _TILE):
-            op(dst[i : i + _TILE, k : k + _TILE], src[k : k + _TILE, i : i + _TILE].T)
+            np.copyto(dst[i : i + _TILE, k : k + _TILE], src[k : k + _TILE, i : i + _TILE].T)
 
 
 def _first_bad(lanes: np.ndarray, axis: int) -> Optional[int]:

@@ -199,12 +199,14 @@ def scalar_select_q(
 
 
 def scalar_lowpass(samples: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarray:
-    """``lowpass`` of a 1-D array as scipy computes it: ``filtfilt`` of the
-    Hamming-windowed ``firwin`` taps, padded by ``min(3 * LOWPASS_TAPS, n - 1)``.
-    An odd extension that overflows gives non-finite samples, not warnings."""
+    """``lowpass`` of each row of an array as scipy computes it: ``filtfilt``
+    of the Hamming-windowed ``firwin`` taps along the last axis, padded by
+    ``min(3 * LOWPASS_TAPS, n - 1)``.  An odd extension that overflows gives
+    non-finite samples, not warnings."""
     taps = firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
+    n = samples.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        return filtfilt(taps, [1.0], samples, padlen=min(3 * LOWPASS_TAPS, len(samples) - 1))
+        return filtfilt(taps, [1.0], samples, padlen=min(3 * LOWPASS_TAPS, n - 1))
 
 
 def scalar_denoised_volume(

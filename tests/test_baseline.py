@@ -10,7 +10,9 @@ from scipy.signal import gausspulse
 from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.baseline import (
     LOWPASS_TAPS,
+    _FIR_BYTES,
     _lowpassed,
+    _taps,
     baseline_denoise,
     differential_subtract,
     lowpass,
@@ -144,9 +146,10 @@ class TestLowpass:
 def _check_is_filtfilt(lines: np.ndarray, cutoff: float, dt: float = 1e-8) -> None:
     """``_lowpassed`` of each scan line of ``lines``, and ``lowpass`` of each
     trace, equal scipy's ``filtfilt`` bit for bit."""
-    got = list(_lowpassed(lines, cutoff, dt))
-    assert len(got) == len(lines)
-    for line, filtered in zip(lines, got):
+    taps = _taps(cutoff, dt)
+    for line in lines:
+        filtered = np.empty_like(line)
+        _lowpassed(line, taps, filtered)
         for samples, row in zip(line, filtered):
             want = _bits(scalar_lowpass(samples, cutoff, dt))
             assert np.array_equal(_bits(row), want)
@@ -176,8 +179,26 @@ class TestLowpassIsFiltfilt:
         rng = np.random.default_rng(seed)
         _check_is_filtfilt(rng.standard_normal((1, 2, nt)) * 10.0**exponent, fraction * 5e7)
 
+    @pytest.mark.parametrize("nt", [101, 102, 255, 1024])
+    @pytest.mark.parametrize("offset", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+    def test_blocks_of_traces_equal_filtfilt(self, nt, offset):
+        # baseline_denoise filters a block of traces per call; a trace's bits
+        # must not depend on the block it falls in, or on the background's.
+        # The volumes have one trace, or one more or less than whole blocks.
+        blocks, extra = offset
+        n_traces = blocks * (_FIR_BYTES // (8 * nt)) + extra
+        rng = np.random.default_rng(nt * 100 + n_traces)
+        grid = rng.standard_normal((n_traces, 1, nt))
+        back = rng.standard_normal((n_traces, 1, nt))
+        volume, background = Volume.from_grid(grid, 1e-8), Volume.from_grid(back, 1e-8)
+        want = scalar_lowpass(grid, 5e6, 1e-8)  # filtfilt filters each trace alike
+        assert np.array_equal(_bits(baseline_denoise(volume, None, 5e6).grid()), _bits(want))
+        want -= scalar_lowpass(back, 5e6, 1e-8)
+        assert np.array_equal(_bits(baseline_denoise(volume, background, 5e6).grid()), _bits(want))
+
     def test_overflowing_extension_is_not_finite_where_filtfilt_is_not(self):
-        filtered, = _lowpassed(_EXTENSION_OVERFLOWS[np.newaxis, np.newaxis], 5e6, 1e-8)
+        filtered = np.empty((1, len(_EXTENSION_OVERFLOWS)))
+        _lowpassed(_EXTENSION_OVERFLOWS[np.newaxis], _taps(5e6, 1e-8), filtered)
         want = scalar_lowpass(_EXTENSION_OVERFLOWS, 5e6, 1e-8)
         assert not np.isfinite(want[0])
         assert np.array_equal(_bits(filtered[0]), _bits(want))  # inf and nan where it has them

@@ -9,6 +9,8 @@ read those artifacts back.
 import os
 import shutil
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -16,12 +18,12 @@ import pytest
 import scipy.signal
 from scipy.signal import _signaltools
 
-from ascankit import metrics, model
+from ascankit import cli, metrics, model
 from ascankit.baseline import baseline_denoise, pipeline_denoise
 from ascankit.bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
 from ascankit.cli import main
 from ascankit.io import parse_kv, read_volume, write_volume
-from ascankit.model import RoiSpec, Volume
+from ascankit.model import DataError, NumericsError, RoiSpec, Volume
 from ascankit.synth import clean_samples, default_spec
 
 ZERO_STATS = ExpectedStats(0.0, None, 0, 0, 0, None)
@@ -384,6 +386,87 @@ class TestCompare:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class TestCompareReferenceThread:
+    """compare runs the FIR reference on a worker thread while q is chosen and
+    the pipeline runs.  Its errors keep their sequential precedence: q's and
+    the pipeline's come first, the reference's only after ``q_final:``.  The
+    worker has finished when main returns, on every path."""
+
+    @pytest.mark.parametrize(
+        "faults, code, error",
+        [
+            ((), 0, ""),
+            (("select",), 3, "error: {scan}: select failed\n"),
+            (("pipeline",), 3, "error: pipeline failed\n"),
+            (("reference",), 2, "error: reference failed\n"),
+            (("select", "reference"), 3, "error: {scan}: select failed\n"),
+            (("pipeline", "reference"), 3, "error: pipeline failed\n"),
+        ],
+        ids=["none", "select", "pipeline", "reference", "select+reference",
+             "pipeline+reference"],
+    )
+    def test_errors_keep_their_order_and_the_worker_is_joined(
+        self, tiny_scan, tmp_path, monkeypatch, capsys, faults, code, error
+    ):
+        finished = []
+
+        def fail(exc):
+            def raising(*args, **kwargs):
+                raise exc
+            return raising
+
+        def slow_reference(*args, **kwargs):
+            time.sleep(0.3)  # still running when q and the pipeline are done
+            finished.append(True)
+            if "reference" in faults:
+                raise DataError("reference failed")
+            return baseline_denoise(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "baseline_denoise", slow_reference)
+        if "select" in faults:
+            monkeypatch.setattr(cli, "select_q", fail(NumericsError("select failed")))
+        if "pipeline" in faults:
+            monkeypatch.setattr(cli, "pipeline_denoise", fail(NumericsError("pipeline failed")))
+        threads = threading.active_count()
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                   "--output", str(out)])
+        assert (rc, threading.active_count(), finished) == (code, threads, [True])
+        captured = capsys.readouterr()
+        assert captured.err == error.format(scan=tiny_scan["scan"])
+        assert ("q_final: " in captured.out) == ("select" not in faults)
+        assert out.exists() == (code == 0)
+
+    def test_pipeline_error_wins_over_a_reference_error(self, tmp_path, capsys):
+        # The difference of scan and background overflows in the pipeline, and
+        # the cutoff lies beyond Nyquist for the reference.
+        data, back = np.full(64, 1e-3), np.full(64, 1e-3)
+        data[16:], back[16:] = 1e308, -1e308
+        for name, samples in (("scan", data), ("bg", back)):
+            write_volume(Volume(nx=1, ny=1, nt=64, dt=1e-8, data=samples),
+                         str(tmp_path / f"{name}.pavol"))
+        rc = main(["compare", "--input", str(tmp_path / "scan.pavol"),
+                   "--background", str(tmp_path / "bg.pavol"), "--q", "1e-3",
+                   "--noise-window", "16", "--roi", "20:40", "--lp-cutoff-hz", "6e7",
+                   "--output", str(tmp_path / "cmp")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: trace (x=0, y=0): trace sample 16 is not finite\n"
+        )
+
+    def test_reference_error_after_a_good_pipeline_is_one_line(self, tiny_scan, tmp_path, capsys):
+        threads = threading.active_count()
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                   "--lp-cutoff-hz", "1e12", "--output", str(out)])
+        assert (rc, threading.active_count()) == (2, threads)
+        captured = capsys.readouterr()
+        assert captured.out.startswith("q_final: ")
+        assert captured.err.startswith("error: cutoff 1000000000000.0 Hz outside (0, ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestVolumesAreCheckedOnce:
     """Every Volume is checked when it is built, and nowhere after."""
 
@@ -475,9 +558,9 @@ class TestFirReferenceSkipsFiltfilt:
     def test_long_traces_call_no_filtfilt(self, monkeypatch, tmp_path):
         assert self._calls(monkeypatch, tmp_path, 256) == {"filtfilt": 0, "lfilter_zi": 0}
 
-    def test_short_traces_call_filtfilt_once_per_scan_line_and_arm(self, monkeypatch, tmp_path):
-        # Two scan lines of the scan and two of its background.
-        assert self._calls(monkeypatch, tmp_path, 64) == {"filtfilt": 4, "lfilter_zi": 4}
+    def test_short_traces_call_filtfilt_once_per_block_and_arm(self, monkeypatch, tmp_path):
+        # One block of the scan's four traces and one of its background's.
+        assert self._calls(monkeypatch, tmp_path, 64) == {"filtfilt": 2, "lfilter_zi": 2}
 
 
 class TestFailureModes:

@@ -564,6 +564,16 @@ class TestTiles:
             got = pipeline_denoise(volume, background, 3e-4, noise_window=16)
         assert got.data.tobytes() == np.asarray(want).tobytes()
 
+    def test_background_lines_past_a_subtraction_strip_are_byte_equal(self):
+        # pipeline_denoise subtracts the background in strips of _TILE lines
+        # by 16 * _TILE steps: 70 traces of 1,100 samples cross both edges.
+        rng = np.random.default_rng(58)
+        volume = Volume.from_grid(rng.standard_normal((1, 70, 1100)), 1e-6)
+        background = Volume.from_grid(rng.standard_normal((1, 70, 1100)) * 0.5, 1e-6)
+        want = scalar_denoised_volume(volume, background, 3e-4, 16)
+        got = pipeline_denoise(volume, background, 3e-4, noise_window=16)
+        assert got.data.tobytes() == np.asarray(want).tobytes()
+
     @pytest.mark.parametrize("lanes", [None, 67])
     @pytest.mark.parametrize(
         "volume_traces, background_traces",

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ascankit import cli
-from ascankit.baseline import LOWPASS_TAPS, _lowpassed, baseline_denoise, lowpass, pipeline_denoise
+from ascankit.baseline import (
+    LOWPASS_TAPS, _lowpassed, _taps, baseline_denoise, lowpass, pipeline_denoise,
+)
 from ascankit.bench import CorpusEntry, ZERO_STATS, _mean_gain_db
 from ascankit.io import format_csv, read_volume, write_volume
 from ascankit.metrics import _envelopes, _psnrs, envelope, psnr, reconstruct
@@ -112,9 +114,10 @@ class TestRowForms:
     @given(grids())
     def test_row_lowpass_is_the_per_trace_lowpass(self, grid):
         nx, ny, _ = grid.shape
-        lines = list(_lowpassed(grid, CUTOFF, DT))
-        assert len(lines) == nx
-        for x, line in enumerate(lines):
+        taps = _taps(CUTOFF, DT)
+        for x in range(nx):
+            line = np.empty_like(grid[x])
+            _lowpassed(grid[x], taps, line)
             for y in range(ny):
                 want = lowpass(Trace(grid[x, y], DT), CUTOFF).samples
                 assert np.array_equal(_bits(line[y]), _bits(want)), (x, y)
@@ -217,6 +220,22 @@ class TestLineScores:
         assert got_error == want_error
         if "zero peak" in kinds[: len(want)]:
             assert -np.inf in want
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(
+            st.one_of(st.just("ordinary"), st.sampled_from(ENVELOPE_KINDS)),
+            min_size=2, max_size=8,
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_fortran_ordered_envelopes_score_the_same_bits(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        envs = np.array([_envelope_row(kind, rng) for kind in kinds])
+        got, got_error = _until_error(_psnrs(np.asfortranarray(envs), ROI))
+        want, want_error = _until_error(_psnrs(envs, ROI))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_error == want_error
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(

@@ -80,6 +80,44 @@ class TestVolume:
         with pytest.raises(DataError, match=r"x=1, y=2, t=1"):
             Volume(nx=2, ny=3, nt=4, dt=1e-6, data=data)
 
+    def test_source_array_mutation_does_not_leak_in(self):
+        src = np.arange(8.0)
+        volume = Volume(nx=2, ny=2, nt=2, dt=1e-6, data=src)
+        src[0] = 99.0
+        assert volume.data[0] == 0.0 and not volume.data.flags.writeable
+
+    @pytest.mark.parametrize("owner", ["array", "bytearray"])
+    def test_mutating_the_base_of_a_read_only_view_does_not_leak_in(self, owner):
+        base = np.arange(8.0) if owner == "array" else bytearray(np.arange(8.0).tobytes())
+        view = np.frombuffer(base, dtype=np.float64) if owner == "bytearray" else base[:]
+        view.setflags(write=False)
+        volume = Volume(nx=2, ny=2, nt=2, dt=1e-6, data=view)
+        np.frombuffer(base, dtype=np.float64)[0] = 99.0
+        assert view[0] == 99.0 and volume.data[0] == 0.0
+
+    @pytest.mark.parametrize("maker", [
+        lambda values: np.frombuffer(values.tobytes(), dtype=np.float64),
+        lambda values: values.copy(),
+    ], ids=["bytes", "owned"])
+    def test_a_handed_over_array_is_not_copied(self, maker):
+        data = maker(np.arange(8.0))
+        data.setflags(write=False)
+        volume = Volume(nx=2, ny=2, nt=2, dt=1e-6, data=data)
+        assert np.shares_memory(volume.data, data)
+        assert np.array_equal(volume.data, np.arange(8.0)) and not volume.data.flags.writeable
+
+    @pytest.mark.parametrize("maker", [
+        lambda values: values.astype(">f8"),
+        lambda values: values.astype(np.float32),
+        lambda values: np.asfortranarray(values.reshape(2, 2, 2)),
+    ], ids=["big-endian", "f32", "fortran"])
+    def test_other_read_only_arrays_are_copied_in_c_order(self, maker):
+        data = maker(np.arange(8.0))
+        data.setflags(write=False)
+        volume = Volume(nx=2, ny=2, nt=2, dt=1e-6, data=data)
+        assert not np.shares_memory(volume.data, data)
+        assert np.array_equal(volume.data, np.ravel(data)) and volume.data.dtype == np.float64
+
     def test_validate_returns_volume(self):
         volume = Volume.from_grid(np.zeros((1, 1, 2)), 1e-6)
         assert validate_volume(volume) is volume

@@ -1,10 +1,11 @@
 """A fresh ``ascankit`` process loads scipy only for the FIR reference and
-for synthetic pulses.
+for synthetic pulses, and the corpus, the generator and the thread pool
+only for the commands that use them.
 
 scipy.signal takes far longer to import than the rest of the package, so
 the commands that never build a low-pass filter or a Gaussian pulse must
-run without it.  The check runs in a new interpreter, since the test run
-itself has already imported scipy.
+run without it.  The checks run in a new interpreter, since the test run
+itself has already imported all of these.
 """
 
 import json
@@ -66,3 +67,28 @@ def test_commands_without_a_filter_or_pulse_never_load_scipy(tmp_path):
     assert result["without_scipy"] == [0, 0, 0, 0]
     assert result["after_commands"] == []
     assert result["with_scipy"] == [0, 0, 0]
+
+
+_IMPORT_CHILD = r"""
+import json, sys
+import ascankit.cli
+loaded = [m for m in ("ascankit.bench", "ascankit.synth", "concurrent.futures") if m in sys.modules]
+from ascankit import corpus_entry, default_spec
+print(json.dumps({"loaded": loaded, "entry": corpus_entry("phantom-L").name,
+                  "nt": default_spec().nt}))
+"""
+
+
+def test_importing_the_cli_loads_neither_bench_synth_nor_the_thread_pool():
+    # Only synth needs bench and synth, and only compare a thread pool; the
+    # package still serves bench's and synth's names.
+    src = os.path.dirname(os.path.dirname(ascankit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["loaded"] == []
+    assert result["entry"] == "phantom-L"
+    assert result["nt"] > 0
