@@ -28,8 +28,9 @@ LOWPASS_TAPS = 101
 #: gives up the GIL a few times, and beside a busy thread getting it back can
 #: take a switch interval, so fewer calls finish sooner.  In ``compare`` the
 #: workspace adds to the pipeline's, which runs beside it: on a 32 x 24 x 256
-#: scan the command's peak RSS rose by 1.3, 0.5 and 0.0 MB at 512, 256 and
-#: 128 KiB, and at 128 KiB a 16 x 16 x 1024 scan took about 5 % longer.
+#: scan the peak RSS of ``denoise`` then ``compare`` in one process (median
+#: of 5, 38.6 MB at 128 KiB) rose by 1.1 and 0.3 MB at 512 and 256 KiB and
+#: not at 64 KiB, and at 128 KiB a 16 x 16 x 1024 scan took about 5 % longer.
 _FIR_BYTES = 1 << 18
 
 
@@ -50,35 +51,59 @@ def lowpass(trace: Trace, cutoff_hz: float) -> Trace:
     """Zero-phase low-pass: a Hamming-windowed sinc FIR run forward and backward.
 
     The output is scipy's ``filtfilt(taps, [1.0], x, padlen=min(3 * LOWPASS_TAPS,
-    nt - 1))`` bit for bit: the trace is padded with its odd extension at both
-    ends, filtered forward from the steady state of its first sample, filtered
-    backward from the steady state of the forward output's last sample, and
-    the padding is cut off again.  ``_lowpassed`` computes only the samples
-    that survive the cut.
+    nt - 1))`` bit for bit, with scipy's ``firwin`` taps (``_taps``): the
+    trace is padded with its odd extension at both ends, filtered forward
+    from the steady state of its first sample, filtered backward from the
+    steady state of the forward output's last sample, and the padding is cut
+    off again.  ``_lowpassed`` computes only the samples that survive the cut.
     """
     filtered = np.empty((1, len(trace)))
     _lowpassed(trace.samples[np.newaxis], _taps(cutoff_hz, trace.dt), filtered)
     return Trace(filtered[0], trace.dt)
 
 
+def _hamming(n: int) -> np.ndarray:
+    """scipy's symmetric ``n``-point Hamming window, with its arithmetic: the
+    cosine terms added to zeros in order, the second weighted by ``1 - 0.54``,
+    which is not the float 0.46."""
+    fac = np.linspace(-np.pi, np.pi, n)
+    win = np.zeros(n)
+    for k, a in enumerate((0.54, 1.0 - 0.54)):
+        win += a * np.cos(k * fac)
+    return win
+
+
+_WINDOW = _hamming(LOWPASS_TAPS)
+
+
 def _taps(cutoff_hz: float, dt: float) -> np.ndarray:
-    """The low-pass's FIR taps for ``cutoff_hz`` at sample spacing ``dt``."""
+    """The low-pass's FIR taps for ``cutoff_hz`` at sample spacing ``dt``:
+    ``scipy.signal.firwin(LOWPASS_TAPS, cutoff_hz, window="hamming",
+    fs=1 / dt)`` bit for bit, with firwin's arithmetic for one low-pass band
+    (a windowed sinc scaled to unit gain at DC)."""
     cutoff_hz = float(cutoff_hz)
-    nyquist = 0.5 / dt
+    fs = 1.0 / dt
+    if not math.isfinite(fs):
+        raise DataError(f"sampling rate 1/dt is not finite for dt={dt!r}")
+    nyquist = 0.5 * fs
     if not (math.isfinite(cutoff_hz) and 0.0 < cutoff_hz < nyquist):
         raise DataError(
             f"cutoff {cutoff_hz!r} Hz outside (0, {nyquist!r}) for dt={dt!r}"
         )
-    # firwin refuses a cutoff whose fraction of Nyquist rounds to zero.
-    if cutoff_hz / nyquist == 0.0:
+    right = cutoff_hz / nyquist
+    if right == 0.0:
         raise DataError(f"cutoff {cutoff_hz!r} Hz is too small a fraction of Nyquist {nyquist!r}")
-    from scipy.signal import firwin  # slow to import, so only where it is used
-
-    return firwin(LOWPASS_TAPS, cutoff_hz, window="hamming", fs=1.0 / dt)
+    m = np.arange(LOWPASS_TAPS) - 0.5 * (LOWPASS_TAPS - 1)
+    h = right * np.sinc(right * m)
+    h *= _WINDOW
+    h /= h.sum()
+    return h
 
 
 def _lowpassed(rows: np.ndarray, taps: np.ndarray, out: np.ndarray) -> None:
-    """``lowpass`` of each row of the 2-D ``rows`` into the same row of ``out``.
+    """``lowpass`` of each row of the 2-D ``rows`` into the same row of ``out``:
+    scipy's ``filtfilt`` with ``taps`` bit for bit, which ``_taps`` builds as
+    scipy's ``firwin`` does.
 
     With ``m = LOWPASS_TAPS - 1`` and a padding of ``p >= m`` samples (every
     trace longer than ``m``), each kept output of the backward pass is a dot
@@ -104,7 +129,7 @@ def _lowpassed(rows: np.ndarray, taps: np.ndarray, out: np.ndarray) -> None:
     # the callers report.
     with np.errstate(over="ignore", invalid="ignore"):
         if nt <= m:
-            from scipy.signal import filtfilt  # slow to import, so only where it is used
+            from scipy.signal import filtfilt  # large and slow to import, so only here
 
             out[:] = filtfilt(taps, [1.0], rows, padlen=nt - 1)
             return

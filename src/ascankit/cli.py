@@ -250,7 +250,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # the Volumes refuse overflows
             (volume, background, _), clean = entry.generate(), _clean_volume(entry)
-    except (DataError, OverflowError) as exc:  # gausspulse's float arithmetic can overflow
+    except (DataError, OverflowError) as exc:  # the pulse's float arithmetic can overflow
         raise DataError(f"{args.source}: {exc}") from exc
     name = entry.name
     paths = {

@@ -94,18 +94,27 @@ class SynthTrace(NamedTuple):
 
 
 def clean_samples(spec: SynthSpec) -> np.ndarray:
-    """Deterministic component of a trace: main pulse plus reflections."""
+    """Deterministic component of a trace: main pulse plus reflections.
+
+    Each pulse is ``scipy.signal.gausspulse(t - time_s, fc=pulse_center_hz,
+    bw=FRACTIONAL_BANDWIDTH)`` bit for bit, with its arithmetic: a cosine
+    under a Gaussian envelope that falls to -6 dB at ``fc * bw / 2`` from
+    the centre frequency.
+    """
     if spec.pulse_amp == 0.0:
         return np.zeros(spec.nt)
-    from scipy.signal import gausspulse  # slow to import, so only where it is used
-
+    fc = spec.pulse_center_hz
+    # A Python float's ** raises OverflowError for too high a frequency.
+    a = -(np.pi * fc * FRACTIONAL_BANDWIDTH) ** 2 / (4.0 * np.log(pow(10.0, -6 / 20.0)))
     t = np.arange(spec.nt) * spec.dt
-    shape = gausspulse(t - spec.pulse_time_s, fc=spec.pulse_center_hz,
-                       bw=FRACTIONAL_BANDWIDTH)
+
+    def pulse(time_s: float) -> np.ndarray:
+        u = t - time_s
+        return np.exp(-a * u * u) * np.cos(2 * np.pi * fc * u)
+
+    shape = pulse(spec.pulse_time_s)
     for time_s, rel_amp in spec.reflections:
-        shape = shape + rel_amp * gausspulse(
-            t - time_s, fc=spec.pulse_center_hz, bw=FRACTIONAL_BANDWIDTH
-        )
+        shape = shape + rel_amp * pulse(time_s)
     return spec.pulse_amp * shape
 
 

@@ -4,9 +4,11 @@ The step oracle works in exact rational arithmetic and the smoother oracle
 solves the equivalent batch least-squares problem directly; neither imports
 the library's filter code, so agreement is evidence rather than tautology.
 
-``scalar_lowpass`` calls scipy's ``filtfilt`` directly; the library computes
-only the samples that ``filtfilt`` keeps, and calls it only for traces no
-longer than the taps.
+``scalar_lowpass`` calls scipy's ``filtfilt`` and ``firwin`` directly; the
+library computes only the samples that ``filtfilt`` keeps, calls it only for
+traces no longer than the taps, and builds the taps itself.
+``scipy_clean_samples`` builds synthetic pulses with scipy's ``gausspulse``,
+which the library writes out in numpy.
 
 The per-trace loops at the end are the other kind of reference: they run
 the library's scalar ``denoise_trace``, ``lowpass``, ``envelope`` and
@@ -22,7 +24,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.signal import filtfilt, firwin
+from scipy.signal import filtfilt, firwin, gausspulse
 
 from ascankit.adapt import default_noise_window, default_q_grid, estimate_r
 from ascankit.baseline import LOWPASS_TAPS, differential_subtract, lowpass
@@ -39,6 +41,7 @@ from ascankit.model import (
     validate_volume,
 )
 from ascankit.rts import denoise_trace
+from ascankit.synth import FRACTIONAL_BANDWIDTH, SynthSpec
 
 
 def rational_kf_step(
@@ -207,6 +210,20 @@ def scalar_lowpass(samples: np.ndarray, cutoff_hz: float, dt: float) -> np.ndarr
     n = samples.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         return filtfilt(taps, [1.0], samples, padlen=min(3 * LOWPASS_TAPS, n - 1))
+
+
+def scipy_clean_samples(spec: SynthSpec) -> np.ndarray:
+    """``clean_samples`` as scipy computes it: one ``gausspulse`` per pulse,
+    summed in the spec's order and scaled by the pulse amplitude."""
+    if spec.pulse_amp == 0.0:
+        return np.zeros(spec.nt)
+    t = np.arange(spec.nt) * spec.dt
+    shape = gausspulse(t - spec.pulse_time_s, fc=spec.pulse_center_hz, bw=FRACTIONAL_BANDWIDTH)
+    for time_s, rel_amp in spec.reflections:
+        shape = shape + rel_amp * gausspulse(
+            t - time_s, fc=spec.pulse_center_hz, bw=FRACTIONAL_BANDWIDTH
+        )
+    return spec.pulse_amp * shape
 
 
 def scalar_denoised_volume(

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.signal import gausspulse
+from scipy.signal import firwin, gausspulse
 
 from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.baseline import (
@@ -18,7 +18,7 @@ from ascankit.baseline import (
     lowpass,
     pipeline_denoise,
 )
-from ascankit.bench import corpus_entry
+from ascankit.bench import bench_corpus, corpus_entry
 from ascankit.metrics import psnr
 from ascankit.model import DataError, Trace, Volume
 from ascankit.rts import denoise_trace
@@ -141,6 +141,74 @@ class TestLowpass:
     def test_taps_constant_is_odd(self):
         # An even-length FIR would put the group delay between samples.
         assert LOWPASS_TAPS % 2 == 1
+
+
+#: The (cutoff, dt) of perfbench's sweep-long, volume-wide and imaging-short.
+_PERFBENCH_CUTOFFS = ((5e6, 9.765625e-10), (5e6, 3.90625e-9), (1e7, 7.8125e-9))
+
+
+def _smallest_cutoff(nyquist: float) -> float:
+    """The smallest cutoff whose fraction of ``nyquist`` is not 0.0, found by
+    bisecting the bit patterns of the non-negative floats."""
+    lo, hi = 0, int(np.float64(np.inf).view(np.int64))  # fractions 0.0 and not
+
+    def cutoff(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if cutoff(mid) / nyquist == 0.0 else (lo, mid)
+    return cutoff(hi)
+
+
+def _taps_cases():
+    """The corpus's and perfbench's (cutoff, dt), then for each of their dts
+    and of a seeded sweep of others the cutoffs one ulp inside (0, Nyquist),
+    the smallest fraction of Nyquist that is not 0.0 and the largest that is,
+    and a seeded sweep of fractions."""
+    rng = np.random.default_rng(17)
+    named = [(entry.lp_cutoff_hz, entry.spec.dt) for entry in bench_corpus()]
+    named += _PERFBENCH_CUTOFFS
+    dts = [dt for _, dt in named] + list(10.0 ** rng.uniform(-12, -3, 60))
+    dts += [1e-300, 1e-100, 1.0, 1e100, 1e300, 1.7e308]
+    cases = list(named)
+    for dt in dts:
+        nyquist = 0.5 * (1.0 / dt)
+        smallest = _smallest_cutoff(nyquist)
+        cases += [(float(np.nextafter(nyquist, 0.0)), dt), (5e-324, dt),
+                  (smallest, dt), (float(np.nextafter(smallest, 0.0)), dt)]
+        cases += [(f * nyquist, dt) for f in rng.uniform(0.0, 1.0, 8)]
+        cases += [(f * nyquist, dt) for f in 10.0 ** rng.uniform(-300, 0, 4)]
+    return cases
+
+
+class TestTapsAreFirwin:
+    """The taps are computed in numpy with scipy's arithmetic for one
+    low-pass band; they must equal ``firwin`` bit for bit, and be refused
+    exactly where ``firwin`` refuses them."""
+
+    def test_equal_firwin(self):
+        cases = _taps_cases()
+        assert len(cases) >= 1000
+        built = 0
+        for cutoff, dt in cases:
+            try:
+                want = firwin(LOWPASS_TAPS, cutoff, window="hamming", fs=1.0 / dt)
+            except ValueError:
+                with pytest.raises(DataError, match="cutoff"):
+                    _taps(cutoff, dt)
+                continue
+            taps = _taps(cutoff, dt)
+            assert np.array_equal(_bits(taps), _bits(want)), (cutoff, dt)
+            built += 1
+        assert built >= 1000
+
+    @pytest.mark.parametrize("dt", [3e-309, 5.5e-309, 1e-310, 5e-324])
+    @pytest.mark.parametrize("cutoff", [1e7, 1e300])
+    def test_refuse_a_sampling_rate_beyond_the_float_range(self, dt, cutoff):
+        # 0.5 / dt is finite for the first two, but 1 / dt is not.
+        with pytest.raises(DataError, match=f"dt={dt!r}"):
+            _taps(cutoff, dt)
 
 
 def _check_is_filtfilt(lines: np.ndarray, cutoff: float, dt: float = 1e-8) -> None:

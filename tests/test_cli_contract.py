@@ -86,6 +86,13 @@ LONG_NAMES = tuple("e" * n for n in (200, 234, 235, 240, 254, 255, 256, 300))
 LOUD_VALUES = (1e306, -1e306, 1e307, -1e307, 1.7e308)
 
 
+#: Sample spacings at the edges of the float range, for both volumes: from
+#: about 2.8e-309 to 5.56e-309 the sampling rate 1 / dt overflows though
+#: 0.5 / dt does not.
+DT_VALUES = ("3e-309", "5.5e-309", "5.6e-309", "1e-310", "5e-324", "2.2250738585072014e-308",
+             "1e300", "1.7e308")
+
+
 def _scan_grid(rng):
     t = np.arange(NT)
     pulse = np.exp(-0.5 * ((t - 32) / 3.0) ** 2) * np.cos(0.8 * t)
@@ -137,6 +144,7 @@ mutations = st.one_of(
     st.tuples(st.just("config-drop"), st.sampled_from(sorted(CONFIG))),
     st.tuples(st.just("header"), st.sampled_from(("scan", "bg")),
               st.sampled_from(HEADER_KEYS + ("extra",)), VALUES),
+    st.tuples(st.just("dt"), st.sampled_from(DT_VALUES)),
     st.tuples(st.just("header-drop"), st.sampled_from(("scan", "bg")),
               st.sampled_from(HEADER_KEYS)),
     st.tuples(st.just("header-bytes"), st.sampled_from(("scan", "bg")),
@@ -166,6 +174,10 @@ def _apply(work, mutation):
         lines = [f"{key}: {value}" for key, value in pairs.items()]
         with open(os.path.join(work, "run.config"), "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")
+        return []
+    if kind == "dt":
+        for name in ("scan", "bg"):
+            _apply(work, ("header", name, "dt", mutation[1]))
         return []
     header = os.path.join(work, f"{mutation[1]}.pavol")
     if kind in ("header", "header-drop"):
@@ -220,6 +232,9 @@ class TestEveryBadInputIsOneLine:
     @example("qselect", ("flag", "--config", "\x0c"))
     @example("qselect", ("config", "q_grid", "1e308"))
     @example("baseline", ("config", "lp_cutoff_hz", "1e-320"))
+    # 1 / dt overflows: scipy's firwin raised ValueError on an infinite rate.
+    @example("baseline", ("dt", "3e-309"))
+    @example("compare", ("dt", "3e-309"))
     # A finite trace whose envelope overflows: numpy warnings, and an error
     # naming neither the file nor the trace.
     @example("reconstruct", ("loud", "scan", 1, 1e307, False))

@@ -1,11 +1,12 @@
-"""A fresh ``ascankit`` process loads scipy only for the FIR reference and
-for synthetic pulses, and the corpus, the generator and the thread pool
-only for the commands that use them.
+"""A fresh ``ascankit`` process loads scipy only to low-pass traces of no
+more than ``LOWPASS_TAPS - 1`` samples, and the corpus, the generator and
+the thread pool only for the commands that use them.
 
-scipy.signal takes far longer to import than the rest of the package, so
-the commands that never build a low-pass filter or a Gaussian pulse must
-run without it.  The checks run in a new interpreter, since the test run
-itself has already imported all of these.
+scipy.signal takes far longer to import, and holds far more memory, than
+the rest of the package, so every command on longer traces, the FIR
+reference and synthetic pulses included, must run without it.  The checks
+run in a new interpreter, since the test run itself has already imported
+all of these.
 """
 
 import json
@@ -25,8 +26,8 @@ from ascankit.model import Volume
 
 out = sys.argv[1]
 rng = np.random.default_rng(0)
-for name in ("scan", "background"):
-    grid = rng.standard_normal((3, 2, 256))
+for name, nt in (("scan", 256), ("background", 256), ("short", 100)):
+    grid = rng.standard_normal((3, 2, nt))
     write_volume(Volume.from_grid(grid, 1e-8), f"{out}/{name}.pavol")
 scan, background = f"{out}/scan.pavol", f"{out}/background.pavol"
 config = ["--roi", "100:200", "--q-grid", "1e-4,1e-3,1e-2", "--n-sample", "4"]
@@ -41,20 +42,22 @@ result["without_scipy"] = [
     main(["qselect", "--input", scan, "--output", f"{out}/q.csv", *config]),
     main(["metrics", "--input", scan, "--output", f"{out}/m.csv", *config]),
     main(["reconstruct", "--input", scan, "--output", f"{out}/r.pgm"]),
-]
-result["after_commands"] = scipy_modules()
-result["with_scipy"] = [
     main(["baseline", "--input", scan, "--output", f"{out}/b.pavol",
           "--lp-cutoff-hz", "1e7", "--background", background]),
     main(["compare", "--input", scan, "--output", f"{out}/cmp", "--q", "1e-3",
           "--lp-cutoff-hz", "1e7", *config]),
     main(["synth", "default", "--output", f"{out}/synth"]),
 ]
+result["after_commands"] = scipy_modules()
+result["short_compare"] = main(["compare", "--input", f"{out}/short.pavol", "--output",
+                                f"{out}/short", "--q", "1e-3", "--lp-cutoff-hz", "1e7",
+                                "--roi", "20:80", "--n-sample", "4"])
+result["short_loaded_signal"] = "scipy.signal" in sys.modules
 print(json.dumps(result))
 """
 
 
-def test_commands_without_a_filter_or_pulse_never_load_scipy(tmp_path):
+def test_only_a_lowpass_of_short_traces_loads_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(ascankit.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
@@ -64,9 +67,10 @@ def test_commands_without_a_filter_or_pulse_never_load_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["after_import"] == []
-    assert result["without_scipy"] == [0, 0, 0, 0]
+    assert result["without_scipy"] == [0] * 7
     assert result["after_commands"] == []
-    assert result["with_scipy"] == [0, 0, 0]
+    assert result["short_compare"] == 0
+    assert result["short_loaded_signal"]
 
 
 _IMPORT_CHILD = r"""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ascankit.adapt import estimate_r
+from ascankit.bench import bench_corpus
 from ascankit.metrics import envelope, reconstruct
 from ascankit.model import DataError, Trace
 from ascankit.synth import (
@@ -16,6 +17,8 @@ from ascankit.synth import (
     synth_trace,
     synth_volume,
 )
+from oracles import scipy_clean_samples
+from test_lines import _bits
 
 
 class TestSynthSpecValidation:
@@ -130,6 +133,39 @@ class TestSynthTrace:
         r = estimate_r(part.trace, cut)
         sigma_sq = spec.noise_sigma**2
         assert abs(r - sigma_sq) <= 0.2 * sigma_sq
+
+
+class TestCleanSamplesIsGausspulse:
+    """``clean_samples`` writes scipy's ``gausspulse`` out in numpy; its
+    pulses must equal scipy's bit for bit."""
+
+    def test_corpus_entries(self):
+        for entry in bench_corpus():
+            assert np.array_equal(_bits(clean_samples(entry.spec)),
+                                  _bits(scipy_clean_samples(entry.spec))), entry.name
+
+    def test_seeded_specs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(500):
+            nt = int(rng.integers(1, 400))
+            dt = 10.0 ** rng.uniform(-11, -4)
+            span = nt * dt
+            spec = default_spec(
+                nt=nt, dt=dt, pulse_center_hz=10.0 ** rng.uniform(3, 10),
+                pulse_time_s=rng.uniform(0.0, span), pulse_amp=rng.uniform(0.0, 3.0),
+                reflections=tuple((rng.uniform(0.0, span), rng.uniform(0.0, 2.0))
+                                  for _ in range(rng.integers(0, 3))),
+            )
+            assert np.array_equal(_bits(clean_samples(spec)),
+                                  _bits(scipy_clean_samples(spec))), spec
+
+    def test_too_high_a_frequency_overflows_as_in_scipy(self):
+        # synth reports the OverflowError as one line naming its manifest.
+        spec = default_spec(pulse_center_hz=1e160)
+        with pytest.raises(OverflowError):
+            scipy_clean_samples(spec)
+        with pytest.raises(OverflowError):
+            clean_samples(spec)
 
 
 class TestSynthVolume:
