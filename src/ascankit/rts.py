@@ -16,6 +16,11 @@ which matches the scalar ``denoise_trace`` bit for bit.  Its variances and
 gains depend on ``(q, r)`` alone and in floating point settle to a fixed
 point or a 2-cycle, the steady-state filter (Anderson & Moore, *Optimal
 Filtering*, 1979); from there the kernel reuses two gains for the means.
+Until then it calls numpy per step only for what is sequential, the
+variance recursion (4 calls) and the means (3 in each direction); the gains
+take one call per sub-block of steps forward and two backward.  So an
+unsettled step costs 4 + 3 + 3 calls and a settled one 3 + 3: on narrow
+chunks the cost is per call, not per sample.
 Its workspace holds the means of every step, and the variances of every
 step only where they fit; otherwise one variance per block of steps, from
 which the backward pass recomputes the rest (the store-or-recompute trade of
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +62,15 @@ _LANE_BYTES = 16 << 20
 _TILE = 64
 #: Time steps between ``_smooth_lanes``' checks for settled variances.
 _CHECK_EVERY = 128
+#: Most time steps, and most bytes of scratch (two sub-blocks of lanes), per
+#: sub-block whose gains ``_smooth_lanes`` computes in one call.  The Python
+#: around a sub-block costs a few calls.  On the benchmark's kernel calls (16
+#: to 768 lanes), against gains built a step at a time, 8 steps took 0.84 to
+#: 0.95 of the time, 32 steps 0.79 to 0.97 and 128 steps 0.75 to 1.07; the
+#: byte cap keeps the scratch from growing with wide chunks (21 steps at 768
+#: lanes).
+_GAIN_STEPS = 32
+_GAIN_BYTES = 256 << 10
 
 
 def rts_smooth(
@@ -128,9 +143,10 @@ def _chunking(stop: int, n: int) -> Tuple[int, bool]:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples, and whether their
     variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` at the
     narrowest equal width, where a lane holds its means, a checkpoint per
-    block and one block of variances, and the variances in full if they fit."""
+    block, one block of variances and the scratch of two sub-blocks of gains
+    and a step, and the variances in full if they fit."""
     block = min(_CHECK_EVERY, n)
-    lane = 8 * (n + -(-n // block) + block)
+    lane = 8 * (n + -(-n // block) + block + 2 * min(_GAIN_STEPS, block) + 1)
     chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
     width = max(1, -(-stop // chunks))
     return width, width * 2 * 8 * n > _LANE_BYTES
@@ -178,16 +194,30 @@ def _smooth_lanes(
     view of one workspace, under ``_LANE_BYTES`` unless a single lane needs
     more, that the next chunk overwrites.  Lanes come up to the first that
     ``denoise_trace`` refuses or whose result is not finite, and then that
-    lane's ``denoise_trace`` error is raised.  Each time step applies the IEEE
-    operations of ``kf_filter`` and ``rts_smooth``, in their order, across
-    the chunk; the model's unit ``f`` and ``h`` and zero ``gu`` are folded
-    away, which changes no bit.  Once a check every ``_CHECK_EVERY`` steps
-    finds each lane's posterior variance equal to the one two steps back,
-    all later ones are equal too, since the map is deterministic; the rest of
-    both passes then alternates two gain vectors built by the same operations.
-    Where the variances do not fit in full (``_chunking``), the backward pass
-    recomputes each block's from the last of the block before it, by the
-    forward pass's own operations.
+    lane's ``denoise_trace`` error is raised.
+
+    Every element sees the IEEE operations of ``kf_filter`` and
+    ``rts_smooth``, on the same operands and in their order; the model's unit
+    ``f`` and ``h`` and zero ``gu`` are folded away, which changes no bit.
+    Only the grouping of elements into numpy calls differs, which is free
+    because the variances and gains depend on ``(q, r)`` alone and no mean
+    feeds back into them:
+
+    - forward, per sub-block of at most ``_GAIN_STEPS`` steps, the variance
+      recursion runs alone (add, add, multiply, divide a step) and keeps
+      each step's prior variance and denominator; one divide gives the
+      sub-block's gains, and the means take 3 calls a step;
+    - backward, per sub-block, two calls give the gains ``p / (p + q)``
+      from the stored or recomputed posterior variances, and the means take
+      3 calls a step.
+
+    Once a check every ``_CHECK_EVERY`` steps finds each lane's posterior
+    variance equal to the one two steps back, all later ones are equal too,
+    since the map is deterministic; the rest of both passes then cycles
+    through two gain vectors built by the same operations, 3 + 3 calls a
+    step.  Where the variances do not fit in full (``_chunking``), the
+    backward pass recomputes each block's from the last of the block before
+    it, by the forward pass's own operations (4 calls a step).
     """
     count = sum(len(block) for block in blocks)
     if count == 0:
@@ -198,6 +228,7 @@ def _smooth_lanes(
     n = blocks[0].shape[1]
     width, checkpointed = _chunking(stop, n)
     block = min(_CHECK_EVERY, n)
+    sub = max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)))
     starts = range(0, n, block)
     # Time-major means (the input, until the forward pass overwrites it) and
     # posterior variances: all, or two steps before a block, the block and
@@ -205,7 +236,9 @@ def _smooth_lanes(
     p_rows = 2 + block + len(starts) if checkpointed else n
     x_buf = np.empty(n * width)
     p_buf = np.empty(p_rows * width)
-    per_lane = np.empty((4, width))
+    # A sub-block's prior variances, then its gains; its denominators, and
+    # in the backward pass rows of q; and the step of the means.
+    scratch_buf = np.empty((2 * sub + 1) * width)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     # Overflow gives inf or nan as it does for the scalar path's Python
     # floats, silently; such a lane is refused below.
@@ -215,7 +248,12 @@ def _smooth_lanes(
             xs = x_buf[: n * m].reshape(n, m)
             ps = p_buf[: p_rows * m].reshape(p_rows, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
-            p_prior, denom, gain, step = per_lane[:, :m]
+            # Each operand of a 2-D call is C-contiguous and of its shape, or
+            # numpy buffers it: up to 64 KiB a call.  The rows are made once,
+            # as a row view costs about as much as a call.
+            scratch = scratch_buf[: (2 * sub + 1) * m].reshape(2 * sub + 1, m)
+            priors, denoms, step = scratch[:sub], scratch[sub:-1], scratch[-1]
+            prior_rows, denom_rows = list(priors), list(denoms)
             pieces = _pieces(blocks, lo, lo + m)
             for j, lanes in pieces:
                 _transposed(xs[:, j : j + len(lanes)], lanes)
@@ -230,58 +268,74 @@ def _smooth_lanes(
                 k1 = min(k0 + block, n)
                 at = 2 if checkpointed else k0  # the row of step k0's variance
                 window = ps[: at + k1 - k0]
-                for x, p in zip(xs[k0:k1], window[at:]):
-                    add(p_prev, qs, out=p_prior)
-                    add(p_prior, rs, out=denom)
-                    divide(p_prior, denom, out=gain)
-                    subtract(x, x_prev, out=step)
-                    multiply(gain, step, out=step)
-                    add(x_prev, step, out=x)
-                    multiply(rs, p_prior, out=p)
-                    divide(p, denom, out=p)
-                    x_prev, p_prev = x, p
+                for s in range(k0, k1, sub):
+                    e = min(s + sub, k1)
+                    rows = window[at + s - k0 : at + e - k0]
+                    for p_prior, denom, p in zip(prior_rows, denom_rows, rows):
+                        add(p_prev, qs, p_prior)
+                        add(p_prior, rs, denom)
+                        multiply(rs, p_prior, p)
+                        divide(p, denom, p)
+                        p_prev = p
+                    divide(priors[: e - s], denoms[: e - s], priors[: e - s])
+                    for x, gain in zip(xs[s:e], prior_rows):
+                        subtract(x, x_prev, step)
+                        multiply(gain, step, step)
+                        add(x_prev, step, x)
+                        x_prev = x
                 if _settled(window, k1 - 1):
                     settled = k1 - 1
                     break
                 if checkpointed:  # keep the last variance, and carry the last two
                     ps[2 + block + last] = p_prev
                     ps[:2] = ps[block : block + 2]
-            # After ``settled``, p_post[k] is post[k % 2], and the gains are
-            # built from it with the same operations as above.
-            post = window[-2:][:: 1 if settled % 2 else -1]
+            # After ``settled``, p_post[k] is p_post[settled] where k - settled
+            # is even and p_post[settled - 1] where it is odd, and the gains
+            # are built from them with the same operations as above.
+            post = window[-1:-3:-1]
             gains = [(p + qs) / (p + qs + rs) for p in post]
-            for k, x in enumerate(xs[settled + 1 :], settled + 1):
-                subtract(x, x_prev, out=step)
-                multiply(gains[(k - 1) % 2], step, out=step)
-                add(x_prev, step, out=x)
+            for x, gain in zip(xs[settled + 1 :], itertools.cycle(gains)):
+                subtract(x, x_prev, step)
+                multiply(gain, step, step)
+                add(x_prev, step, x)
                 x_prev = x
             # Backward, in place: c = p_post[k] / p_prior[k+1], where
             # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
             gains = [p / (p + qs) for p in post]
-            for k in range(n - 2, settled, -1):
-                x = xs[k]
-                subtract(xs[k + 1], x, out=step)
-                multiply(gains[k % 2], step, out=step)
-                add(x, step, out=x)
+            phase = (n - settled) % 2  # step n - 2's gain first
+            x_next = xs[n - 1]
+            rows = xs[settled + 1 : n - 1][::-1]
+            for x, gain in zip(rows, itertools.cycle(gains[phase:] + gains[:phase])):
+                subtract(x_next, x, step)
+                multiply(gain, step, step)
+                add(x, step, x)
+                x_next = x
+            denoms[...] = qs  # as rows: against a 1-D q the adds are buffered
             top = min(settled + 1, n - 1)
             for b in range(last, -1, -1):
                 k0 = starts[b]
                 k1 = min(k0 + block, top)
+                at = 2 if checkpointed else k0
                 if checkpointed and b < last:
+                    p_prior, denom = prior_rows[0], step  # free until the means
                     p_prev = ps[1 + block + b] if b else rs
                     for p in ps[2 : 2 + block]:
-                        add(p_prev, qs, out=p_prior)
-                        add(p_prior, rs, out=denom)
-                        multiply(rs, p_prior, out=p)
-                        divide(p, denom, out=p)
+                        add(p_prev, qs, p_prior)
+                        add(p_prior, rs, denom)
+                        multiply(rs, p_prior, p)
+                        divide(p, denom, p)
                         p_prev = p
-                p_back = ps[2 if checkpointed else k0 :][: k1 - k0][::-1]
-                for x, x_next, p in zip(xs[k0:k1][::-1], xs[k0 + 1 : k1 + 1][::-1], p_back):
-                    add(p, qs, out=p_prior)
-                    divide(p, p_prior, out=gain)
-                    subtract(x_next, x, out=step)
-                    multiply(gain, step, out=step)
-                    add(x, step, out=x)
+                for e in range(k1, k0, -sub):
+                    s = max(e - sub, k0)
+                    p, gains = ps[at + s - k0 : at + e - k0], priors[: e - s]
+                    add(p, denoms[: e - s], gains)
+                    divide(p, gains, gains)
+                    x_next = xs[e]
+                    for x, gain in zip(xs[s:e][::-1], prior_rows[e - s - 1 :: -1]):
+                        subtract(x_next, x, step)
+                        multiply(gain, step, step)
+                        add(x, step, x)
+                        x_next = x
             for j, lanes in pieces:  # r = 0 is the identity map
                 for i in np.flatnonzero(rs[j : j + len(lanes)] == 0.0):
                     xs[:, j + i] = lanes[i]

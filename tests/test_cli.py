@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -81,6 +82,44 @@ class TestParsing:
     def test_missing_required_flag_is_a_usage_error(self, capsys):
         assert main(["synth", "default"]) == 1
         assert "--output" in capsys.readouterr().err
+
+    # Per subcommand: its help, a missing required flag, and a bad choice
+    # (where it has none, a flag it lacks, a flag without its value or an
+    # extra argument); then invocations whose first token is no subcommand,
+    # which get the full parser.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            argv
+            for name, missing, bad in [
+                ("synth", ["default"], ["default", "--output", "o", "--dtype", "f16"]),
+                ("qselect", ["--output", "o"], ["--input", "i", "--output", "o", "--frob"]),
+                ("denoise", ["--output", "o"], ["--input", "i", "--output", "o", "--dtype", "x"]),
+                ("baseline", ["--input", "i"], ["--input", "i", "--output", "o", "--dtype", "x"]),
+                ("reconstruct", ["--input", "i"], ["--input", "i", "--output", "o", "--q", "1"]),
+                ("metrics", [], ["--input", "i", "--output", "o", "--seed"]),
+                ("compare", ["--input", "i"], ["--input", "i", "--output", "o", "synth"]),
+            ]
+            for argv in ([name, "--help"], [name, *missing], [name, *bad])
+        ]
+        + [[], ["--help"], ["--version"], ["scan"], ["--", "denoise"]],
+    )
+    def test_the_subcommand_parser_answers_as_the_full_parser(self, capsys, argv):
+        def run():
+            try:
+                return main(list(argv))
+            except SystemExit as exc:
+                return "exit", exc.code
+
+        lazy = run(), capsys.readouterr()
+        with mock.patch.object(cli, "_parser_for", lambda argv: cli._build_parser()):
+            full = run(), capsys.readouterr()
+        assert lazy == full
+        assert lazy[0] in (1, ("exit", 0))
+        subparsers = [a for a in cli._parser_for(argv)._actions if a.dest == "subcommand"]
+        assert list(subparsers[0].choices) == (
+            argv[:1] if argv[:1] and argv[0] in cli._SUBCOMMANDS else list(cli._SUBCOMMANDS)
+        )
 
     @pytest.mark.parametrize(
         "flag,value",

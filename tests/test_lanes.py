@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ascankit import adapt, rts
 from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
+from ascankit.kalman import kf_filter, random_walk_params
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
 from ascankit.rts import _settled, _smooth_lanes, denoise_trace
 from ascankit.synth import default_spec, synth_volume
@@ -43,9 +44,10 @@ def _bits(values) -> np.ndarray:
 def _lane_bytes(n):
     """What a lane of ``n`` samples costs the kernel's workspace by its sizing
     rule: its means, a variance checkpoint per block of ``_CHECK_EVERY``
-    steps and one block of recomputed variances."""
+    steps, one block of recomputed variances, and two sub-blocks of
+    ``_GAIN_STEPS`` gains and a step of scratch."""
     block = min(rts._CHECK_EVERY, n)
-    return 8 * (n + math.ceil(n / block) + block)
+    return 8 * (n + math.ceil(n / block) + block + 2 * min(rts._GAIN_STEPS, block) + 1)
 
 
 def _cap(nbytes):
@@ -234,6 +236,15 @@ def _long_lanes(pairs, n, seed=0):
     return rows, qs, rs
 
 
+def _settle_step(q, r, n):
+    """The first step k >= 2 at which the scalar filter's posterior variance
+    repeats the one of step k - 2 bit for bit, or None within ``n`` steps."""
+    trace = Trace(np.zeros(n), 1e-6)
+    p_post = _bits(kf_filter(trace, random_walk_params(trace, q, r)).p_post)
+    hits = np.flatnonzero(p_post[2:] == p_post[:-2])
+    return int(hits[0]) + 2 if len(hits) else None
+
+
 def _smooth_checked(rows, qs, rs, width=None, cap=None):
     """Run the kernel with a cap of ``width`` lanes (default: all) or ``cap``
     bytes, check every lane against ``denoise_trace`` bit for bit, and
@@ -307,6 +318,50 @@ class TestSettledLanes:
     def test_long_lanes_match_denoise_trace_bit_for_bit(self, lanes):
         rows, qs, rs, width = lanes
         _smooth_checked(rows, qs, rs, width)
+
+    @st.composite
+    def phased_lanes(draw):
+        """Up to four lanes whose slowest settles at step 230 to 547; a
+        length that ends one or two steps after that step, or runs past the
+        check that finds it, or any from 200 up (some never settle); stored
+        or checkpointed variances; and sub-blocks of gains that rarely
+        divide the length."""
+        exponents = [draw(st.floats(min_value=-3.0, max_value=-2.25))] + draw(
+            st.lists(st.floats(min_value=-3.0, max_value=0.0), max_size=2)
+        )
+        rs = np.array([draw(st.sampled_from([1e-6, 1.0, 1e6])) for _ in exponents])
+        qs = 10.0 ** np.array(exponents) * rs
+        for i in range(1, len(rs)):
+            rs[i] = draw(st.sampled_from([0.0, rs[i]]))
+        # Most drawn lanes settle to a fixed point; a 2-cycle alternates gains.
+        if draw(st.booleans()):
+            q, r = draw(st.sampled_from(PERIOD_2))
+            qs, rs = np.append(qs, q), np.append(rs, r)
+        settle = max(_settle_step(q, r, 600) for q, r in zip(qs, rs))
+        check = settle + (127 - settle) % 128  # the first regular check after it
+        n = draw(st.one_of(
+            st.integers(min_value=settle + 1, max_value=settle + 2),
+            st.integers(min_value=check + 2, max_value=check + 300),
+            st.integers(min_value=200, max_value=settle + 300),
+        ))
+        steps = draw(st.sampled_from([1, 3, 8, rts._GAIN_STEPS]))
+        return qs, rs, n, settle, draw(st.booleans()), steps
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(phased_lanes())
+    def test_the_settled_phase_is_denoise_trace_at_any_length(self, lanes):
+        # The settled passes cycle two gains from the step the check finds,
+        # at an odd step (127, 255, ...) or at the last one, of either parity.
+        qs, rs, n, settle, checkpointed, steps = lanes
+        rows = np.random.default_rng(n).standard_normal((len(qs), n)).cumsum(axis=1)
+        with mock.patch.object(rts, "_GAIN_STEPS", steps):
+            cap = len(qs) * (_lane_bytes(n) if checkpointed else 2 * 8 * n)
+            with _cap(cap):
+                assert rts._chunking(len(qs), n) == (len(qs), checkpointed)
+            spy = _smooth_checked(rows, qs, rs, cap=cap)
+        checks = [*range(127, n - 1, 128), n - 1]
+        want = [min(k for k in checks if k >= settle)] if settle < n else []
+        assert [k for k, ok in spy.checks if ok] == want
 
     def test_settled_prior_variance_is_the_closed_form(self):
         # The steady-state prior variance P solves P = P*r/(P + r) + q.
