@@ -9,7 +9,7 @@ denoise-and-score path) and averaging the per-trace winners.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ _GRID_POINTS = 15
 #: The auto grid spans [1e-6, 1e-1] times the sampled noise floor.
 _GRID_LO = 1e-6
 _GRID_HI = 1e-1
-#: Samples per block of lanes that ``select_q`` scores at once.
+#: Samples per block of lanes that ``_lane_envelopes`` envelopes at once.
 _SCORED_SAMPLES = 1 << 16
 
 
@@ -62,6 +62,17 @@ def _noise_powers(heads: np.ndarray) -> np.ndarray:
     # need not warn of it.
     with np.errstate(over="ignore"):
         return np.vecdot(heads, heads) / heads.shape[-1]
+
+
+def _lane_envelopes(lanes: np.ndarray) -> Iterator[np.ndarray]:
+    """Envelopes of the time-major ``lanes``' columns, as blocks of at most
+    ``_SCORED_SAMPLES`` samples copied lane-major: scores dot contiguous rows."""
+    n, count = lanes.shape
+    block = np.empty((max(1, _SCORED_SAMPLES // n), n))
+    for j in range(0, count, len(block)):
+        rows = block[: count - j]
+        _transposed(rows, lanes[:, j : j + len(rows)])
+        yield _envelopes(rows)
 
 
 def default_noise_window(nt: int) -> int:
@@ -140,19 +151,13 @@ def select_q(
     # scoring resumes at the next lane.  Every lane before a failing one has
     # been scored, so an error names the trace of lane len(scores).
     scores = []
-    # Lane-major copies of a block: the scores take each row's dot products
-    # with the bits of a contiguous trace's.
-    block = np.empty((max(1, _SCORED_SAMPLES // volume.nt), volume.nt))
     try:
         for _, smoothed in _smooth_lanes(
             [np.broadcast_to(rows[i], (grid_arr.size, volume.nt)) for i in flat_ids],
             np.tile(grid_arr, n_sample),
             np.repeat(rs, grid_arr.size),
         ):
-            for j in range(0, smoothed.shape[1], len(block)):
-                lanes = block[: smoothed.shape[1] - j]
-                _transposed(lanes, smoothed[:, j : j + len(lanes)])
-                envs = _envelopes(lanes)
+            for envs in _lane_envelopes(smoothed):
                 first = len(scores)
                 while len(scores) < first + len(envs):
                     try:

@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .adapt import default_noise_window, estimate_r, select_q
+from .adapt import _checked_window, _lane_envelopes, _noise_powers, default_noise_window, select_q
 from .baseline import baseline_denoise, pipeline_denoise
 from .io import (
     PipelineConfig,
@@ -30,11 +30,10 @@ from .io import (
     parse_kv,
     require_field,
 )
-from .kalman import kf_filter, random_walk_params
-from .metrics import _envelopes, _psnrs, envelope
-from .model import DataError, QSelectionReport, RoiSpec, Trace, Volume
-from .rts import rts_smooth
-from .synth import SynthSpec, clean_samples, synth_volume
+from .metrics import _envelopes, _psnrs
+from .model import DataError, QSelectionReport, RoiSpec, Volume
+from .rts import _smooth_lanes
+from .synth import _BACKGROUND_ARM, _SIGNAL_ARM, SynthSpec, _synth_arm, clean_samples, synth_volume
 
 __all__ = [
     "CORPUS_VERSION",
@@ -384,48 +383,13 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 
 # ---------------------------------------------------------------------------
-# measurement (the same computations whose first run froze the statistics)
+# measurement (the computations whose first run froze the statistics, with
+# the batched kernel's bits of the scalar ``kf_filter`` and ``denoise_trace``)
 
 
-def _peak_alignment(
-    entry: CorpusEntry, volume: Volume, q: float
-) -> Tuple[Optional[int], int, int]:
-    """(clean peak index, forward-peak-late count, smoothed-peak-aligned count)."""
-    if not entry.mask:
-        return None, 0, 0
-    spec = entry.spec
-    window = entry.window()
-    clean = Trace(clean_samples(spec), spec.dt)
-    clean_peak = int(np.argmax(envelope(clean).samples))
-    fwd_late = aligned = 0
-    for x, y in sorted(entry.mask):
-        trace = volume.trace(x, y)
-        r = estimate_r(trace, window)
-        params = random_walk_params(trace, q, r)
-        forward = kf_filter(trace, params)
-        # One forward pass serves both peaks; r = 0 is denoise_trace's identity map.
-        smoothed = trace.samples if r == 0.0 else rts_smooth(forward, params)[0]
-        fwd_peak = int(np.argmax(envelope(Trace(forward.x_post, spec.dt)).samples))
-        sm_peak = int(np.argmax(envelope(Trace(smoothed, spec.dt)).samples))
-        fwd_late += fwd_peak - clean_peak >= 1
-        aligned += abs(sm_peak - clean_peak) <= 1
-    return clean_peak, fwd_late, aligned
-
-
-def _mean_gain_db(
-    entry: CorpusEntry, volume: Volume, background: Volume, q: float
-) -> Optional[float]:
-    """Mean masked-trace PSNR gain of the adaptive pipeline over the reference."""
-    if not entry.mask:
-        return None
-    pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
-    reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
-    gains = []
-    for x in range(volume.nx):
-        ys = [y for y in range(volume.ny) if (x, y) in entry.mask]
-        scores = [_psnrs(_envelopes(v.grid()[x, ys]), entry.roi) for v in (pipeline, reference)]
-        gains += [scored - ref for scored, ref in zip(*scores)]
-    return float(np.mean(gains))
+def _envelope_peaks(lanes: np.ndarray) -> List[int]:
+    """The envelope-peak sample of each column of the time-major ``lanes``."""
+    return [peak for envs in _lane_envelopes(lanes) for peak in envs.argmax(axis=1).tolist()]
 
 
 def measure_entry(
@@ -437,22 +401,48 @@ def measure_entry(
     """Re-run the scoring that produced the entry's frozen statistics.
 
     Pass pre-generated volumes (and optionally the entry's selection report)
-    to skip recomputation.  Deterministic fields of the result must equal
-    ``entry.expected`` exactly; ``mean_gain_db`` must agree within
-    ``GAIN_TOLERANCE_DB``.
+    to skip recomputation; a volume that is not passed is generated.
+    Deterministic fields of the result must equal ``entry.expected``
+    exactly; ``mean_gain_db`` must agree within ``GAIN_TOLERANCE_DB``.
     """
-    if volume is None or background is None:
-        volume, background, _ = entry.generate()
+    if volume is None:
+        volume = _synth_arm(entry.spec, entry.nx, entry.ny, entry.mask, _SIGNAL_ARM)
     if report is None:
         report = entry.select(volume)
-    clean_peak, fwd_late, aligned = _peak_alignment(entry, volume, report.q_final)
+    q = report.q_final
+    if not entry.mask:
+        return replace(ZERO_STATS, q_final=q)
+    if background is None:
+        background = _synth_arm(entry.spec, entry.nx, entry.ny, entry.mask, _BACKGROUND_ARM)
+    nt = volume.nt
+    rows = volume.data.reshape(-1, nt)
+    ids = np.ravel_multi_index(tuple(zip(*sorted(entry.mask))), (volume.nx, volume.ny))
+
+    # The forward-filter peaks are read between the kernel's two passes.
+    rs = _noise_powers(rows[ids, : _checked_window(entry.window(), nt)])
+    fwd_peaks, sm_peaks = [], []
+    for _, smoothed in _smooth_lanes(
+        [rows[i : i + 1] for i in ids], np.full(len(ids), q), rs,
+        forward=lambda _, means: fwd_peaks.extend(_envelope_peaks(means)),
+    ):
+        sm_peaks += _envelope_peaks(smoothed)
+    clean_peak = int(np.argmax(_envelopes(clean_samples(entry.spec))))
+
+    # The pipeline's PSNR gains over the reference, a scan line's worth at a time.
+    pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
+    reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
+    outputs = [v.data.reshape(-1, nt) for v in (pipeline, reference)]
+    gains: List[float] = []
+    for lo in range(0, len(ids), volume.ny):
+        scored, ref = (_psnrs(_envelopes(v[ids[lo : lo + volume.ny]]), entry.roi) for v in outputs)
+        gains += [a - b for a, b in zip(scored, ref)]
     return ExpectedStats(
-        q_final=report.q_final,
+        q_final=q,
         clean_peak=clean_peak,
-        n_pulse_traces=len(entry.mask),
-        fwd_peak_late=fwd_late,
-        smoothed_peak_aligned=aligned,
-        mean_gain_db=_mean_gain_db(entry, volume, background, report.q_final),
+        n_pulse_traces=len(ids),
+        fwd_peak_late=sum(peak - clean_peak >= 1 for peak in fwd_peaks),
+        smoothed_peak_aligned=sum(abs(peak - clean_peak) <= 1 for peak in sm_peaks),
+        mean_gain_db=float(np.mean(gains)),
     )
 
 

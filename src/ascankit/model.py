@@ -34,12 +34,6 @@ class InfinitePsnrError(NumericsError):
     """Noise power outside the ROI is exactly zero, so PSNR is unbounded."""
 
 
-def _readonly_f64(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    arr.setflags(write=False)
-    return arr
-
-
 def _finite(samples: np.ndarray) -> np.ndarray:
     """``samples`` (traces along the last axis) if all are finite; else the
     first bad one, in row order, is named by its index within its trace."""
@@ -207,7 +201,8 @@ class FilterTrajectory:
         fields = ("x_prior", "p_prior", "x_post", "p_post", "gain")
         arrays = []
         for name in fields:
-            arr = _readonly_f64(getattr(self, name), name)
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            arr.setflags(write=False)
             if arr.ndim != 1 or arr.size == 0:
                 raise DataError(f"trajectory {name} must be a non-empty 1-D sequence")
             arrays.append(arr)

@@ -31,7 +31,7 @@ the time-major workspace in square tiles, not one strided column at a time
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import itertools
 import math
@@ -184,7 +184,8 @@ def _pieces(blocks: Sequence[np.ndarray], lo: int, hi: int) -> List[Tuple[int, n
 
 
 def _smooth_lanes(
-    blocks: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray
+    blocks: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray,
+    *, forward: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Iterator[Tuple[int, np.ndarray]]:
     """Filter and smooth the lanes, the rows of the 2-D ``blocks`` in order
     (one length), lane ``i`` with variances ``q[i]`` and ``r[i]``.
@@ -195,6 +196,10 @@ def _smooth_lanes(
     more, that the next chunk overwrites.  Lanes come up to the first that
     ``denoise_trace`` refuses or whose result is not finite, and then that
     lane's ``denoise_trace`` error is raised.
+
+    ``forward(lo, means)``, if given, is called between a chunk's two passes
+    with a read-only view of the workspace: ``means[:, j]`` is ``kf_filter``'s
+    ``x_post`` of lane ``lo + j`` bit for bit, also where ``r`` is 0.
 
     Every element sees the IEEE operations of ``kf_filter`` and
     ``rts_smooth``, on the same operands and in their order; the model's unit
@@ -299,6 +304,8 @@ def _smooth_lanes(
                 multiply(gain, step, step)
                 add(x_prev, step, x)
                 x_prev = x
+            if forward is not None:
+                forward(lo, np.lib.stride_tricks.as_strided(xs, writeable=False))
             # Backward, in place: c = p_post[k] / p_prior[k+1], where
             # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
             gains = [p / (p + qs) for p in post]

@@ -167,30 +167,33 @@ def synth_volume(
     keyed by ``(arm, x, y)``, with arm 0 for the scan and arm 1 for the
     background, so the two volumes never share noise.
     """
+    mask = frozenset((int(x), int(y)) for x, y in mask)
+    volumes = [_synth_arm(base, nx, ny, mask, arm) for arm in (_SIGNAL_ARM, _BACKGROUND_ARM)]
+    return volumes[0], volumes[1], mask
+
+
+def _synth_arm(base: SynthSpec, nx: int, ny: int, mask: Set[Tuple[int, int]], arm: int) -> Volume:
+    """The scan (``arm`` 0) or the background (1) of ``synth_volume``."""
     for name, value in (("nx", nx), ("ny", ny)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise DataError(f"{name} must be a positive integer, got {value!r}")
     if nx * ny * base.nt > np.iinfo(np.intp).max // 8:
         raise DataError(f"a {nx}x{ny}x{base.nt} volume exceeds the address space")
-    mask = frozenset((int(x), int(y)) for x, y in mask)
     for x, y in sorted(mask):
         if not (0 <= x < nx and 0 <= y < ny):
             raise DataError(f"mask coordinate ({x}, {y}) outside {nx}x{ny} grid")
 
-    clean_on = clean_samples(base)
     clean_off = np.zeros(base.nt)
-    signal = np.empty((nx, ny, base.nt))
-    background = np.empty((nx, ny, base.nt))
+    clean_on = clean_samples(base) if arm == _SIGNAL_ARM else clean_off
+    grid = np.empty((nx, ny, base.nt))
     # Each trace is _assemble's sum, written straight into the grid; the
-    # Volumes check that every sample is finite.
+    # Volume checks that every sample is finite.
     for x in range(nx):
         for y in range(ny):
             clean = clean_on if (x, y) in mask else clean_off
-            noise, artifacts = _random_parts(base, _trace_rng(base.seed, _SIGNAL_ARM, x, y))
-            signal[x, y] = clean + noise + artifacts
-            noise, artifacts = _random_parts(base, _trace_rng(base.seed, _BACKGROUND_ARM, x, y))
-            background[x, y] = clean_off + noise + artifacts
-    return Volume.from_grid(signal, base.dt), Volume.from_grid(background, base.dt), mask
+            noise, artifacts = _random_parts(base, _trace_rng(base.seed, arm, x, y))
+            grid[x, y] = clean + noise + artifacts
+    return Volume.from_grid(grid, base.dt)
 
 
 def default_spec(seed: int = 0, **overrides) -> SynthSpec:

@@ -11,11 +11,11 @@ traces no longer than the taps, and builds the taps itself.
 which the library writes out in numpy.
 
 The per-trace loops at the end are the other kind of reference: they run
-the library's scalar ``denoise_trace``, ``lowpass``, ``envelope`` and
-``psnr`` one trace at a time, and the lane-batched and scan-line callers
-must match them bit for bit, errors included.  ``scalar_score`` writes out
-``psnr``'s scoring of one envelope on 1-D arrays, for the library's scoring
-of whole lines to match.
+the library's scalar ``denoise_trace``, ``kf_filter``, ``rts_smooth``,
+``lowpass``, ``envelope`` and ``psnr`` one trace at a time, and the
+lane-batched and scan-line callers must match them bit for bit, errors
+included.  ``scalar_score`` writes out ``psnr``'s scoring of one envelope
+on 1-D arrays, for the library's scoring of whole lines to match.
 """
 
 import math
@@ -28,6 +28,7 @@ from scipy.signal import filtfilt, firwin, gausspulse
 
 from ascankit.adapt import default_noise_window, default_q_grid, estimate_r
 from ascankit.baseline import LOWPASS_TAPS, differential_subtract, lowpass
+from ascankit.kalman import kf_filter, random_walk_params
 from ascankit.metrics import envelope, psnr
 from ascankit.model import (
     DataError,
@@ -40,8 +41,8 @@ from ascankit.model import (
     Volume,
     validate_volume,
 )
-from ascankit.rts import denoise_trace
-from ascankit.synth import FRACTIONAL_BANDWIDTH, SynthSpec
+from ascankit.rts import denoise_trace, rts_smooth
+from ascankit.synth import FRACTIONAL_BANDWIDTH, SynthSpec, clean_samples
 
 
 def rational_kf_step(
@@ -250,6 +251,31 @@ def scalar_denoised_volume(
     if background is not None:
         out = out - denoised(background)
     return out
+
+
+def scalar_peak_alignment(entry, volume: Volume, q: float) -> Tuple[Optional[int], int, int]:
+    """``measure_entry``'s ``(clean_peak, fwd_peak_late,
+    smoothed_peak_aligned)`` as one ``kf_filter`` and one ``rts_smooth`` per
+    masked trace of the corpus entry ``entry``, in order."""
+    if not entry.mask:
+        return None, 0, 0
+    spec = entry.spec
+    window = entry.window()
+    clean = Trace(clean_samples(spec), spec.dt)
+    clean_peak = int(np.argmax(envelope(clean).samples))
+    fwd_late = aligned = 0
+    for x, y in sorted(entry.mask):
+        trace = volume.trace(x, y)
+        r = estimate_r(trace, window)
+        params = random_walk_params(trace, q, r)
+        forward = kf_filter(trace, params)
+        # One forward pass serves both peaks; r = 0 is denoise_trace's identity map.
+        smoothed = trace.samples if r == 0.0 else rts_smooth(forward, params)[0]
+        fwd_peak = int(np.argmax(envelope(Trace(forward.x_post, spec.dt)).samples))
+        sm_peak = int(np.argmax(envelope(Trace(smoothed, spec.dt)).samples))
+        fwd_late += fwd_peak - clean_peak >= 1
+        aligned += abs(sm_peak - clean_peak) <= 1
+    return clean_peak, fwd_late, aligned
 
 
 def scalar_baseline_denoise(

@@ -6,13 +6,20 @@ carry an explicit tolerance.  The manifest tests pin the on-disk definition
 format the CLI exchanges with the library.
 """
 
+import contextlib
+import dataclasses
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from ascankit.adapt import default_noise_window
+from ascankit import kalman, rts
+from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.bench import (
     CORPUS_VERSION,
     GAIN_TOLERANCE_DB,
+    ZERO_STATS,
     CorpusEntry,
     ExpectedStats,
     bench_corpus,
@@ -21,8 +28,10 @@ from ascankit.bench import (
     measure_entry,
     parse_manifest,
 )
-from ascankit.model import DataError, RoiSpec
+from ascankit.model import DataError, QSelectionReport, RoiSpec
 from ascankit.synth import SynthSpec, default_spec
+from oracles import scalar_peak_alignment
+from test_lanes import _lane_bytes
 
 EXPECTED_NAMES = ["phantom-L", "two-stick", "skew-dense", "impulse-heavy", "noise-only"]
 
@@ -283,6 +292,97 @@ class TestMeasuredAgainstFrozen:
         entry = corpus_entry("noise-only")
         fresh = measure_entry(entry)
         assert fresh == scored_corpus["noise-only"].measured
+
+
+def _entry(nt=256, **spec) -> CorpusEntry:
+    """An ad-hoc 3 x 4 entry with a pulse at sample ``nt / 2`` on half of its
+    traces, by default under noise and impulses."""
+    return CorpusEntry(
+        name="ad-hoc", spec=default_spec(seed=9, nt=nt, pulse_time_s=nt * 1e-5 / 2048, **spec),
+        nx=3, ny=4, mask=frozenset({(0, 1), (0, 3), (1, 1), (2, 0), (2, 2), (2, 3)}),
+        roi=RoiSpec(nt // 2 - 40, nt // 2 + 40), lp_cutoff_hz=2e7, noise_window=32,
+        q_grid=None, n_sample=4, expected=ZERO_STATS,
+    )
+
+
+def _report(q: float) -> QSelectionReport:
+    """A selection report whose final q is ``q``."""
+    return QSelectionReport((q,), ((0, 0),), (q,), q, (1.0,), (0.0,))
+
+
+#: The pulse at sample 1,024 of 2,048 with no noise: every noise window is
+#: exactly zero, so every trace has r = 0.
+NOISELESS = dict(nt=2048, noise_sigma=0.0, impulse_rate=0.0)
+
+
+@contextlib.contextmanager
+def _scalar_calls():
+    """The names of ``kf_filter`` and ``rts_smooth`` as often as they are
+    called inside the block, by any route."""
+    codes = {kalman.kf_filter.__code__, rts.rts_smooth.__code__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(None)
+
+
+class TestMeasureEntry:
+    """``measure_entry`` on small ad-hoc entries, against the per-trace
+    ``kf_filter`` / ``rts_smooth`` loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "spec, q, lanes_per_chunk",
+        [
+            ({}, None, None),  # its own q selection, one chunk
+            ({}, 1e-4, 2),  # several chunks
+            (NOISELESS, 1e-3, None),
+            (NOISELESS, 1e-3, 1),
+        ],
+        ids=["selected-q", "chunks-of-2", "r=0", "r=0-chunks-of-1"],
+    )
+    def test_peak_fields_are_the_scalar_loops(self, spec, q, lanes_per_chunk):
+        entry = _entry(**spec)
+        volume, background, _ = entry.generate()
+        cap = lanes_per_chunk * _lane_bytes(entry.spec.nt) if lanes_per_chunk else rts._LANE_BYTES
+        with mock.patch.object(rts, "_LANE_BYTES", cap):
+            assert rts._chunking(len(entry.mask), entry.spec.nt)[0] == (
+                lanes_per_chunk or len(entry.mask)
+            )
+            measured = measure_entry(entry, volume, background, None if q is None else _report(q))
+        rs = [estimate_r(volume.trace(x, y), entry.window()) for x, y in entry.mask]
+        assert (max(rs) == 0.0) == (spec is NOISELESS)
+        got = (measured.clean_peak, measured.fwd_peak_late, measured.smoothed_peak_aligned)
+        assert got == scalar_peak_alignment(entry, volume, measured.q_final)
+        assert measured.n_pulse_traces == len(entry.mask)
+
+    def test_runs_no_scalar_filter_or_smoother(self):
+        entry = _entry()
+        volume, background, _ = entry.generate()
+        with _scalar_calls() as calls:
+            measured = measure_entry(entry, volume, background)
+        assert calls == []
+        with _scalar_calls() as calls:  # the spy sees the loop measure_entry replaced
+            scalar_peak_alignment(entry, volume, measured.q_final)
+        assert sorted(set(calls)) == ["kf_filter", "rts_smooth"]
+
+    def test_a_passed_volume_is_the_one_measured(self):
+        entry = _entry()
+        volume, background, _ = entry.generate()
+        other = dataclasses.replace(entry, spec=dataclasses.replace(entry.spec, seed=10))
+        other_volume, other_background, _ = other.generate()
+        mine = measure_entry(entry, volume, background)
+        assert measure_entry(entry) == mine
+        with_volume = measure_entry(entry, other_volume, background)
+        with_background = measure_entry(entry, volume, other_background)
+        assert measure_entry(entry, volume=other_volume) == with_volume != mine
+        assert measure_entry(entry, background=other_background) == with_background != mine
 
 
 class TestRegeneration:

@@ -465,6 +465,57 @@ class TestCheckpointedLanes:
         assert peak <= rts._LANE_BYTES + (64 << 10)
 
 
+class TestForwardHook:
+    """The means the kernel hands its ``forward`` hook between its passes."""
+
+    @staticmethod
+    def _assert_forward(rows, qs, rs):
+        """Check that the hook sees each chunk's ``kf_filter`` means, read-only,
+        and that the kernel's output is the same bits with and without it."""
+        seen = []
+
+        def forward(lo, means):
+            assert not means.flags.writeable
+            seen.append((lo, means.copy()))
+
+        plain = [(lo, smoothed.copy()) for lo, smoothed in _smooth_lanes([rows], qs, rs)]
+        hooked = [(lo, sm.copy()) for lo, sm in _smooth_lanes([rows], qs, rs, forward=forward)]
+        assert [lo for lo, _ in seen] == [lo for lo, _ in plain] == [lo for lo, _ in hooked]
+        for (_, got), (_, want) in zip(hooked, plain):
+            assert _bits(got).tolist() == _bits(want).tolist()
+        for (lo, means), (_, smoothed) in zip(seen, plain):
+            assert means.shape == smoothed.shape
+            for j, got in enumerate(means.T):
+                trace = Trace(rows[lo + j], 1e-6)
+                params = random_walk_params(trace, qs[lo + j], rs[lo + j])
+                assert np.array_equal(_bits(got), _bits(kf_filter(trace, params).x_post)), lo + j
+
+    # Lanes that settle with either period, at once (r = 0) or never: one
+    # chunk that never settles, or chunks [P1, P1, P2] (settles at step 255)
+    # and [P2, r = 0, unsettled], or [P1, P1], [P2, P2] and [r = 0, unsettled].
+    @pytest.mark.parametrize(
+        "cap, width, checkpointed",
+        [
+            (None, 6, False),
+            (6 * _lane_bytes(1024), 6, True),
+            (3 * 2 * 8 * 1024, 3, False),
+            (2 * _lane_bytes(1024), 2, True),
+        ],
+    )
+    def test_the_hook_sees_the_kf_filter_means_and_changes_no_bit(self, cap, width, checkpointed):
+        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024, seed=7)
+        with _cap(cap or rts._LANE_BYTES):
+            assert rts._chunking(len(rows), 1024) == (width, checkpointed)
+            self._assert_forward(rows, qs, rs)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(TestCheckpointedLanes.capped_lane_sets())
+    def test_the_hook_sees_the_kf_filter_means_at_any_cap(self, lanes):
+        rows, qs, rs, cap = lanes
+        with _cap(cap):
+            self._assert_forward(rows, qs, rs)
+
+
 class TestSelectQMatchesScalarLoop:
     @pytest.mark.parametrize("lanes", [None, 3])
     @pytest.mark.parametrize("grid", [GRID, None])

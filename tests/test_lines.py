@@ -15,10 +15,10 @@ from ascankit import cli
 from ascankit.baseline import (
     LOWPASS_TAPS, _lowpassed, _taps, baseline_denoise, lowpass, pipeline_denoise,
 )
-from ascankit.bench import CorpusEntry, ZERO_STATS, _mean_gain_db
+from ascankit.bench import CorpusEntry, ZERO_STATS, measure_entry
 from ascankit.io import format_csv, read_volume, write_volume
 from ascankit.metrics import _envelopes, _psnrs, envelope, psnr, reconstruct
-from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
+from ascankit.model import DataError, NumericsError, QSelectionReport, RoiSpec, Trace, Volume
 from ascankit.synth import default_spec, synth_volume
 from oracles import (
     scalar_baseline_denoise,
@@ -323,7 +323,8 @@ class TestVolumePassesMatchScalarLoops:
             psnr(pipeline.trace(x, y), ROI) - psnr(reference.trace(x, y), ROI)
             for x, y in sorted(entry.mask)
         ]
-        got = _mean_gain_db(entry, volume, background, 1e-3)
+        report = QSelectionReport((1e-3,), ((0, 0),), (1e-3,), 1e-3, (1.0,), (0.0,))
+        got = measure_entry(entry, volume, background, report).mean_gain_db
         assert np.array_equal(_bits(got), _bits(float(np.mean(gains))))
 
 
