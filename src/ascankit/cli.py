@@ -374,6 +374,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reference_arm(
+    volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec, source: str
+) -> Tuple[List[Tuple[int, int, float]], List[EnvelopeImage], Optional[Exception]]:
+    """``compare``'s second thread: the FIR reference's scores up to its first
+    failing trace, then its image and the input's.  The FIR's error raises; a
+    later one is returned, for the caller to order."""
+    reference = baseline_denoise(volume, background, cutoff_hz)
+    scores: List[Tuple[int, int, float]] = []
+    pixels = np.empty((volume.nx, volume.ny))
+    try:
+        scores.extend(_scores(reference, roi, "baseline output", pixels))  # kept up to an error
+        image = _reconstruct(volume, source)
+    except (DataError, NumericsError) as exc:
+        return scores, [], exc
+    return scores, [image, EnvelopeImage(volume.nx, volume.ny, pixels)], None
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor  # slow to import, so only where it is used
 
@@ -381,31 +398,38 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     volume = read_volume(args.input)
     background = _read_background(config)
     roi = _roi(config, "compare", volume, args.input)
-    # The reference needs no q, and its FIR passes release the GIL, so it runs
-    # on a second thread while q is chosen and the pipeline runs.  Leaving the
-    # block waits for it on every path; an error of q's or the pipeline's
-    # leaves it unread, and its own surfaces only after theirs, as in a
-    # sequential run.
+    # The reference needs no q, and its FIR passes and envelope FFTs release
+    # the GIL, so a second thread filters, scores and images it, and images the
+    # input, while q is chosen and the pipeline runs and is scored.  Leaving the
+    # block waits for it on every path.  Errors keep a sequential run's order:
+    # q's, the pipeline's, the FIR's, the earlier trace's scoring error (the
+    # pipeline's at a tie), then the input image's.
     with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(baseline_denoise, volume, background, config.lp_cutoff_hz)
+        future = pool.submit(
+            _reference_arm, volume, background, config.lp_cutoff_hz, roi, args.input
+        )
         q = _resolve_q(config, volume, args.input, roi)
         window = _window(config, volume)
         pipeline = pipeline_denoise(volume, background, q, noise_window=window)
-    reference = future.result()
-
-    # At each trace the pipeline is scored first, so its error comes first.
-    pixels = np.empty((2, volume.nx, volume.ny))
+        # Each arm makes its pixel rows only once filtered: made before q
+        # selection, they sat among the pipeline's temporaries in the heap.
+        pixels = np.empty((volume.nx, volume.ny))
+        scored: List[Tuple[int, int, float]] = []
+        error: Optional[Exception] = None
+        try:
+            scored.extend(_scores(pipeline, roi, "pipeline output", pixels))
+        except (DataError, NumericsError) as exc:
+            error = exc
+    reference, images, reference_error = future.result()
+    if error is None or (reference_error is not None and len(reference) < len(scored)):
+        error = reference_error
+    if error is not None:
+        raise error
     rows = [
-        (x, y, scored, ref, scored - ref)
-        for (x, y, scored), (_, _, ref) in zip(
-            _scores(pipeline, roi, "pipeline output", pixels[0]),
-            _scores(reference, roi, "baseline output", pixels[1]),
-        )
+        (x, y, score, ref, score - ref)
+        for (x, y, score), (_, _, ref) in zip(scored, reference)
     ]
-
-    # The input's image is made before anything is written, since it can fail.
-    images = [_reconstruct(volume, args.input)]
-    images += [EnvelopeImage(volume.nx, volume.ny, p) for p in pixels]
+    images.insert(1, EnvelopeImage(volume.nx, volume.ny, pixels))  # input, pipeline, baseline
 
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.csv")

@@ -7,13 +7,19 @@ format the CLI exchanges with the library.
 """
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
+import json
+import os
+import subprocess
 import sys
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import ascankit
 from ascankit import kalman, rts
 from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.bench import (
@@ -292,6 +298,65 @@ class TestMeasuredAgainstFrozen:
         entry = corpus_entry("noise-only")
         fresh = measure_entry(entry)
         assert fresh == scored_corpus["noise-only"].measured
+
+
+#: Scores every corpus entry under the OpenBLAS named by argv[1] and prints the
+#: kernel that library runs and each entry's statistics as JSON.
+_KERNEL_CHILD = """
+import ctypes, dataclasses, json, sys
+import numpy
+from ascankit.bench import bench_corpus, measure_entry
+corename = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_corename64_
+corename.argtypes, corename.restype = [], ctypes.c_char_p
+stats = {e.name: dataclasses.asdict(measure_entry(e)) for e in bench_corpus()}
+print(json.dumps({"kernel": corename().decode(), "stats": stats}))
+"""
+
+
+class TestSecondBlasKernel:
+    """The frozen statistics hold under OpenBLAS's AVX2 kernel (Haswell) as
+    well as under the one it picks on the machine that froze them: the noise
+    powers' and FIR's dot products change only in their last bits, which
+    moves no q_final or peak count and only the last digits of the gains."""
+
+    def test_corpus_scoring_reproduces_under_haswell(self):
+        libs = glob.glob(os.path.join(
+            os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"
+        ))
+        if not libs:
+            pytest.skip("numpy bundles no libscipy_openblas64_*.so")
+        if not hasattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_"):
+            pytest.skip("the bundled OpenBLAS has no scipy_openblas_get_corename64_")
+        try:
+            with open("/proc/cpuinfo") as handle:
+                flags = handle.read().split()
+        except OSError:
+            flags = []
+        if "avx2" not in flags:
+            pytest.skip("the CPU has no AVX2, or its flags cannot be read")
+        src = os.path.dirname(os.path.dirname(ascankit.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE="Haswell")
+        done = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD, libs[0]],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["kernel"] == "Haswell"
+        assert sorted(result["stats"]) == sorted(EXPECTED_NAMES)
+        exact = ("q_final", "clean_peak", "n_pulse_traces", "fwd_peak_late",
+                 "smoothed_peak_aligned")
+        for entry in bench_corpus():
+            measured = ExpectedStats(**result["stats"][entry.name])
+            expected = entry.expected
+            for field in exact:
+                assert getattr(measured, field) == getattr(expected, field), (entry.name, field)
+            if expected.mean_gain_db is None:
+                assert measured.mean_gain_db is None
+            else:
+                assert measured.mean_gain_db == pytest.approx(
+                    expected.mean_gain_db, abs=GAIN_TOLERANCE_DB
+                ), entry.name
 
 
 def _entry(nt=256, **spec) -> CorpusEntry:

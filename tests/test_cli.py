@@ -426,9 +426,11 @@ class TestCompare:
 
 
 class TestCompareReferenceThread:
-    """compare runs the FIR reference on a worker thread while q is chosen and
-    the pipeline runs.  Its errors keep their sequential precedence: q's and
-    the pipeline's come first, the reference's only after ``q_final:``.  The
+    """compare runs the FIR reference, its scores and the input's image on a
+    worker thread while q is chosen and the pipeline runs and is scored.  The
+    errors keep their sequential precedence: q's and the pipeline's come
+    first, the reference's only after ``q_final:``, then the earlier trace's
+    scoring error (the pipeline's at a tie), then the input image's.  The
     worker has finished when main returns, on every path."""
 
     @pytest.mark.parametrize(
@@ -504,6 +506,81 @@ class TestCompareReferenceThread:
         assert captured.err.startswith("error: cutoff 1000000000000.0 Hz outside (0, ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    @staticmethod
+    def _spied_compare(tiny_scan, tmp_path, monkeypatch, fail=()):
+        """Run compare with ``cli._scores`` and ``cli._reconstruct`` wrapped:
+        an arm named in ``fail`` (``"pipeline"`` or ``"baseline"``, with a flat
+        trace index) raises at that trace, ``"image"`` fails the input's image
+        and ``"fir"`` the reference's filter.  Checks that the worker has ended
+        and that only a success leaves an output directory, and returns the
+        exit code and the thread that scored each arm and made the image."""
+        fail, threads = dict(fail), {}
+        scores, reconstruct, fir = cli._scores, cli._reconstruct, cli.baseline_denoise
+
+        def failing_scores(volume, roi, source, pixels=None):
+            arm = source.split()[0]
+            threads[arm] = threading.current_thread()
+            for i, (x, y, score) in enumerate(scores(volume, roi, source, pixels)):
+                if fail.get(arm) == i:
+                    raise NumericsError(f"{source}: trace (x={x}, y={y}): {arm} failed")
+                yield x, y, score
+
+        def failing_reconstruct(volume, source):
+            threads["image"] = threading.current_thread()
+            if "image" in fail:
+                raise DataError(f"{source}: image failed")
+            return reconstruct(volume, source)
+
+        def failing_fir(*args):
+            if "fir" in fail:
+                raise DataError("fir failed")
+            return fir(*args)
+
+        monkeypatch.setattr(cli, "_scores", failing_scores)
+        monkeypatch.setattr(cli, "_reconstruct", failing_reconstruct)
+        monkeypatch.setattr(cli, "baseline_denoise", failing_fir)
+        count = threading.active_count()
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                   "--output", str(out)])
+        assert threading.active_count() == count
+        assert out.exists() == (rc == 0)
+        return rc, threads
+
+    @pytest.mark.parametrize(
+        "fail, code, error",
+        [
+            ({"pipeline": 1, "baseline": 3}, 3, "pipeline output: trace (x=0, y=1): pipeline"),
+            ({"pipeline": 2, "baseline": 2}, 3, "pipeline output: trace (x=1, y=0): pipeline"),
+            ({"pipeline": 4, "baseline": 1}, 3, "baseline output: trace (x=0, y=1): baseline"),
+            ({"pipeline": 5}, 3, "pipeline output: trace (x=2, y=1): pipeline"),
+            ({"baseline": 0}, 3, "baseline output: trace (x=0, y=0): baseline"),
+            ({"fir": 0, "pipeline": 0}, 2, "fir"),
+            ({"image": 0, "pipeline": 5}, 3, "pipeline output: trace (x=2, y=1): pipeline"),
+            ({"image": 0, "baseline": 5}, 3, "baseline output: trace (x=2, y=1): baseline"),
+            ({"image": 0}, 2, "{scan}: image"),
+        ],
+        ids=["pipeline-earlier", "tie", "baseline-earlier", "pipeline-last", "baseline-first",
+             "fir+pipeline", "image+pipeline", "image+baseline", "image"],
+    )
+    def test_scoring_errors_surface_in_trace_order(
+        self, tiny_scan, tmp_path, monkeypatch, capsys, fail, code, error
+    ):
+        rc, _ = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail)
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.err == f"error: {error.format(scan=tiny_scan['scan'])} failed\n"
+        assert captured.out.startswith("q_final: ")
+
+    def test_the_reference_is_scored_and_the_input_imaged_off_the_main_thread(
+        self, tiny_scan, tmp_path, monkeypatch
+    ):
+        rc, threads = self._spied_compare(tiny_scan, tmp_path, monkeypatch)
+        assert rc == 0
+        assert threads["pipeline"] is threading.main_thread()
+        assert threads["baseline"] is not threading.main_thread()
+        assert threads["image"] is threads["baseline"]
 
 
 class TestVolumesAreCheckedOnce:

@@ -296,6 +296,25 @@ class TestCsv:
         text = format_csv(["a", "b"], [[np.float64(0.5), np.int64(3)]])
         assert text == "a,b\n0.5,3\n"
 
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=8),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_python_and_numpy_cells_give_the_same_text(self, floats, ints):
+        floats += [0.0, -0.0, 5e-324, 1e-300, 1.5e308, 0.1, 1 / 3]
+        singles = [np.float32(v) for v in floats if abs(v) < 3e38 or not np.isfinite(v)]
+        cases = [
+            ([float(v) for v in floats], [np.float64(v) for v in floats]),
+            ([float(v) for v in singles], singles),
+            (ints, [np.int64(v) for v in ints]),
+            ([True, False], [np.bool_(True), np.bool_(False)]),
+        ]
+        for python_cells, numpy_cells in cases:
+            header = [f"c{i}" for i in range(len(python_cells))]
+            assert format_csv(header, [python_cells]) == format_csv(header, [numpy_cells])
+        assert format_csv(["a", "b"], [[True, np.bool_(False)]]) == "a,b\ntrue,false\n"
+
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(DataError, match="cells"):
             format_csv(["a", "b"], [[1]])
