@@ -21,6 +21,7 @@ import errno
 import os
 import re
 import sys
+import threading
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -375,16 +376,23 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _reference_arm(
-    volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec, source: str
+    volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec, source: str,
+    stop: threading.Event,
 ) -> Tuple[List[Tuple[int, int, float]], List[EnvelopeImage], Optional[Exception]]:
     """``compare``'s second thread: the FIR reference's scores up to its first
     failing trace, then its image and the input's.  The FIR's error raises; a
-    later one is returned, for the caller to order."""
+    later one is returned, for the caller to order.  Once ``stop`` is set, it
+    returns before its next step: the next scan line, or the input's image."""
     reference = baseline_denoise(volume, background, cutoff_hz)
     scores: List[Tuple[int, int, float]] = []
+    if stop.is_set():
+        return scores, [], None
     pixels = np.empty((volume.nx, volume.ny))
     try:
-        scores.extend(_scores(reference, roi, "baseline output", pixels))  # kept up to an error
+        for score in _scores(reference, roi, "baseline output", pixels):
+            scores.append(score)  # kept up to an error
+            if score[1] == volume.ny - 1 and stop.is_set():
+                return scores, [], None
         image = _reconstruct(volume, source)
     except (DataError, NumericsError) as exc:
         return scores, [], exc
@@ -403,14 +411,20 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # input, while q is chosen and the pipeline runs and is scored.  Leaving the
     # block waits for it on every path.  Errors keep a sequential run's order:
     # q's, the pipeline's, the FIR's, the earlier trace's scoring error (the
-    # pipeline's at a tie), then the input image's.
+    # pipeline's at a tie), then the input image's.  As q's and the pipeline's
+    # errors come first, the worker stops early after one of them.
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
         future = pool.submit(
-            _reference_arm, volume, background, config.lp_cutoff_hz, roi, args.input
+            _reference_arm, volume, background, config.lp_cutoff_hz, roi, args.input, stop
         )
-        q = _resolve_q(config, volume, args.input, roi)
-        window = _window(config, volume)
-        pipeline = pipeline_denoise(volume, background, q, noise_window=window)
+        try:
+            q = _resolve_q(config, volume, args.input, roi)
+            window = _window(config, volume)
+            pipeline = pipeline_denoise(volume, background, q, noise_window=window)
+        except BaseException:
+            stop.set()
+            raise
         # Each arm makes its pixel rows only once filtered: made before q
         # selection, they sat among the pipeline's temporaries in the heap.
         pixels = np.empty((volume.nx, volume.ny))

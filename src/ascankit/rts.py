@@ -13,14 +13,14 @@ tests.
 
 The volume-level paths run many traces at once through ``_smooth_lanes``,
 which matches the scalar ``denoise_trace`` bit for bit.  Its variances and
-gains depend on ``(q, r)`` alone and in floating point settle to a fixed
-point or a 2-cycle, the steady-state filter (Anderson & Moore, *Optimal
-Filtering*, 1979); from there the kernel reuses two gains for the means.
-Until then it calls numpy per step only for what is sequential, the
-variance recursion (4 calls) and the means (3 in each direction); the gains
-take one call per sub-block of steps forward and two backward.  So an
-unsettled step costs 4 + 3 + 3 calls and a settled one 3 + 3: on narrow
-chunks the cost is per call, not per sample.
+gains depend on ``(q, r)`` alone and in floating point settle, lane by lane,
+to a fixed point or a 2-cycle, the steady-state filter (Anderson & Moore,
+*Optimal Filtering*, 1979); from there a lane's means need two gains.
+The kernel calls numpy per step only for what is sequential, the variance
+recursion (4 calls) and the means (3 in each direction); the gains take one
+call per sub-block of steps forward and two backward.  So an unsettled step
+costs 4 + 3 + 3 calls and a settled one 3 + 3: on narrow chunks the cost is
+per call; on wide ones, per sample too, so there settled lanes leave early.
 Its workspace holds the means of every step, and the variances of every
 step only where they fit; otherwise one variance per block of steps, from
 which the backward pass recomputes the rest (the store-or-recompute trade of
@@ -71,6 +71,11 @@ _CHECK_EVERY = 128
 #: lanes).
 _GAIN_STEPS = 32
 _GAIN_BYTES = 256 << 10
+#: Fewest lanes of a chunk whose settled lanes leave the recursion before all
+#: have (``_smooth_lanes``).  Leaving saved -0.1, 0.1, 0.8-1.0 and 3.0-5.7 us a
+#: step at 30, 60, 120-256 and 384-768 lanes of 1,024 steps, 2 never settling
+#: (medians of 21 alternating pairs, 2 cores); the q sweeps' 60 and 120 stay.
+_COMPACT_LANES = 256
 
 
 def rts_smooth(
@@ -133,10 +138,21 @@ def _check_variances(q: float, r: float) -> None:
         raise DataError("measurement-noise variance r must be finite and >= 0")
 
 
-def _settled(ps: np.ndarray, k: int) -> bool:
-    """Whether every lane's variance at step ``k``, ``ps[-1]``, repeats
-    ``ps[-3]`` bit for bit, so that every later one is ``ps[-2]`` or ``ps[-1]``."""
-    return k >= 2 and np.array_equal(ps[-1].view(np.uint64), ps[-3].view(np.uint64))
+def _settled(ps: np.ndarray, k: int) -> np.ndarray:
+    """Which lanes' variance at step ``k``, ``ps[-1]``, repeats ``ps[-3]``
+    bit for bit, so that every later one is ``ps[-2]`` or ``ps[-1]``."""
+    return ps[-1].view(np.uint64) == ps[-3].view(np.uint64)
+
+
+def _leave(
+    cycle: np.ndarray, lanes: np.ndarray, k: int, post: np.ndarray, q: np.ndarray, r: np.ndarray
+) -> None:
+    """Write into ``cycle`` the forward and backward gains, by step parity, of
+    ``lanes`` settled at step ``k`` with posterior variances ``post`` at k, k - 1."""
+    for j, p in enumerate(post):  # p_post of step k - j and of each later one of its parity
+        prior = p + q
+        cycle[0, (k - j + 1) % 2, lanes] = prior / (prior + r)
+        cycle[1, (k - j) % 2, lanes] = p / prior
 
 
 def _chunking(stop: int, n: int) -> Tuple[int, bool]:
@@ -156,6 +172,8 @@ def _transposed(dst: np.ndarray, src: np.ndarray) -> None:
     """Copy ``src.T`` into 2-D ``dst``, one ``_TILE`` x ``_TILE`` tile at
     a time: a strided column at a time would touch a cache line per element,
     and at wide rows those lines alias in the cache."""
+    if src.strides[0] == 0:  # a repeated row, as select_q's lanes, has no such columns
+        return np.copyto(dst, src.T)
     rows, cols = dst.shape
     for i in range(0, rows, _TILE):
         for k in range(0, cols, _TILE):
@@ -216,11 +234,17 @@ def _smooth_lanes(
       from the stored or recomputed posterior variances, and the means take
       3 calls a step.
 
-    Once a check every ``_CHECK_EVERY`` steps finds each lane's posterior
-    variance equal to the one two steps back, all later ones are equal too,
-    since the map is deterministic; the rest of both passes then cycles
-    through two gain vectors built by the same operations, 3 + 3 calls a
-    step.  Where the variances do not fit in full (``_chunking``), the
+    A check at the odd steps 127, 255, ... before the last block finds the
+    lanes whose posterior variance equals the one two steps back: all their
+    later ones are equal too, as the map is deterministic, so their gains
+    alternate with the step's parity (``_leave``).  They leave the recursion
+    when all have settled, or in a chunk of ``_COMPACT_LANES`` or more with
+    stored variances when at most half its lanes stay live and 8 or more
+    steps follow (the packed rows then free the last 4 rows of ``p_buf`` for
+    the gains).  The recursion goes on for the live lanes, on compact copies,
+    their variances packed; the means stay full-width, on gain rows of both
+    kinds.  Once all have left, both passes cycle through two gain rows, 3 + 3
+    calls a step.  Where the variances do not fit in full (``_chunking``), the
     backward pass recomputes each block's from the last of the block before
     it, by the forward pass's own operations (4 calls a step).
     """
@@ -236,9 +260,10 @@ def _smooth_lanes(
     sub = max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)))
     starts = range(0, n, block)
     # Time-major means (the input, until the forward pass overwrites it) and
-    # posterior variances: all, or two steps before a block, the block and
-    # the last of each block.  A chunk of m lanes uses m entries a row.
-    p_rows = 2 + block + len(starts) if checkpointed else n
+    # posterior variances: all, or a block and the last of each block.  A
+    # chunk of m lanes uses m entries a row, and once lanes leave the
+    # recursion, the live ones' later rows are packed after the full ones.
+    p_rows = block + len(starts) if checkpointed else n
     x_buf = np.empty(n * width)
     p_buf = np.empty(p_rows * width)
     # A sub-block's prior variances, then its gains; its denominators, and
@@ -258,7 +283,7 @@ def _smooth_lanes(
             # as a row view costs about as much as a call.
             scratch = scratch_buf[: (2 * sub + 1) * m].reshape(2 * sub + 1, m)
             priors, denoms, step = scratch[:sub], scratch[sub:-1], scratch[-1]
-            prior_rows, denom_rows = list(priors), list(denoms)
+            prior_rows = list(priors)
             pieces = _pieces(blocks, lo, lo + m)
             for j, lanes in pieces:
                 _transposed(xs[:, j : j + len(lanes)], lanes)
@@ -268,65 +293,81 @@ def _smooth_lanes(
             # x_prior + g*(y - x_prior) with x_prior != -0.0, and such a sum
             # is never -0.0, so the + 0.0 would change no bit.
             x_prev, p_prev = xs[0] + 0.0, rs
-            settled = n - 1
+            # The lanes in the recursion, their q, r and scratch, and each
+            # block's variances; the left lanes' gains [forward, backward][parity].
+            live, ql, rl, pr, de, used = np.arange(m), qs, rs, priors, denoms, 0
+            pr_rows, de_rows, windows, cycle, settled = prior_rows, list(denoms), [], None, n - 1
             for last, k0 in enumerate(starts):
                 k1 = min(k0 + block, n)
-                at = 2 if checkpointed else k0  # the row of step k0's variance
-                window = ps[: at + k1 - k0]
+                window = p_buf[used : used + (k1 - k0) * len(live)].reshape(k1 - k0, -1)
+                used = 0 if checkpointed else used + window.size  # packed once lanes leave
+                windows.append((window, live, ql))
                 for s in range(k0, k1, sub):
                     e = min(s + sub, k1)
-                    rows = window[at + s - k0 : at + e - k0]
-                    for p_prior, denom, p in zip(prior_rows, denom_rows, rows):
-                        add(p_prev, qs, p_prior)
-                        add(p_prior, rs, denom)
-                        multiply(rs, p_prior, p)
+                    for p_prior, denom, p in zip(pr_rows, de_rows, window[s - k0 : e - k0]):
+                        add(p_prev, ql, p_prior)
+                        add(p_prior, rl, denom)
+                        multiply(rl, p_prior, p)
                         divide(p, denom, p)
                         p_prev = p
-                    divide(priors[: e - s], denoms[: e - s], priors[: e - s])
+                    divide(pr[: e - s], de[: e - s], pr[: e - s])
+                    if len(live) < m:  # the left lanes' gains by parity, and the live ones'
+                        gains = priors[: e - s]
+                        gains[::2], gains[1::2] = cycle[0, s % 2], cycle[0, 1 - s % 2]
+                        gains[:, live] = pr[: e - s]
                     for x, gain in zip(xs[s:e], prior_rows):
                         subtract(x, x_prev, step)
                         multiply(gain, step, step)
                         add(x_prev, step, x)
                         x_prev = x
-                if _settled(window, k1 - 1):
-                    settled = k1 - 1
+                if k1 == n:  # no step follows the last block's check
                     break
-                if checkpointed:  # keep the last variance, and carry the last two
-                    ps[2 + block + last] = p_prev
-                    ps[:2] = ps[block : block + 2]
-            # After ``settled``, p_post[k] is p_post[settled] where k - settled
-            # is even and p_post[settled - 1] where it is odd, and the gains
-            # are built from them with the same operations as above.
-            post = window[-1:-3:-1]
-            gains = [(p + qs) / (p + qs + rs) for p in post]
-            for x, gain in zip(xs[settled + 1 :], itertools.cycle(gains)):
-                subtract(x, x_prev, step)
-                multiply(gain, step, step)
-                add(x_prev, step, x)
-                x_prev = x
+                done = _settled(window, k1 - 1)
+                if done.all() or (done.any() and not checkpointed and m >= _COMPACT_LANES
+                                  and n - k1 >= 8 and 2 * np.count_nonzero(~done) <= m):
+                    gone = slice(None) if done.all() else np.flatnonzero(done)
+                    if cycle is None:  # narrowing: in rows of p_buf that the packing frees
+                        cycle = np.empty(4 * m) if done.all() else p_buf[(n - 4) * m : n * m]
+                        cycle = cycle.reshape(2, 2, m)
+                    _leave(cycle, live[gone], k1 - 1, window[-1:-3:-1, gone], ql[gone], rl[gone])
+                    if done.all():
+                        settled = k1 - 1
+                        break
+                    keep = np.flatnonzero(~done)
+                    live, p_prev, ql, rl = live[keep], window[-1][keep], ql[keep], rl[keep]
+                    pr, de = denoms.reshape(-1)[: 2 * sub * len(live)].reshape(2, sub, -1)
+                    pr_rows, de_rows = list(pr), list(de)
+                elif checkpointed:  # keep the block's last variance
+                    ps[block + last] = p_prev
+            if settled < n - 1:
+                gains = cycle[0, (settled + 1) % 2], cycle[0, settled % 2]
+                for x, gain in zip(xs[settled + 1 :], itertools.cycle(gains)):
+                    subtract(x, x_prev, step)
+                    multiply(gain, step, step)
+                    add(x_prev, step, x)
+                    x_prev = x
             if forward is not None:
                 forward(lo, np.lib.stride_tricks.as_strided(xs, writeable=False))
             # Backward, in place: c = p_post[k] / p_prior[k+1], where
             # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
-            gains = [p / (p + qs) for p in post]
-            phase = (n - settled) % 2  # step n - 2's gain first
-            x_next = xs[n - 1]
-            rows = xs[settled + 1 : n - 1][::-1]
-            for x, gain in zip(rows, itertools.cycle(gains[phase:] + gains[:phase])):
-                subtract(x_next, x, step)
-                multiply(gain, step, step)
-                add(x, step, x)
-                x_next = x
+            if settled < n - 1:
+                gains = cycle[1, n % 2], cycle[1, 1 - n % 2]  # step n - 2's first
+                x_next = xs[n - 1]
+                for x, gain in zip(xs[settled + 1 : n - 1][::-1], itertools.cycle(gains)):
+                    subtract(x_next, x, step)
+                    multiply(gain, step, step)
+                    add(x, step, x)
+                    x_next = x
             denoms[...] = qs  # as rows: against a 1-D q the adds are buffered
             top = min(settled + 1, n - 1)
             for b in range(last, -1, -1):
                 k0 = starts[b]
                 k1 = min(k0 + block, top)
-                at = 2 if checkpointed else k0
+                window, live, ql = windows[b]
                 if checkpointed and b < last:
                     p_prior, denom = prior_rows[0], step  # free until the means
-                    p_prev = ps[1 + block + b] if b else rs
-                    for p in ps[2 : 2 + block]:
+                    p_prev = ps[block + b - 1] if b else rs
+                    for p in window:
                         add(p_prev, qs, p_prior)
                         add(p_prior, rs, denom)
                         multiply(rs, p_prior, p)
@@ -334,9 +375,13 @@ def _smooth_lanes(
                         p_prev = p
                 for e in range(k1, k0, -sub):
                     s = max(e - sub, k0)
-                    p, gains = ps[at + s - k0 : at + e - k0], priors[: e - s]
-                    add(p, denoms[: e - s], gains)
-                    divide(p, gains, gains)
+                    p, gains = window[s - k0 : e - k0], priors[: e - s]
+                    pq = priors.reshape(-1)[: p.size].reshape(p.shape) if len(live) < m else gains
+                    add(p, ql if len(live) < m else denoms[: e - s], pq)
+                    divide(p, pq, p if len(live) < m else gains)  # packed: in place
+                    if len(live) < m:
+                        gains[::2], gains[1::2] = cycle[1, s % 2], cycle[1, 1 - s % 2]
+                        gains[:, live] = p
                     x_next = xs[e]
                     for x, gain in zip(xs[s:e][::-1], prior_rows[e - s - 1 :: -1]):
                         subtract(x_next, x, step)

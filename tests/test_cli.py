@@ -582,6 +582,62 @@ class TestCompareReferenceThread:
         assert threads["baseline"] is not threading.main_thread()
         assert threads["image"] is threads["baseline"]
 
+    @pytest.mark.parametrize("fault", ["select", "pipeline"])
+    @pytest.mark.parametrize("waits", ["fir", "line"])
+    def test_the_worker_stops_once_q_or_the_pipeline_has_failed(
+        self, tiny_scan, tmp_path, monkeypatch, capsys, fault, waits
+    ):
+        # The worker waits, in its FIR or before it hands over the last trace
+        # of its first scan line, until the main thread has failed (once the
+        # worker is scoring, in the second case); from there it scores no
+        # further line and makes no image.
+        stops, waited, lines, images = [], [], [], []
+        scoring = threading.Event()
+        arm, scores, fir = cli._reference_arm, cli._scores, cli.baseline_denoise
+
+        def spied_arm(*args):
+            stops.append(args[-1])
+            return arm(*args)
+
+        def waiting_fir(*args):
+            if waits == "fir":
+                waited.append(stops[0].wait(10))
+            return fir(*args)
+
+        def spied_scores(volume, roi, source, pixels=None):
+            for x, y, score in scores(volume, roi, source, pixels):
+                if source.startswith("baseline"):
+                    scoring.set()
+                    if y == 0:
+                        lines.append(x)
+                    if waits == "line" and (x, y) == (0, volume.ny - 1):
+                        waited.append(stops[0].wait(10))
+                yield x, y, score
+
+        def refused(*args, **kwargs):
+            if waits == "line":
+                waited.append(scoring.wait(10))
+            raise NumericsError(f"{fault} failed")
+
+        monkeypatch.setattr(cli, "_reference_arm", spied_arm)
+        monkeypatch.setattr(cli, "baseline_denoise", waiting_fir)
+        monkeypatch.setattr(cli, "_scores", spied_scores)
+        monkeypatch.setattr(cli, "_reconstruct", lambda *args: images.append(args))
+        monkeypatch.setattr(cli, {"select": "select_q", "pipeline": "pipeline_denoise"}[fault],
+                            refused)
+        threads = threading.active_count()
+        out = tmp_path / "cmp"
+        rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                   "--output", str(out)])
+        assert (rc, threading.active_count()) == (3, threads)
+        assert waited == [True] * (2 if waits == "line" else 1)
+        assert (lines, images) == ([] if waits == "fir" else [0], [])
+        captured = capsys.readouterr()
+        scan = f"{tiny_scan['scan']}: " if fault == "select" else ""
+        assert captured.err == f"error: {scan}{fault} failed\n"
+        assert ("q_final: " in captured.out) == (fault == "pipeline")
+        assert not out.exists()
+
 
 class TestVolumesAreCheckedOnce:
     """Every Volume is checked when it is built, and nowhere after."""

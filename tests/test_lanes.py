@@ -22,7 +22,7 @@ from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.kalman import kf_filter, random_walk_params
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
-from ascankit.rts import _settled, _smooth_lanes, denoise_trace
+from ascankit.rts import _leave, _settled, _smooth_lanes, denoise_trace
 from ascankit.synth import default_spec, synth_volume
 from oracles import scalar_denoised_volume, scalar_select_q
 
@@ -215,19 +215,32 @@ UNSETTLED = [(1e-12, 1.0)]
 
 
 class _SettleSpy:
-    """Stands in for ``rts._settled``: records each check as ``(k, settled)``
-    and, at a check that succeeds, the variances of steps ``k - 1`` and
-    ``k``, the last two rows of ``ps``."""
+    """Stands in for ``rts._settled`` and ``rts._leave``, and records in the
+    run's lane numbers: each check as ``(k, lanes found settled)``, each
+    leaving as ``(k, lanes)``, and at ``variances[lane, k]`` the bits of the
+    variances of steps ``k - 1`` and ``k`` of each lane checked.  A check at
+    a step no later than the last one starts a chunk."""
 
     def __init__(self):
-        self.checks, self.variances = [], []
+        self.checks, self.leaves, self.variances = [], [], {}
+        self._k, self._lo, self._width = math.inf, 0, 0
 
-    def __call__(self, ps, k):
-        settled = _settled(ps, k)
-        self.checks.append((k, settled))
-        if settled:
-            self.variances.append((ps[-2].copy(), ps[-1].copy()))
-        return settled
+    def settled(self, ps, k):
+        if k <= self._k:
+            self._lo, self._width = self._lo + self._width, ps.shape[1]
+            self._live = np.arange(ps.shape[1])
+        self._k = k
+        done = _settled(ps, k)
+        self.checks.append((k, (self._lo + self._live[done]).tolist()))
+        for lane, before, last in zip(self._lo + self._live, ps[-2], ps[-1]):
+            self.variances[int(lane), k] = tuple(_bits([before, last]).tolist())
+        return done
+
+    def leave(self, cycle, lanes, k, post, q, r):
+        left = np.arange(cycle.shape[-1])[lanes]
+        self.leaves.append((k, (self._lo + left).tolist()))
+        self._live = np.setdiff1d(self._live, left)
+        return _leave(cycle, lanes, k, post, q, r)
 
 
 def _long_lanes(pairs, n, seed=0):
@@ -245,47 +258,82 @@ def _settle_step(q, r, n):
     return int(hits[0]) + 2 if len(hits) else None
 
 
+def _leaves_by_rule(qs, rs, n, checkpointed):
+    """The ``(k, lanes)`` that leave one chunk of lanes of ``n`` samples by
+    the per-lane rule: at a check, the live lanes whose variance has settled
+    leave when all of them have, or, in a chunk of at least
+    ``_COMPACT_LANES`` lanes with stored variances, when at most half of its
+    lanes stay live and at least 8 steps follow."""
+    settle = [_settle_step(q, r, n) or math.inf for q, r in zip(qs, rs)]
+    live, leaves = list(range(len(qs))), []
+    wide = not checkpointed and len(qs) >= rts._COMPACT_LANES
+    for k in range(rts._CHECK_EVERY - 1, n - 1, rts._CHECK_EVERY):
+        done = [i for i in live if settle[i] <= k]
+        narrows = wide and 2 * (len(live) - len(done)) <= len(qs) and n - k - 1 >= 8
+        if done == live or done and narrows:
+            leaves.append((k, done))
+            live = [i for i in live if i not in done]
+        if not live:
+            break
+    return leaves
+
+
+def _spied(rows, qs, rs, cap):
+    """The settle spy and the chunks of a kernel run capped at ``cap`` bytes."""
+    spy = _SettleSpy()
+    with mock.patch.multiple(rts, _settled=spy.settled, _leave=spy.leave), _cap(cap):
+        chunks = _chunks(rows, qs, rs)
+    return spy, chunks
+
+
 def _smooth_checked(rows, qs, rs, width=None, cap=None):
     """Run the kernel with a cap of ``width`` lanes (default: all) or ``cap``
     bytes, check every lane against ``denoise_trace`` bit for bit, and
     return the settle spy."""
-    spy = _SettleSpy()
-    cap = cap or (width or len(rows)) * _lane_bytes(rows.shape[1])
-    with mock.patch.object(rts, "_settled", spy), _cap(cap):
-        _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
+    spy, chunks = _spied(rows, qs, rs, cap or (width or len(rows)) * _lane_bytes(rows.shape[1]))
+    _assert_denoised(rows, qs, rs, chunks)
     return spy
 
 
 class TestSettledLanes:
     """Lanes long enough for the kernel's settle checks, which the short
-    lanes of ``TestKernel`` never reach."""
+    lanes of ``TestKernel`` never reach.  These chunks are narrower than
+    ``_COMPACT_LANES``: their lanes leave the recursion all at once."""
 
     def test_a_lane_that_never_settles_keeps_its_chunk_on_the_full_recursion(self):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024)
         spy = _smooth_checked(rows, qs, rs)
-        assert spy.checks == [(k, False) for k in range(127, 1024, 128)]
+        assert spy.checks == (
+            [(127, [1, 3, 4])] + [(k, [0, 1, 2, 3, 4]) for k in range(255, 1023, 128)]
+        )
+        assert spy.leaves == []
 
     def test_settled_lanes_of_both_periods_take_the_steady_path(self):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, 1024)
         spy = _smooth_checked(rows, qs, rs)
-        assert spy.checks == [(127, False), (255, True)]
-        (before, last), = spy.variances
-        assert (before != last).tolist() == [False, False, True, True, False]
+        assert spy.checks == [(127, [1, 3, 4]), (255, [0, 1, 2, 3, 4])]
+        assert spy.leaves == [(255, [0, 1, 2, 3, 4])]
+        periods = [spy.variances[lane, 255] for lane in range(5)]
+        assert [before != last for before, last in periods] == [False, False, True, True, False]
 
+    # The last block has no check, as no step follows it: lanes that settle
+    # in it, or at its first steps, run the full recursion to the end.
     @pytest.mark.parametrize(
-        "pairs, n, checks",
+        "pairs, n, leaves",
         [
-            ([(1.0, 1.0)] * 3, 128, [(127, True)]),
-            ([(1.0, 1.0)] * 3, 129, [(127, True)]),
-            ([(1.0, 1.0)] * 3, 130, [(127, True)]),
-            (PERIOD_1 + PERIOD_2, 256, [(127, False), (255, True)]),
-            (PERIOD_1 + PERIOD_2, 257, [(127, False), (255, True)]),
-            (PERIOD_1 + PERIOD_2, 258, [(127, False), (255, True)]),
+            ([(1.0, 1.0)] * 3, 128, []),
+            ([(1.0, 1.0)] * 3, 129, [(127, [0, 1, 2])]),
+            ([(1.0, 1.0)] * 3, 130, [(127, [0, 1, 2])]),
+            (PERIOD_1 + PERIOD_2, 256, []),
+            (PERIOD_1 + PERIOD_2, 257, [(255, [0, 1, 2, 3])]),
+            (PERIOD_1 + PERIOD_2, 258, [(255, [0, 1, 2, 3])]),
         ],
     )
-    def test_settling_at_the_last_steps_leaves_few_or_no_steady_steps(self, pairs, n, checks):
+    def test_settling_at_the_last_steps_leaves_few_or_no_steady_steps(self, pairs, n, leaves):
         rows, qs, rs = _long_lanes(pairs, n, seed=n)
-        assert _smooth_checked(rows, qs, rs).checks == checks
+        spy = _smooth_checked(rows, qs, rs)
+        assert [k for k, _ in spy.checks] == list(range(127, n - 1, 128))
+        assert spy.leaves == leaves
 
     def test_each_chunk_settles_on_its_own(self):
         # Chunks of two: [P1, P1], [unsettled, P2], [P2, r = 0], [q = r].
@@ -293,11 +341,12 @@ class TestSettledLanes:
         rows, qs, rs = _long_lanes(pairs, 640, seed=3)
         spy = _smooth_checked(rows, qs, rs, width=2)
         assert spy.checks == (
-            [(127, False), (255, True)]
-            + [(k, False) for k in range(127, 640, 128)]
-            + [(127, True)]
-            + [(127, True)]
+            [(127, [1]), (255, [0, 1])]
+            + [(127, [])] + [(k, [3]) for k in (255, 383, 511)]
+            + [(127, [4, 5])]
+            + [(127, [6])]
         )
+        assert spy.leaves == [(255, [0, 1]), (127, [4, 5]), (127, [6])]
 
     @st.composite
     def settling_lane_sets(draw, n=st.integers(min_value=100, max_value=1500)):
@@ -350,8 +399,8 @@ class TestSettledLanes:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(phased_lanes())
     def test_the_settled_phase_is_denoise_trace_at_any_length(self, lanes):
-        # The settled passes cycle two gains from the step the check finds,
-        # at an odd step (127, 255, ...) or at the last one, of either parity.
+        # The settled passes cycle two gains from the check that finds the
+        # lanes settled, at an odd step (127, 255, ...) before the last block.
         qs, rs, n, settle, checkpointed, steps = lanes
         rows = np.random.default_rng(n).standard_normal((len(qs), n)).cumsum(axis=1)
         with mock.patch.object(rts, "_GAIN_STEPS", steps):
@@ -359,9 +408,8 @@ class TestSettledLanes:
             with _cap(cap):
                 assert rts._chunking(len(qs), n) == (len(qs), checkpointed)
             spy = _smooth_checked(rows, qs, rs, cap=cap)
-        checks = [*range(127, n - 1, 128), n - 1]
-        want = [min(k for k in checks if k >= settle)] if settle < n else []
-        assert [k for k, ok in spy.checks if ok] == want
+        found = [k for k in range(127, n - 1, 128) if k >= settle][:1]
+        assert spy.leaves == [(k, list(range(len(qs)))) for k in found]
 
     def test_settled_prior_variance_is_the_closed_form(self):
         # The steady-state prior variance P solves P = P*r/(P + r) + q.
@@ -370,51 +418,103 @@ class TestSettledLanes:
         rs = np.full_like(qs, r)
         rows = np.random.default_rng(5).standard_normal((len(qs), 2048)) * math.sqrt(r)
         spy = _smooth_checked(rows, qs, rs)
-        assert spy.checks[-1] == (1663, True)  # the slowest lane settles at step 1632
-        (before, last), = spy.variances
+        assert spy.leaves == [(1663, list(range(41)))]  # the slowest lane settles at step 1632
+        before, last = np.array([spy.variances[lane, 1663] for lane in range(41)]).T
         assert np.flatnonzero(before != last).tolist() == [16, 17]  # period 2; the rest, 1
         closed = (qs + np.sqrt(qs * qs + 4.0 * qs * rs)) / 2.0
         for p_post in (before, last):
-            np.testing.assert_allclose(p_post + qs, closed, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(p_post.view(np.float64) + qs, closed, rtol=1e-12, atol=0.0)
 
 
-def _stored_and_checkpointed(rows, qs, rs):
-    """The settle spies of one chunk of ``rows`` run with its variances
-    stored in full and with them checkpointed, each checked bit for bit."""
+def _three_ways(rows, qs, rs):
+    """The settle spies of one chunk of ``rows`` at a compaction width of its
+    own, run with its later variances packed, stored in full and
+    checkpointed (so that the backward pass recomputes them).  Each run's
+    lanes are checked against ``denoise_trace`` bit for bit."""
     count, n = rows.shape
     full = count * 2 * 8 * n
-    for cap, checkpointed in [(full, False), (count * _lane_bytes(n), True)]:
-        with _cap(cap):
+    spies = []
+    for cap, compact, checkpointed in [
+        (full, count, False), (full, count + 1, False), (count * _lane_bytes(n), count, True)
+    ]:
+        with mock.patch.object(rts, "_COMPACT_LANES", compact), _cap(cap):
             assert rts._chunking(count, n) == (count, checkpointed)
-    return _smooth_checked(rows, qs, rs, cap=full), _smooth_checked(rows, qs, rs)
+            spies.append(_smooth_checked(rows, qs, rs, cap=cap))
+    return spies
 
 
 class TestCheckpointedLanes:
     """Chunks too wide to store their variances in full, which the backward
-    pass recomputes block by block from per-block checkpoints."""
+    pass recomputes block by block from per-block checkpoints; and chunks
+    whose settled lanes leave and whose live lanes' variances are packed."""
 
     @pytest.mark.parametrize(
-        "pairs, n, settled",
+        "pairs, n, packed, settled",
         [
-            ([(1.0, 1.0)] * 3, 1024, 127),  # in block 0: nothing recomputed
-            (PERIOD_1 + PERIOD_2 + SILENT, 1024, 255),  # some within block 0
-            (PERIOD_1 + PERIOD_2 + SILENT, 300, 255),
-            (PERIOD_2, 257, 255),
-            (PERIOD_1 + SILENT + UNSETTLED, 1024, None),  # every block recomputed
-            (PERIOD_1 + SILENT + UNSETTLED, 1025, None),  # a last block of one step
-            (PERIOD_1 + SILENT + UNSETTLED, 1026, None),  # and of two
-            # Settling at steps 256 and 257 is seen only in such last blocks,
-            # whose checks compare with steps of the block before.
-            ([(0.004883376234556759, 1.0)] * 2, 257, 256),
-            ([(0.004647425240565497, 1.0)] * 2, 258, 257),
+            ([(1.0, 1.0)] * 3, 1024, [(127, [0, 1, 2])], 127),  # in block 0: nothing recomputed
+            # Some within block 0: the packed run narrows there.
+            (PERIOD_1 + PERIOD_2 + SILENT, 1024, [(127, [1, 3, 4]), (255, [0, 2])], 255),
+            (PERIOD_1 + PERIOD_2 + SILENT, 300, [(127, [1, 3, 4]), (255, [0, 2])], 255),
+            (PERIOD_2, 257, [(127, [1]), (255, [0])], 255),
+            # Every block recomputed, and packed after step 127; last blocks
+            # of 128 steps, of one and of two.
+            *[(PERIOD_1 + SILENT + UNSETTLED, n, [(127, [1, 2]), (255, [0])], None)
+              for n in (1024, 1025, 1026)],
+            # A chunk narrows only where 8 or more steps follow the check, so
+            # that its packed rows leave room for the settled lanes' gains.
+            ([(1e-2, 1.0)] * 3 + UNSETTLED, 263, [], None),
+            ([(1e-2, 1.0)] * 3 + UNSETTLED, 264, [(255, [0, 1, 2])], None),
+            # Lanes that settle at steps 256 and 257, in a last block of one
+            # or two steps, which has no check.
+            ([(0.004883376234556759, 1.0)] * 2, 257, [], None),
+            ([(0.004647425240565497, 1.0)] * 2, 258, [], None),
         ],
     )
-    def test_recomputed_variances_are_the_stored_ones(self, pairs, n, settled):
+    def test_recomputed_variances_are_the_stored_ones(self, pairs, n, packed, settled):
         rows, qs, rs = _long_lanes(pairs, n, seed=n)
-        stored, checkpointed = _stored_and_checkpointed(rows, qs, rs)
-        assert [k for k, ok in stored.checks if ok] == ([] if settled is None else [settled])
-        assert checkpointed.checks == stored.checks
-        assert _bits(checkpointed.variances).tolist() == _bits(stored.variances).tolist()
+        narrowed, stored, checkpointed = _three_ways(rows, qs, rs)
+        assert narrowed.leaves == packed
+        assert stored.leaves == ([] if settled is None else [(settled, list(range(len(qs))))])
+        assert checkpointed.checks == stored.checks and checkpointed.leaves == stored.leaves
+        assert checkpointed.variances == stored.variances
+        assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
+        with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
+            assert narrowed.leaves == _leaves_by_rule(qs, rs, n, False)
+
+    @st.composite
+    def narrowing_chunks(draw):
+        """A chunk of 4 to 12 lanes at a compaction width of its own: lanes
+        with a fixed point, a 2-cycle, r = 0, or none within thousands of
+        steps, and lanes of any drawn ratio; lengths of 128k + 1 and
+        128k + 2 among others, from 200 up, where a chunk can checkpoint its
+        variances; sub-blocks of gains that rarely divide the length."""
+        count = draw(st.integers(min_value=4, max_value=12))
+        known = st.sampled_from(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED)
+        drawn = st.tuples(
+            st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e), st.just(1.0)
+        )
+        pairs = [draw(st.one_of(known, drawn)) for _ in range(count)]
+        scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        n = draw(st.one_of(
+            st.sampled_from([128 * k + j for k in range(2, 6) for j in (1, 2)]),
+            st.integers(min_value=200, max_value=800),
+        ))
+        rows, qs, rs = _long_lanes(pairs, n, seed=draw(st.integers(0, 2**16)))
+        steps = draw(st.sampled_from([1, 3, 8, rts._GAIN_STEPS]))
+        return rows * scale, qs * scale, rs * scale, steps
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(narrowing_chunks())
+    def test_lanes_leave_by_the_per_lane_rule_at_the_compaction_width(self, chunk):
+        rows, qs, rs, steps = chunk
+        with mock.patch.object(rts, "_GAIN_STEPS", steps):
+            narrowed, stored, checkpointed = _three_ways(rows, qs, rs)
+        n = rows.shape[1]
+        with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
+            assert narrowed.leaves == _leaves_by_rule(qs, rs, n, False)
+            assert stored.leaves == checkpointed.leaves == _leaves_by_rule(qs, rs, n, True)
+        assert checkpointed.variances == stored.variances
+        assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
 
     @pytest.mark.parametrize("cap", [None, 1])
     def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
@@ -619,6 +719,28 @@ class TestDefaultCap:
         assert rts._chunking(512, 1024) == (512, False)
         assert rts._chunking(8 * 15, 4096) == (120, False)
 
+    # The volume pipelines of a 16 x 16 x 1024 scan with its background and of
+    # a 32 x 24 x 256 scan narrow their recursion; the q sweeps of 8 traces of
+    # 4096 samples and of 4 traces of 1024 samples on a 15-point grid do not.
+    @pytest.mark.parametrize(
+        "count, n, narrows",
+        [(512, 1024, True), (768, 256, True), (120, 4096, False), (60, 1024, False)],
+    )
+    def test_only_wide_chunks_narrow_their_recursion(self, count, n, narrows):
+        # Lanes that settle at step 20, and three that never do.
+        unsettled = [5, count // 2, count - 1]
+        pairs = [UNSETTLED[0] if i in unsettled else (1.0, 1.0) for i in range(count)]
+        rows, qs, rs = _long_lanes(pairs, n)
+        assert rts._chunking(count, n) == (count, False)
+        spy, (chunk,) = _spied(rows, qs, rs, rts._LANE_BYTES)
+        settled = [i for i in range(count) if i not in unsettled]
+        assert spy.leaves == ([(127, settled)] if narrows else [])
+        with mock.patch.object(rts, "_COMPACT_LANES", count + 1):
+            _, (full,) = _spied(rows, qs, rs, rts._LANE_BYTES)
+        assert _bits(chunk[1]).tolist() == _bits(full[1]).tolist()
+        picked = unsettled + [0, 1]
+        _assert_denoised(rows[picked], qs[picked], rs[picked], [(0, chunk[1][:, picked])])
+
 
 #: (q, r) pairs that lanes cycle through: both settle periods, r = 0 and a
 #: lane that never settles.
@@ -645,6 +767,17 @@ class TestTiles:
         assert rts._TILE == 64
         rows, qs, rs = _mixed_lanes(count, n, seed=count + n)
         _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
+
+    @pytest.mark.parametrize("count, n", [(15, 4096), (7, 65), (70, 130), (1, 1)])
+    def test_a_repeated_row_is_copied_as_the_tiles_copy_it(self, count, n):
+        # select_q's lanes: one row broadcast over the grid, a first stride of 0.
+        row = np.random.default_rng(n).standard_normal(n)
+        src = np.broadcast_to(row, (count, n))
+        assert src.strides[0] == 0
+        got, want = np.empty((n, count)), np.empty((n, count))
+        rts._transposed(got, src)
+        rts._transposed(want, np.ascontiguousarray(src))
+        assert got.tobytes() == want.tobytes() == np.repeat(row[:, None], count, axis=1).tobytes()
 
     def test_a_lane_that_overflows_mid_tile_raises_its_error_after_the_lanes_before_it(self):
         rows, qs, rs = _mixed_lanes(130, 64)
