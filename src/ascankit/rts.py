@@ -72,9 +72,10 @@ _CHECK_EVERY = 128
 _GAIN_STEPS = 32
 _GAIN_BYTES = 256 << 10
 #: Fewest lanes of a chunk whose settled lanes leave the recursion before all
-#: have (``_smooth_lanes``).  Leaving saved -0.1, 0.1, 0.8-1.0 and 3.0-5.7 us a
-#: step at 30, 60, 120-256 and 384-768 lanes of 1,024 steps, 2 never settling
-#: (medians of 21 alternating pairs, 2 cores); the q sweeps' 60 and 120 stay.
+#: have.  With 2 never settling, leaving saved 0.8-1.0 us a step at 120-256
+#: lanes of 1,024 steps, 3.0-5.7 at 384-768.  On sweep-long's q sweep (lanes
+#: settling at steps 383-1,535) it cost 0.03-0.15 us a step at 120-240 lanes
+#: and saved 0.4 MB of peak RSS (seeds 0-1, 101 / 14 pairs, 2 cores).
 _COMPACT_LANES = 256
 
 
