@@ -9,11 +9,11 @@ denoise-and-score path) and averaging the per-trace winners.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .metrics import _envelopes, _psnrs
+from .metrics import _envelope_blocks, _psnrs
 from .model import (
     DataError,
     InfinitePsnrError,
@@ -23,7 +23,7 @@ from .model import (
     Trace,
     Volume,
 )
-from .rts import _smooth_lanes, _transposed
+from .rts import _smooth_lanes
 
 __all__ = [
     "estimate_r",
@@ -37,8 +37,6 @@ _GRID_POINTS = 15
 #: The auto grid spans [1e-6, 1e-1] times the sampled noise floor.
 _GRID_LO = 1e-6
 _GRID_HI = 1e-1
-#: Samples per block of lanes that ``_lane_envelopes`` envelopes at once.
-_SCORED_SAMPLES = 1 << 16
 
 
 def estimate_r(trace: Trace, noise_window: int) -> float:
@@ -62,17 +60,6 @@ def _noise_powers(heads: np.ndarray) -> np.ndarray:
     # need not warn of it.
     with np.errstate(over="ignore"):
         return np.vecdot(heads, heads) / heads.shape[-1]
-
-
-def _lane_envelopes(lanes: np.ndarray) -> Iterator[np.ndarray]:
-    """Envelopes of the time-major ``lanes``' columns, as blocks of at most
-    ``_SCORED_SAMPLES`` samples copied lane-major: scores dot contiguous rows."""
-    n, count = lanes.shape
-    block = np.empty((max(1, _SCORED_SAMPLES // n), n))
-    for j in range(0, count, len(block)):
-        rows = block[: count - j]
-        _transposed(rows, lanes[:, j : j + len(rows)])
-        yield _envelopes(rows)
 
 
 def default_noise_window(nt: int) -> int:
@@ -157,7 +144,7 @@ def select_q(
             np.tile(grid_arr, n_sample),
             np.repeat(rs, grid_arr.size),
         ):
-            for envs in _lane_envelopes(smoothed):
+            for envs in _envelope_blocks(smoothed, axis=0):
                 first = len(scores)
                 while len(scores) < first + len(envs):
                     try:

@@ -243,11 +243,12 @@ def baseline_denoise(
     backs = None if background is None else background.data.reshape(n_traces, nt)
     block = max(1, _FIR_BYTES // (8 * nt))
     out = np.empty((n_traces, nt))
+    back_buf = None if backs is None else np.empty((min(block, n_traces), nt))
     for lo in range(0, n_traces, block):
         lines = out[lo : lo + block]
         _lowpassed(rows[lo : lo + block], taps, lines)
         if backs is not None:
-            back = np.empty_like(lines)
+            back = back_buf[: len(lines)]
             _lowpassed(backs[lo : lo + block], taps, back)
             with np.errstate(over="ignore"):  # finite low-passes can differ by more than a float
                 np.subtract(lines, back, out=lines)

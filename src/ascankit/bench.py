@@ -18,7 +18,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from .adapt import _checked_window, _lane_envelopes, _noise_powers, default_noise_window, select_q
+from .adapt import _checked_window, _noise_powers, default_noise_window, select_q
 from .baseline import baseline_denoise, pipeline_denoise
 from .io import (
     PipelineConfig,
@@ -30,7 +30,7 @@ from .io import (
     parse_kv,
     require_field,
 )
-from .metrics import _envelopes, _psnrs
+from .metrics import _envelope_blocks, _psnrs
 from .model import DataError, QSelectionReport, RoiSpec, Volume
 from .rts import _smooth_lanes
 from .synth import _BACKGROUND_ARM, _SIGNAL_ARM, SynthSpec, _synth_arm, clean_samples, synth_volume
@@ -389,7 +389,8 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def _envelope_peaks(lanes: np.ndarray) -> List[int]:
     """The envelope-peak sample of each column of the time-major ``lanes``."""
-    return [peak for envs in _lane_envelopes(lanes) for peak in envs.argmax(axis=1).tolist()]
+    blocks = _envelope_blocks(lanes, axis=0)
+    return [peak for envs in blocks for peak in envs.argmax(axis=1).tolist()]
 
 
 def measure_entry(
@@ -426,16 +427,15 @@ def measure_entry(
         forward=lambda _, means: fwd_peaks.extend(_envelope_peaks(means)),
     ):
         sm_peaks += _envelope_peaks(smoothed)
-    clean_peak = int(np.argmax(_envelopes(clean_samples(entry.spec))))
+    (clean_peak,) = _envelope_peaks(clean_samples(entry.spec)[:, np.newaxis])
 
-    # The pipeline's PSNR gains over the reference, a scan line's worth at a time.
+    # The pipeline's PSNR gains over the reference, a block of traces at a time.
     pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
     reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
-    outputs = [v.data.reshape(-1, nt) for v in (pipeline, reference)]
+    blocks = (_envelope_blocks(v.data.reshape(-1, nt), rows=ids) for v in (pipeline, reference))
     gains: List[float] = []
-    for lo in range(0, len(ids), volume.ny):
-        scored, ref = (_psnrs(_envelopes(v[ids[lo : lo + volume.ny]]), entry.roi) for v in outputs)
-        gains += [a - b for a, b in zip(scored, ref)]
+    for scored, ref in zip(*blocks):
+        gains += [a - b for a, b in zip(_psnrs(scored, entry.roi), _psnrs(ref, entry.roi))]
     return ExpectedStats(
         q_final=q,
         clean_peak=clean_peak,

@@ -43,7 +43,7 @@ from .io import (
     write_image,
     write_volume,
 )
-from .metrics import _envelopes, _psnrs, reconstruct
+from .metrics import _envelope_blocks, _psnrs, reconstruct
 from .model import DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Volume
 
 if TYPE_CHECKING:
@@ -350,20 +350,22 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _scores(
     volume: Volume, roi: RoiSpec, source: str, pixels: Optional[np.ndarray] = None
 ) -> Iterator[Tuple[int, int, float]]:
-    """``(x, y, psnr)`` of each trace of ``volume``, in trace order, one scan
-    line's envelopes at a time; an error names the trace it arose on.  Row x of
-    ``pixels``, if given, gets line x's envelope maxima: ``reconstruct``'s pixels."""
-    for x, line in enumerate(volume.grid()):
-        envs = _envelopes(line)
-        if pixels is not None:
-            pixels[x] = envs.max(axis=-1)
+    """``(x, y, psnr)`` of each trace of ``volume``, in trace order, a block of
+    whole traces' envelopes at a time; an error names the trace it arose on.
+    ``pixels``, if given, gets the envelope maxima: ``reconstruct``'s pixels."""
+    flat, lo = None if pixels is None else pixels.reshape(-1), 0
+    for envs in _envelope_blocks(volume.data.reshape(-1, volume.nt)):
+        if flat is not None:
+            np.max(envs, axis=-1, out=flat[lo : lo + len(envs)])
         scores = _psnrs(envs, roi)
-        for y in range(volume.ny):
+        for i in range(lo, lo + len(envs)):
+            x, y = divmod(i, volume.ny)
             try:
                 score = next(scores)
             except (DataError, NumericsError) as exc:
                 raise type(exc)(f"{source}: trace (x={x}, y={y}): {exc}") from exc
             yield x, y, score
+        lo += len(envs)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -186,9 +186,8 @@ def _encoded(volume: Volume, dtype: str) -> np.ndarray:
         raise DataError(f"unknown dtype {dtype!r}; expected one of {sorted(_DTYPES)}")
     with np.errstate(over="ignore"):
         samples = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype])
-    overflow = ~np.isfinite(samples)
-    if overflow.any():
-        flat = int(np.flatnonzero(overflow)[0])
+    if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        flat = int(np.argmin(np.isfinite(samples)))
         x, rem = divmod(flat, volume.ny * volume.nt)
         y, t = divmod(rem, volume.nt)
         raise DataError(
@@ -318,6 +317,10 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
+#: Cell types whose ``_format_cell`` is their ``repr``, which never needs quoting.
+_PLAIN_CELLS = {int, float}
+
+
 def format_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buffer = _stdio.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -327,7 +330,10 @@ def format_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
             raise DataError(
                 f"row has {len(row)} cells but header has {len(header)}"
             )
-        writer.writerow([_format_cell(cell) for cell in row])
+        if set(map(type, row)) <= _PLAIN_CELLS:  # the bytes csv.writer would write
+            buffer.write(",".join(map(repr, row)) + "\n")
+        else:
+            writer.writerow([_format_cell(cell) for cell in row])
     return buffer.getvalue()
 
 

@@ -147,9 +147,10 @@ def validate_volume(volume: Volume) -> Volume:
             f"volume data length {volume.data.size} does not match "
             f"nx*ny*nt = {expected}"
         )
-    finite = np.isfinite(volume.data)
-    if not finite.all():
-        flat = int(np.flatnonzero(~finite)[0])
+    # min and max need no temporary the size of the data; the index is only
+    # searched for when one of them is not finite.
+    if not (np.isfinite(volume.data.min()) and np.isfinite(volume.data.max())):
+        flat = int(np.argmin(np.isfinite(volume.data)))
         x, rem = divmod(flat, volume.ny * volume.nt)
         y, t = divmod(rem, volume.nt)
         raise DataError(f"volume sample at (x={x}, y={y}, t={t}) is not finite")

@@ -158,15 +158,18 @@ def _leave(
 
 def _chunking(stop: int, n: int) -> Tuple[int, bool]:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples, and whether their
-    variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` at the
-    narrowest equal width, where a lane holds its means, a checkpoint per
-    block, one block of variances and the scratch of two sub-blocks of gains
-    and a step, and the variances in full if they fit."""
+    variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` in
+    either layout, at the narrowest equal width, which stores the variances
+    if they fit.  A lane that stores them holds them and its means; one that
+    checkpoints them holds its means, a checkpoint per block, one block of
+    variances and the scratch of two sub-blocks of gains and a step, which
+    is the more below about 195 samples."""
     block = min(_CHECK_EVERY, n)
-    lane = 8 * (n + -(-n // block) + block + 2 * min(_GAIN_STEPS, block) + 1)
-    chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
+    stored = 2 * 8 * n
+    checkpointed = 8 * (n + -(-n // block) + block + 2 * min(_GAIN_STEPS, block) + 1)
+    chunks = max(1, min(-(-stop // max(1, _LANE_BYTES // lane)) for lane in (stored, checkpointed)))
     width = max(1, -(-stop // chunks))
-    return width, width * 2 * 8 * n > _LANE_BYTES
+    return width, width * stored > _LANE_BYTES
 
 
 def _transposed(dst: np.ndarray, src: np.ndarray) -> None:

@@ -676,26 +676,40 @@ class TestVolumesAreCheckedOnce:
 
 
 class TestEnvelopesAreTakenOnce:
-    def test_compare_takes_three_envelopes_per_scan_line(self, tiny_scan, tmp_path, monkeypatch):
-        # One of each line of the scan, for its image, and one of each line
-        # of either method's result, for its scores and its image too.
-        shapes = []
-        envelopes = metrics._envelopes
+    @pytest.mark.parametrize("budget", [None, 4 * 256])
+    def test_compare_envelopes_each_trace_once_per_pass(
+        self, tiny_scan, tmp_path, monkeypatch, budget
+    ):
+        # Each trace of the scan, for its image, and each of either method's
+        # result, for its scores and its image too: three passes of nx * ny
+        # traces, in blocks of whole traces under the budget (4 of the 6
+        # traces in the second case).
+        passes, blocks = [], []
+        envelope_blocks = metrics._envelope_blocks
 
-        def spy(rows):
-            shapes.append(rows.shape)
-            return envelopes(rows)
+        def spy(traces, *args, **kwargs):  # called on both threads
+            count = 0
+            for envs in envelope_blocks(traces, *args, **kwargs):
+                count += len(envs)
+                blocks.append(envs.shape)
+                yield envs
+            passes.append(count)
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("ascankit") and (
-                getattr(module, "_envelopes", None) is envelopes
+                getattr(module, "_envelope_blocks", None) is envelope_blocks
             ):
-                monkeypatch.setattr(module, "_envelopes", spy)
+                monkeypatch.setattr(module, "_envelope_blocks", spy)
+        if budget is not None:
+            monkeypatch.setattr(metrics, "_ENVELOPE_SAMPLES", budget)
         volume = read_volume(tiny_scan["scan"])
         argv = ["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
                 "--q", "1e-3", "--output", str(tmp_path / "cmp")]
         assert main(argv) == 0
-        assert shapes == [(volume.ny, volume.nt)] * (3 * volume.nx)
+        assert passes == [volume.nx * volume.ny] * 3
+        assert all(nt == volume.nt for _, nt in blocks)
+        assert max(rows for rows, _ in blocks) * volume.nt <= metrics._ENVELOPE_SAMPLES
+        assert len(blocks) == 3 * (1 if budget is None else 2)
 
 
 class TestFirReferenceSkipsFiltfilt:

@@ -1,5 +1,7 @@
 """On-disk formats: volume pairs, PGM images, CSV tables, and config files."""
 
+import csv
+import io
 import re
 import tracemalloc
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ascankit.io import (
     PipelineConfig,
     VOLUME_MAGIC,
+    _encoded,
     atomic_write_bytes,
     atomic_write_text,
     config_from_strings,
@@ -245,6 +248,19 @@ class TestVolumeErrors:
             write_volume(volume, str(tmp_path / "vol.pavol"), dtype="f32le")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dtype, itemsize", [("f32le", 4), ("f64le", 8)])
+    def test_encoding_makes_no_temporary_but_its_output(self, dtype, itemsize):
+        # A boolean mask of 64**3 samples would take 256 KiB.
+        volume = Volume.from_grid(np.ones((64, 64, 64)), 1e-6)
+        tracemalloc.start()
+        try:
+            samples = _encoded(volume, dtype)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert samples.itemsize == itemsize
+        assert peak < (samples.nbytes if dtype == "f32le" else 0) + 4096
+
     def test_f32_max_is_written_and_read_back(self, tmp_path):
         top = float(np.finfo(np.float32).max)
         volume = Volume(nx=1, ny=1, nt=2, dt=1e-9, data=[top, -top])
@@ -314,6 +330,33 @@ class TestCsv:
             header = [f"c{i}" for i in range(len(python_cells))]
             assert format_csv(header, [python_cells]) == format_csv(header, [numpy_cells])
         assert format_csv(["a", "b"], [[True, np.bool_(False)]]) == "a,b\ntrue,false\n"
+
+    def test_plain_rows_are_the_bytes_csv_writer_writes(self):
+        # Rows of exact ints and floats are joined directly, every other row
+        # goes through csv.writer; both must give csv.writer's bytes.
+        header = ["a", "b", "c"]
+        rows = [
+            [float("nan"), float("inf"), float("-inf")],
+            [-0.0, 5e-324, 1 << 70],
+            [0, -7, 0.1],
+            [True, 1, 2.5],
+            [np.float64(0.5), 1, 2.5],
+            ["needs, \"quoting\"", 1, 2.5],
+            [3, 4.0, 1e16],
+        ]
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["true" if cell is True else repr(float(cell))
+                 if isinstance(cell, float) else str(cell) for cell in row]
+            )
+        got = format_csv(header, rows)
+        assert got.encode() == want.getvalue().encode()
+        assert got.splitlines()[1:4] == ["nan,inf,-inf", "-0.0,5e-324,1180591620717411303424",
+                                         "0,-7,0.1"]
+        assert got.splitlines()[6] == '"needs, ""quoting""",1,2.5'
 
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(DataError, match="cells"):

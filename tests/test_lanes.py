@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascankit import adapt, rts
+from ascankit import metrics, rts
 from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.kalman import kf_filter, random_walk_params
@@ -64,11 +64,13 @@ def _lanes_per_chunk(lanes):
 
 def _chunks(rows, qs, rs):
     """Run the kernel on ``rows`` as three blocks (some may be empty), and
-    check that its chunks are the fewest that fit the cap, all as wide as the
-    first but the last; return copies of them."""
+    check that its chunks are the fewest that fit the cap in either layout,
+    all as wide as the first but the last; return copies of them."""
     count, n = len(rows), len(rows[0])
     width, _ = rts._chunking(count, n)
-    fewest = math.ceil(count / max(1, rts._LANE_BYTES // _lane_bytes(n)))
+    fewest = min(
+        math.ceil(count / max(1, rts._LANE_BYTES // lane)) for lane in (2 * 8 * n, _lane_bytes(n))
+    )
     chunks, views = [], []
     for lo, smoothed in _smooth_lanes(np.array_split(np.asarray(rows), 3), qs, rs):
         chunks.append((lo, smoothed.copy()))
@@ -533,6 +535,18 @@ class TestCheckpointedLanes:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
+    @pytest.mark.parametrize("n", [2, 100, 129, 194])
+    def test_lanes_whose_variances_fit_the_cap_are_one_stored_chunk(self, n):
+        # Below 195 samples a checkpointed lane costs more than one that
+        # stores its variances, so sizing the chunks by it split these lanes.
+        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, n, seed=n)
+        assert _lane_bytes(n) > 2 * 8 * n
+        with _cap(len(rows) * 2 * 8 * n):
+            assert rts._chunking(len(rows), n) == (len(rows), False)
+            chunks = _chunks(rows, qs, rs)
+        assert len(chunks) == 1
+        _assert_denoised(rows, qs, rs, chunks)
+
     @st.composite
     def capped_lane_sets(draw):
         rows, qs, rs, _ = draw(TestSettledLanes.settling_lane_sets(
@@ -878,7 +892,7 @@ class TestTiles:
         volume = _with_traces(volume, {divmod(int(fifth), 4): samples})
         scoring = contextlib.nullcontext()
         if block is not None:
-            scoring = mock.patch.object(adapt, "_SCORED_SAMPLES", block * NT)
+            scoring = mock.patch.object(metrics, "_ENVELOPE_SAMPLES", block * NT)
         with np.errstate(over="ignore", invalid="ignore"):  # the oracle's huge envelope
             want = _outcome(scalar_select_q, volume, **kwargs)
         with scoring:

@@ -7,18 +7,23 @@ raise the per-trace loop's first error; the loops are kept in
 ``tests/oracles.py``.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ascankit import cli
+from ascankit import cli, metrics
 from ascankit.baseline import (
     LOWPASS_TAPS, _lowpassed, _taps, baseline_denoise, lowpass, pipeline_denoise,
 )
 from ascankit.bench import CorpusEntry, ZERO_STATS, measure_entry
-from ascankit.io import format_csv, read_volume, write_volume
-from ascankit.metrics import _envelopes, _psnrs, envelope, psnr, reconstruct
-from ascankit.model import DataError, NumericsError, QSelectionReport, RoiSpec, Trace, Volume
+from ascankit.io import format_csv, read_volume, write_image, write_volume
+from ascankit.metrics import _envelope_blocks, _psnrs, envelope, psnr, reconstruct
+from ascankit.model import (
+    DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Trace, Volume,
+)
 from ascankit.synth import default_spec, synth_volume
 from oracles import (
     scalar_baseline_denoise,
@@ -36,6 +41,13 @@ ROI = RoiSpec(100, 200)
 
 def _bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _envelopes(rows: np.ndarray) -> np.ndarray:
+    """The envelopes of the rows of ``rows`` (one row if it is 1-D), copied
+    out of ``_envelope_blocks``' reused buffer block by block."""
+    blocks = [envs.copy() for envs in _envelope_blocks(np.atleast_2d(rows))]
+    return np.concatenate(blocks).reshape(np.shape(rows))
 
 
 def _error(fn, *args, **kwargs):
@@ -236,6 +248,34 @@ class TestLineScores:
         want, want_error = _until_error(_psnrs(envs, ROI))
         assert np.array_equal(_bits(got), _bits(want))
         assert got_error == want_error
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kinds=st.lists(
+            st.one_of(st.just("ordinary"), st.sampled_from(ENVELOPE_KINDS)),
+            min_size=1, max_size=80,
+        ),
+        ordinary=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_block_scores_are_the_scalar_scores(self, kinds, ordinary, seed):
+        # Blocks of up to 80 rows, all ordinary (scored at once) or mixed
+        # (row by row): the bits and the first error of scalar_score.
+        if ordinary:
+            kinds = ["ordinary"] * len(kinds)
+        rng = np.random.default_rng(seed)
+        envs = np.array([_envelope_row(kind, rng) for kind in kinds])
+        want, want_error = _until_error(scalar_score(env, ROI) for env in envs)
+        got, got_error = _until_error(_psnrs(envs, ROI))
+        assert np.array_equal(_bits(got), _bits(want))
+        assert got_error == want_error
+
+    def test_a_clean_block_is_scored_at_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        envs = np.array([_envelope_row("ordinary", rng) for _ in range(64)])
+        want = [scalar_score(env, ROI) for env in envs]
+        monkeypatch.setattr(metrics, "_checked_psnrs", None)  # the row loop is not called
+        assert np.array_equal(_bits(list(_psnrs(envs, ROI))), _bits(want))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -457,3 +497,140 @@ class TestRoiIsCheckedFirst:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
+
+
+def _alternating() -> np.ndarray:
+    """2, 0, 2, 0, ...: its spectrum has only DC and Nyquist, so its envelope
+    is the trace itself, exactly zero at every odd sample."""
+    samples = np.zeros(NT)
+    samples[::2] = 2.0
+    return samples
+
+
+#: A one-sample roi where the alternating trace's envelope peak is zero.
+ONE_SAMPLE_ROI = RoiSpec(151, 152)
+
+
+def _outcome(capsys, argv):
+    """The exit code of ``ascankit argv`` and its stderr."""
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def _image_bytes(tmp_path, pixels) -> bytes:
+    path = tmp_path / "want.pgm"
+    write_image(EnvelopeImage(len(pixels), len(pixels[0]), pixels), str(path))
+    return path.read_bytes()
+
+
+class TestBlockEdges:
+    """``compare``, ``metrics`` and ``reconstruct`` envelope a scan's 12
+    traces in blocks of one trace, of five (which does not divide 12: the
+    edges fall after flat traces 4 and 9) and of the default budget's 64.
+    A zero-peak, a zero-noise or an overflowing trace on either side of an
+    edge gives the outputs and the error of the per-trace loops."""
+
+    CASES = {
+        # A roi peak of exactly zero scores -inf, on both sides of an edge.
+        "zero peak": ({(1, 0): _alternating(), (2, 2): _alternating()},
+                      {(1, 1): _alternating(), (2, 1): _alternating()}),
+        # The reference's zero noise is a trace before the pipeline's, across
+        # the edge between blocks of five.
+        "zero noise": ({(1, 0): _alternating(), (1, 1): np.zeros(NT)}, {(1, 0): np.zeros(NT)}),
+        "overflow": ({(2, 1): _huge(), (2, 2): np.zeros(NT)}, {(2, 2): _huge()}),
+    }
+
+    @pytest.mark.parametrize("budget", [NT, 5 * NT, None], ids=["one", "five", "default"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_outputs_and_errors_are_the_scalar_loops(
+        self, monkeypatch, tmp_path, capsys, budget, case
+    ):
+        if budget is not None:
+            monkeypatch.setattr(metrics, "_ENVELOPE_SAMPLES", budget)
+        pipeline_traces, reference_traces = self.CASES[case]
+        pipeline = _with_traces(_scan(seed=6), pipeline_traces)
+        reference = _with_traces(_scan(seed=7), reference_traces)
+        scan = tmp_path / "scan.pavol"
+        write_volume(pipeline, str(scan))
+        roi = ["--roi", f"{ONE_SAMPLE_ROI.t_lo}:{ONE_SAMPLE_ROI.t_hi}"]
+        with np.errstate(over="ignore", invalid="ignore"):  # the oracles' huge envelopes
+            # metrics, on the pipeline's volume
+            out = tmp_path / "m.csv"
+            got = _outcome(capsys, ["metrics", "--input", str(scan), *roi, "--output", str(out)])
+            try:
+                rows = scalar_metrics_rows(pipeline, ONE_SAMPLE_ROI, str(scan))
+                assert got == (0, "") and out.read_text() == format_csv(("x", "y", "psnr"), rows)
+            except (DataError, NumericsError) as exc:
+                assert got == (2 if isinstance(exc, DataError) else 3, f"error: {exc}\n")
+                assert not out.exists()
+            # reconstruct, on the pipeline's volume
+            out = tmp_path / "r.pgm"
+            got = _outcome(capsys, ["reconstruct", "--input", str(scan), "--output", str(out)])
+            try:
+                want = _image_bytes(tmp_path, scalar_reconstruct(pipeline))
+                assert got == (0, "") and out.read_bytes() == want
+            except DataError as exc:
+                assert got == (2, f"error: {scan}: {exc}\n") and not out.exists()
+            # compare, with its denoisers replaced by the two volumes
+            monkeypatch.setattr(cli, "pipeline_denoise", lambda *args, **kwargs: pipeline)
+            monkeypatch.setattr(cli, "baseline_denoise", lambda *args, **kwargs: reference)
+            out = tmp_path / "cmp"
+            got = _outcome(capsys, ["compare", "--input", str(scan), "--q", "1e-3",
+                                    "--noise-window", "16", *roi, "--output", str(out)])
+            try:
+                rows = scalar_compare_rows(pipeline, reference, ONE_SAMPLE_ROI)
+                images = [scalar_reconstruct(v) for v in (pipeline, reference)]
+            except (DataError, NumericsError) as exc:
+                assert got == (2 if isinstance(exc, DataError) else 3, f"error: {exc}\n")
+                assert not out.exists()
+                return
+        assert got == (0, "")
+        header = ("x", "y", "psnr_pipeline", "psnr_baseline", "gain_db")
+        assert (out / "report.csv").read_text() == format_csv(header, rows)
+        for tag, pixels in zip(("pipeline", "baseline"), images):
+            assert (out / f"{tag}.pgm").read_bytes() == _image_bytes(tmp_path, pixels), tag
+        assert -np.inf in [row[2] for row in rows] + [row[3] for row in rows]
+
+    def test_a_zero_peak_trace_scores_minus_infinity(self):
+        assert psnr(Trace(_alternating(), DT), ONE_SAMPLE_ROI) == -np.inf
+
+
+class TestEnvelopeMemory:
+    """Scoring and imaging a volume hold one block's buffers at a time beside
+    their outputs: the complex spectra and the real envelopes, 24 bytes a
+    sample of the budget, and one transient array of at most
+    ``np.getbufsize()`` complex elements: numpy's buffer for the multiply
+    that broadcasts the weights over a block, or, at the default budget, the
+    copy of a block's noise regions that scoring makes."""
+
+    @pytest.fixture(scope="class")
+    def volume(self):
+        rng = np.random.default_rng(12)
+        return Volume.from_grid(rng.standard_normal((32, 24, NT)), DT)
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _buffers() -> int:
+        return 24 * metrics._ENVELOPE_SAMPLES + 16 * np.getbufsize() + (16 << 10)
+
+    def test_scores_hold_one_block_and_their_output(self, volume):
+        pixels = np.empty((volume.nx, volume.ny))
+        scores, peak = self._peak(lambda: list(cli._scores(volume, ROI, "scan", pixels)))
+        assert len(scores) == volume.nx * volume.ny
+        output = sys.getsizeof(scores) + sum(
+            sys.getsizeof(row) + sys.getsizeof(row[2]) for row in scores
+        )
+        assert peak <= self._buffers() + output
+
+    def test_reconstruct_holds_one_block_and_its_image(self, volume):
+        image, peak = self._peak(lambda: reconstruct(volume))
+        # The pixels, and the image's copy of them.
+        assert peak <= self._buffers() + 2 * image.pixels.nbytes

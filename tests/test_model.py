@@ -1,5 +1,7 @@
 """Domain-type construction, validation, and the errors they promise."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,24 @@ class TestVolume:
         data[(1 * 3 + 2) * 4 + 1] = np.nan
         with pytest.raises(DataError, match=r"x=1, y=2, t=1"):
             Volume(nx=2, ny=3, nt=4, dt=1e-6, data=data)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_names_the_first_of_two_non_finite_samples(self, bad):
+        data = np.zeros(2 * 3 * 4)
+        data[[(0 * 3 + 2) * 4 + 3, (1 * 3 + 1) * 4]] = [bad, np.nan]
+        with pytest.raises(DataError, match=r"\(x=0, y=2, t=3\) is not finite"):
+            Volume(nx=2, ny=3, nt=4, dt=1e-6, data=data)
+
+    def test_validate_makes_no_temporary_the_size_of_the_data(self):
+        # A boolean mask of 64**3 samples would take 256 KiB.
+        volume = Volume.from_grid(np.ones((64, 64, 64)), 1e-6)
+        tracemalloc.start()
+        try:
+            validate_volume(volume)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_source_array_mutation_does_not_leak_in(self):
         src = np.arange(8.0)
