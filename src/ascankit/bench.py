@@ -432,7 +432,7 @@ def measure_entry(
     # The pipeline's PSNR gains over the reference, a block of traces at a time.
     pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
     reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
-    blocks = (_envelope_blocks(v.data.reshape(-1, nt), rows=ids) for v in (pipeline, reference))
+    blocks = (_envelope_blocks(v.data.reshape(-1, nt)[ids]) for v in (pipeline, reference))
     gains: List[float] = []
     for scored, ref in zip(*blocks):
         gains += [a - b for a, b in zip(_psnrs(scored, entry.roi), _psnrs(ref, entry.roi))]

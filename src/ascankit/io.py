@@ -303,10 +303,6 @@ def write_image(image: EnvelopeImage, path: str) -> None:
 
 
 def _format_cell(value: object) -> str:
-    if type(value) is float:  # exact types first, the common cells; a bool is neither
-        return repr(value)
-    if type(value) is int:
-        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if bool(value) else "false"
     if isinstance(value, (float, np.floating)):

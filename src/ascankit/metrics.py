@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
@@ -30,12 +30,9 @@ __all__ = ["envelope", "reconstruct", "psnr", "psnr_gain"]
 _ENVELOPE_SAMPLES = 1 << 14
 
 
-def _envelope_blocks(
-    traces: np.ndarray, axis: int = -1, rows: Optional[np.ndarray] = None
-) -> Iterator[np.ndarray]:
+def _envelope_blocks(traces: np.ndarray, axis: int = -1) -> Iterator[np.ndarray]:
     """Envelopes of the traces of the 2-D ``traces``, in order: its rows, or
-    with ``axis=0`` its columns (time-major lanes), or with ``rows`` the rows
-    it indexes.  Yields a C-ordered (traces, samples) block of whole traces
+    with ``axis=0`` its columns (time-major lanes).  Yields a C-ordered (traces, samples) block of whole traces
     at a time, under ``_ENVELOPE_SAMPLES``: a view of a buffer that is
     allocated once per call and that the next block overwrites.
 
@@ -47,7 +44,7 @@ def _envelope_blocks(
     n = traces.shape[axis]
     if n < 2:
         raise DataError("envelope needs at least 2 samples")
-    count = len(rows) if rows is not None else traces.shape[axis + 1]  # the other axis
+    count = traces.shape[axis + 1]  # the other axis
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -61,12 +58,7 @@ def _envelope_blocks(
     for lo in range(0, count, size):
         k = min(size, count - lo)
         spectrum, env = spectra[:k], envelopes[:k]
-        if rows is not None:  # gathered into the real buffer, free until the end
-            # Valid indices: "clip" only spares "raise"'s buffered copy.
-            np.take(traces, rows[lo : lo + k], axis=0, out=env, mode="clip")
-            np.copyto(spectrum, env)
-        else:
-            np.copyto(spectrum, traces[:, lo : lo + k].T if axis == 0 else traces[lo : lo + k])
+        np.copyto(spectrum, traces[:, lo : lo + k].T if axis == 0 else traces[lo : lo + k])
         # A finite trace can have an envelope that overflows; the callers
         # refuse it, naming the trace, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -160,13 +160,14 @@ def _chunking(stop: int, n: int) -> Tuple[int, bool]:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples, and whether their
     variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` in
     either layout, at the narrowest equal width, which stores the variances
-    if they fit.  A lane that stores them holds them and its means; one that
-    checkpoints them holds its means, a checkpoint per block, one block of
-    variances and the scratch of two sub-blocks of gains and a step, which
-    is the more below about 195 samples."""
+    if they fit.  Every lane holds its means and the scratch of two
+    sub-blocks of gains and a step; one that stores its variances holds them
+    too, one that checkpoints them a checkpoint per block and one block of
+    variances, which is the more below 130 samples."""
     block = min(_CHECK_EVERY, n)
-    stored = 2 * 8 * n
-    checkpointed = 8 * (n + -(-n // block) + block + 2 * min(_GAIN_STEPS, block) + 1)
+    scratch = 2 * min(_GAIN_STEPS, block) + 1
+    stored = 8 * (2 * n + scratch)
+    checkpointed = 8 * (n + -(-n // block) + block + scratch)
     chunks = max(1, min(-(-stop // max(1, _LANE_BYTES // lane)) for lane in (stored, checkpointed)))
     width = max(1, -(-stop // chunks))
     return width, width * stored > _LANE_BYTES
