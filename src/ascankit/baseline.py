@@ -4,7 +4,7 @@ volume-level denoising pipelines."""
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -196,37 +196,57 @@ def pipeline_denoise(
         noise_window = default_noise_window(volume.nt)
     window = _checked_window(noise_window, volume.nt)
     # The traces of both volumes, the volume's first, are the lanes of one
-    # kernel run.  An error names the trace it arose on.
+    # kernel run.
     n_traces, nt = volume.nx * volume.ny, volume.nt
     sources = [volume] if background is None else [volume, background]
     blocks = [source.data.reshape(n_traces, nt) for source in sources]
     rs = np.concatenate([_noise_powers(block[:, :window]) for block in blocks])
     out = np.empty((n_traces, nt))
+    _denoised_rows(blocks, q, rs, out, lambda i: divmod(i, volume.ny))
+    out.setflags(write=False)
+    return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)
+
+
+def _denoised_rows(
+    blocks: Sequence[np.ndarray], q: float, rs: np.ndarray, out: np.ndarray,
+    coords: Callable[[int], Tuple[int, int]], *,
+    forward: Optional[Callable[[int, np.ndarray], None]] = None,
+    smoothed: Optional[Callable[[int, np.ndarray], None]] = None,
+) -> None:
+    """``pipeline_denoise``'s rows: the lanes of ``blocks`` (noise powers
+    ``rs``), the first ``len(out)`` of them traces and any after them their
+    backgrounds, go through one ``_smooth_lanes`` run at process noise ``q``.
+    Each trace's lane is copied into its row of ``out``, and its background's
+    subtracted from it.  ``forward`` goes to ``_smooth_lanes``; ``smoothed``,
+    if given, sees each chunk it yields, as ``(lo, lanes)``, before it is
+    taken.  An error names the trace ``coords(i)`` of the row ``i`` it
+    belongs to."""
+    n_traces = len(out)
     received = 0  # the lane an error belongs to
     # Finite traces of opposite sign can differ by more than the largest
     # float; each difference is checked as baseline_denoise checks it.
     try:
         with np.errstate(over="ignore"):
-            for lo, smoothed in _smooth_lanes(blocks, np.full(len(rs), float(q)), rs):
-                # Volume lanes are copied into their rows of ``out``, and
+            qs = np.full(len(rs), float(q))
+            for lo, lanes in _smooth_lanes(blocks, qs, rs, forward=forward):
+                if smoothed is not None:
+                    smoothed(lo, lanes)
+                # Trace lanes are copied into their rows of ``out``, and
                 # background lanes subtracted from them.
-                hi = lo + smoothed.shape[1]
+                hi = lo + lanes.shape[1]
                 mid = min(max(lo, n_traces), hi)
-                _transposed(out[lo:mid], smoothed[:, : mid - lo])
+                _transposed(out[lo:mid], lanes[:, : mid - lo])
                 if mid < hi:
                     lines = out[mid - n_traces : hi - n_traces]
-                    _subtract_transposed(lines, smoothed[:, mid - lo :])
+                    _subtract_transposed(lines, lanes[:, mid - lo :])
                     bad = _first_bad(lines, axis=1)
                     if bad is not None:
                         received = mid + bad
                         _finite(lines[bad])
                 received = hi
     except (DataError, ArithmeticError) as exc:
-        x, y = divmod(received % n_traces, volume.ny)
+        x, y = coords(received % n_traces)
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
-    del smoothed  # a view that would keep the kernel's workspace alive
-    out.setflags(write=False)
-    return Volume(nx=volume.nx, ny=volume.ny, nt=nt, dt=volume.dt, data=out)
 
 
 def baseline_denoise(

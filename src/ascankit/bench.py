@@ -14,12 +14,12 @@ The definitions are immutable: any change to an entry requires bumping
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
 from .adapt import _checked_window, _noise_powers, default_noise_window, select_q
-from .baseline import baseline_denoise, pipeline_denoise
+from .baseline import _check_inputs, _denoised_rows, baseline_denoise
 from .io import (
     PipelineConfig,
     config_from_strings,
@@ -32,7 +32,6 @@ from .io import (
 )
 from .metrics import _envelope_blocks, _psnrs
 from .model import DataError, QSelectionReport, RoiSpec, Volume
-from .rts import _smooth_lanes
 from .synth import _BACKGROUND_ARM, _SIGNAL_ARM, SynthSpec, _synth_arm, clean_samples, synth_volume
 
 __all__ = [
@@ -415,24 +414,37 @@ def measure_entry(
         return replace(ZERO_STATS, q_final=q)
     if background is None:
         background = _synth_arm(entry.spec, entry.nx, entry.ny, entry.mask, _BACKGROUND_ARM)
+    _check_inputs(volume, background)
     nt = volume.nt
-    rows = volume.data.reshape(-1, nt)
     ids = np.ravel_multi_index(tuple(zip(*sorted(entry.mask))), (volume.nx, volume.ny))
+    n = len(ids)
+    rows, backs = (v.data.reshape(-1, nt)[ids] for v in (volume, background))
 
-    # The forward-filter peaks are read between the kernel's two passes.
-    rs = _noise_powers(rows[ids, : _checked_window(entry.window(), nt)])
-    fwd_peaks, sm_peaks = [], []
-    for _, smoothed in _smooth_lanes(
-        [rows[i : i + 1] for i in ids], np.full(len(ids), q), rs,
-        forward=lambda _, means: fwd_peaks.extend(_envelope_peaks(means)),
-    ):
-        sm_peaks += _envelope_peaks(smoothed)
+    # One kernel run over the masked traces and their backgrounds gives the
+    # pipeline's rows; the peaks are read from the traces' lanes, the forward
+    # filter's between the kernel's two passes.
+    window = _checked_window(entry.window(), nt)
+    rs = np.concatenate([_noise_powers(rows[:, :window]), _noise_powers(backs[:, :window])])
+    fwd_peaks: List[int] = []
+    sm_peaks: List[int] = []
+
+    def peaks(found: List[int]) -> Callable[[int, np.ndarray], None]:
+        def read(lo: int, lanes: np.ndarray) -> None:  # a chunk's trace lanes come first
+            if lo < n:
+                found.extend(_envelope_peaks(lanes[:, : n - lo]))
+        return read
+
+    pipeline = np.empty((n, nt))
+    _denoised_rows(
+        [rows, backs], q, rs, pipeline, lambda i: divmod(int(ids[i]), volume.ny),
+        forward=peaks(fwd_peaks), smoothed=peaks(sm_peaks),
+    )
     (clean_peak,) = _envelope_peaks(clean_samples(entry.spec)[:, np.newaxis])
 
     # The pipeline's PSNR gains over the reference, a block of traces at a time.
-    pipeline = pipeline_denoise(volume, background, q, noise_window=entry.window())
-    reference = baseline_denoise(volume, background, entry.lp_cutoff_hz)
-    blocks = (_envelope_blocks(v.data.reshape(-1, nt)[ids]) for v in (pipeline, reference))
+    masked = (Volume(nx=n, ny=1, nt=nt, dt=volume.dt, data=lines) for lines in (rows, backs))
+    reference = baseline_denoise(*masked, entry.lp_cutoff_hz)
+    blocks = (_envelope_blocks(lines) for lines in (pipeline, reference.data.reshape(n, nt)))
     gains: List[float] = []
     for scored, ref in zip(*blocks):
         gains += [a - b for a, b in zip(_psnrs(scored, entry.roi), _psnrs(ref, entry.roi))]

@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -379,54 +379,66 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _reference_arm(
     volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec, source: str,
-    stop: threading.Event,
-) -> Tuple[List[Tuple[int, int, float]], List[EnvelopeImage], Optional[Exception]]:
+    images: Dict[str, EnvelopeImage], claim: threading.Lock, stop: threading.Event,
+) -> Tuple[List[Tuple[int, int, float]], Optional[Exception]]:
     """``compare``'s second thread: the FIR reference's scores up to its first
-    failing trace, then its image and the input's.  The FIR's error raises; a
+    failing trace and its image, then, if it takes ``claim`` first, the
+    input's image; the images go into ``images``.  The FIR's error raises; a
     later one is returned, for the caller to order.  Once ``stop`` is set, it
     returns before its next step: the next scan line, or the input's image."""
     reference = baseline_denoise(volume, background, cutoff_hz)
     scores: List[Tuple[int, int, float]] = []
     if stop.is_set():
-        return scores, [], None
+        return scores, None
     pixels = np.empty((volume.nx, volume.ny))
     try:
         for score in _scores(reference, roi, "baseline output", pixels):
             scores.append(score)  # kept up to an error
             if score[1] == volume.ny - 1 and stop.is_set():
-                return scores, [], None
-        image = _reconstruct(volume, source)
+                return scores, None
+        images["baseline"] = EnvelopeImage(volume.nx, volume.ny, pixels)
+        if claim.acquire(blocking=False):
+            images["input"] = _reconstruct(volume, source)
     except (DataError, NumericsError) as exc:
-        return scores, [], exc
-    return scores, [image, EnvelopeImage(volume.nx, volume.ny, pixels)], None
+        return scores, exc
+    return scores, None
+
+
+def _call_into(outcome: List[object], function: Callable[..., object], *args: object) -> None:
+    """A thread's target: append ``function(*args)``'s result, or what it raised."""
+    try:
+        outcome.append(function(*args))
+    except BaseException as exc:  # re-raised on the thread that reads ``outcome``
+        outcome.append(exc)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor  # slow to import, so only where it is used
-
     config = _load_config(args)
     volume = read_volume(args.input)
     background = _read_background(config)
     roi = _roi(config, "compare", volume, args.input)
     # The reference needs no q, and its FIR passes and envelope FFTs release
-    # the GIL, so a second thread filters, scores and images it, and images the
-    # input, while q is chosen and the pipeline runs and is scored.  Leaving the
-    # block waits for it on every path.  Errors keep a sequential run's order:
-    # q's, the pipeline's, the FIR's, the earlier trace's scoring error (the
-    # pipeline's at a tie), then the input image's.  As q's and the pipeline's
-    # errors come first, the worker stops early after one of them.
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        future = pool.submit(
-            _reference_arm, volume, background, config.lp_cutoff_hz, roi, args.input, stop
-        )
-        try:
-            q = _resolve_q(config, volume, args.input, roi)
-            window = _window(config, volume)
-            pipeline = pipeline_denoise(volume, background, q, noise_window=window)
-        except BaseException:
-            stop.set()
-            raise
+    # the GIL, so a second thread filters, scores and images it while q is
+    # chosen and the pipeline runs and is scored.  The input's image depends
+    # on neither filter: the thread that takes ``claim`` first, each once its
+    # scores are done (the main thread only if its own raised nothing), makes
+    # it.  The main thread joins the worker on every path.  Errors keep a
+    # sequential run's order: q's, the pipeline's, the FIR's, the earlier
+    # trace's scoring error (the pipeline's at a tie), then the input image's.
+    # As q's and the pipeline's errors come first, the worker stops early
+    # after one of them.
+    images: Dict[str, EnvelopeImage] = {}
+    claim, stop, outcome = threading.Lock(), threading.Event(), []
+    worker = threading.Thread(
+        target=_call_into,
+        args=(outcome, _reference_arm, volume, background, config.lp_cutoff_hz, roi,
+              args.input, images, claim, stop),
+    )
+    worker.start()
+    try:
+        q = _resolve_q(config, volume, args.input, roi)
+        window = _window(config, volume)
+        pipeline = pipeline_denoise(volume, background, q, noise_window=window)
         # Each arm makes its pixel rows only once filtered: made before q
         # selection, they sat among the pipeline's temporaries in the heap.
         pixels = np.empty((volume.nx, volume.ny))
@@ -434,9 +446,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         error: Optional[Exception] = None
         try:
             scored.extend(_scores(pipeline, roi, "pipeline output", pixels))
+            if claim.acquire(blocking=False):
+                images["input"] = _reconstruct(volume, args.input)
         except (DataError, NumericsError) as exc:
             error = exc
-    reference, images, reference_error = future.result()
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        worker.join()
+    (result,) = outcome
+    if isinstance(result, BaseException):
+        raise result
+    reference, reference_error = result
+    # An input image's error has every trace scored before it, so it comes
+    # after any scoring error of the other arm.
     if error is None or (reference_error is not None and len(reference) < len(scored)):
         error = reference_error
     if error is not None:
@@ -445,7 +469,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         (x, y, score, ref, score - ref)
         for (x, y, score), (_, _, ref) in zip(scored, reference)
     ]
-    images.insert(1, EnvelopeImage(volume.nx, volume.ny, pixels))  # input, pipeline, baseline
+    images["pipeline"] = EnvelopeImage(volume.nx, volume.ny, pixels)
 
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.csv")
@@ -468,8 +492,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "n_gain_positive": str(int((gain_arr > 0).sum())),
     }
     atomic_write_text(summary_path, format_kv(summary))
-    for tag, image in zip(("input", "pipeline", "baseline"), images):
-        write_image(image, os.path.join(args.output, f"{tag}.pgm"))
+    for tag in ("input", "pipeline", "baseline"):
+        write_image(images[tag], os.path.join(args.output, f"{tag}.pgm"))
     print(f"mean_psnr_gain_db: {float(gain_arr.mean())!r}")
     print(f"wrote {report_path}")
     print(f"wrote {summary_path}")

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import ascankit
-from ascankit import kalman, rts
+from ascankit import baseline, kalman, rts
 from ascankit.adapt import default_noise_window, estimate_r
 from ascankit.bench import (
     CORPUS_VERSION,
@@ -436,6 +436,41 @@ class TestMeasureEntry:
         with _scalar_calls() as calls:  # the spy sees the loop measure_entry replaced
             scalar_peak_alignment(entry, volume, measured.q_final)
         assert sorted(set(calls)) == ["kf_filter", "rts_smooth"]
+
+    @pytest.mark.parametrize("lanes_per_chunk", [None, 4])
+    def test_each_masked_trace_and_its_background_are_filtered_once(
+        self, monkeypatch, lanes_per_chunk
+    ):
+        # Once through the lane kernel and once through the low-pass; no
+        # trace outside the mask goes through either.
+        entry = _entry()
+        volume, background, _ = entry.generate()
+        kernel, fir = rts._smooth_lanes, baseline._lowpassed
+        smoothed, lowpassed = [], []
+
+        def spied_kernel(blocks, *args, **kwargs):
+            smoothed.extend(row.tobytes() for block in blocks for row in block)
+            return kernel(blocks, *args, **kwargs)
+
+        def spied_fir(rows, *args):
+            lowpassed.extend(row.tobytes() for row in rows)
+            return fir(rows, *args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ascankit"):
+                if getattr(module, "_smooth_lanes", None) is kernel:
+                    monkeypatch.setattr(module, "_smooth_lanes", spied_kernel)
+                if getattr(module, "_lowpassed", None) is fir:
+                    monkeypatch.setattr(module, "_lowpassed", spied_fir)
+        if lanes_per_chunk:
+            monkeypatch.setattr(rts, "_LANE_BYTES", lanes_per_chunk * _lane_bytes(entry.spec.nt))
+        measure_entry(entry, volume, background, _report(1e-4))
+        masked = [x * entry.ny + y for x, y in entry.mask]
+        expected = sorted(
+            v.data.reshape(-1, entry.spec.nt)[i].tobytes() for v in (volume, background)
+            for i in masked
+        )
+        assert sorted(smoothed) == sorted(lowpassed) == expected
 
     def test_a_passed_volume_is_the_one_measured(self):
         entry = _entry()

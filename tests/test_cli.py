@@ -508,45 +508,61 @@ class TestCompareReferenceThread:
         assert not out.exists()
 
     @staticmethod
-    def _spied_compare(tiny_scan, tmp_path, monkeypatch, fail=()):
+    def _spied_compare(tiny_scan, tmp_path, monkeypatch, fail=(), hold=None, tag="cmp"):
         """Run compare with ``cli._scores`` and ``cli._reconstruct`` wrapped:
         an arm named in ``fail`` (``"pipeline"`` or ``"baseline"``, with a flat
         trace index) raises at that trace, ``"image"`` fails the input's image
-        and ``"fir"`` the reference's filter.  Checks that the worker has ended
-        and that only a success leaves an output directory, and returns the
-        exit code and the thread that scored each arm and made the image."""
-        fail, threads = dict(fail), {}
-        scores, reconstruct, fir = cli._scores, cli._reconstruct, cli.baseline_denoise
+        and ``"fir"`` the reference's filter.  ``hold="worker"`` holds the
+        worker before its FIR, and ``hold="main"`` the main thread in the
+        pipeline, until the other thread has begun the input's image or its
+        scores have raised.  Checks that the worker has ended, that a held
+        thread was released, and that only a success leaves an output
+        directory, and returns the exit code, the thread that scored each arm
+        and the threads that began the input's image."""
+        fail, threads, imaged = dict(fail), {}, []
+        released = threading.Event()
+        scores, reconstruct = cli._scores, cli._reconstruct
+        fir, pipeline = cli.baseline_denoise, cli.pipeline_denoise
 
         def failing_scores(volume, roi, source, pixels=None):
             arm = source.split()[0]
             threads[arm] = threading.current_thread()
             for i, (x, y, score) in enumerate(scores(volume, roi, source, pixels)):
                 if fail.get(arm) == i:
+                    released.set()
                     raise NumericsError(f"{source}: trace (x={x}, y={y}): {arm} failed")
                 yield x, y, score
 
         def failing_reconstruct(volume, source):
-            threads["image"] = threading.current_thread()
+            imaged.append(threading.current_thread())
+            released.set()
             if "image" in fail:
                 raise DataError(f"{source}: image failed")
             return reconstruct(volume, source)
 
         def failing_fir(*args):
+            if hold == "worker":
+                assert released.wait(10)
             if "fir" in fail:
                 raise DataError("fir failed")
             return fir(*args)
 
+        def held_pipeline(*args, **kwargs):
+            if hold == "main":
+                assert released.wait(10)
+            return pipeline(*args, **kwargs)
+
         monkeypatch.setattr(cli, "_scores", failing_scores)
         monkeypatch.setattr(cli, "_reconstruct", failing_reconstruct)
         monkeypatch.setattr(cli, "baseline_denoise", failing_fir)
+        monkeypatch.setattr(cli, "pipeline_denoise", held_pipeline)
         count = threading.active_count()
-        out = tmp_path / "cmp"
+        out = tmp_path / tag
         rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
                    "--output", str(out)])
         assert threading.active_count() == count
         assert out.exists() == (rc == 0)
-        return rc, threads
+        return rc, threads, imaged
 
     @pytest.mark.parametrize(
         "fail, code, error",
@@ -567,20 +583,64 @@ class TestCompareReferenceThread:
     def test_scoring_errors_surface_in_trace_order(
         self, tiny_scan, tmp_path, monkeypatch, capsys, fail, code, error
     ):
-        rc, _ = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail)
+        rc, _, _ = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail)
         captured = capsys.readouterr()
         assert rc == code
         assert captured.err == f"error: {error.format(scan=tiny_scan['scan'])} failed\n"
         assert captured.out.startswith("q_final: ")
 
-    def test_the_reference_is_scored_and_the_input_imaged_off_the_main_thread(
+    @pytest.mark.parametrize(
+        "fail, code, error",
+        [
+            ({"image": 0, "pipeline": 5}, 3, "pipeline output: trace (x=2, y=1): pipeline"),
+            ({"image": 0, "baseline": 5}, 3, "baseline output: trace (x=2, y=1): baseline"),
+            ({"image": 0}, 2, "{scan}: image"),
+        ],
+        ids=["image+pipeline", "image+baseline", "image"],
+    )
+    @pytest.mark.parametrize("hold", ["worker", "main"])
+    def test_an_image_error_comes_last_whichever_thread_made_the_image(
+        self, tiny_scan, tmp_path, monkeypatch, capsys, hold, fail, code, error
+    ):
+        # The held thread makes the image only where the other one's scores
+        # raised, as a thread whose own scores raised does not claim it.
+        rc, threads, imaged = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail, hold)
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.err == f"error: {error.format(scan=tiny_scan['scan'])} failed\n"
+        arms = {"worker": "pipeline", "main": "baseline"}
+        failed = arms[hold] in fail
+        assert (imaged == [threading.main_thread()]) == ((hold == "worker") != failed)
+        assert (imaged == [threads["baseline"]]) == ((hold == "main") != failed)
+
+    def test_the_reference_is_scored_off_the_main_thread_and_the_input_imaged_once(
         self, tiny_scan, tmp_path, monkeypatch
     ):
-        rc, threads = self._spied_compare(tiny_scan, tmp_path, monkeypatch)
+        rc, threads, imaged = self._spied_compare(tiny_scan, tmp_path, monkeypatch)
         assert rc == 0
         assert threads["pipeline"] is threading.main_thread()
         assert threads["baseline"] is not threading.main_thread()
-        assert threads["image"] is threads["baseline"]
+        assert len(imaged) == 1
+        assert imaged[0] in (threading.main_thread(), threads["baseline"])
+
+    def test_either_thread_makes_the_input_image_with_the_same_bytes(
+        self, tiny_scan, tmp_path, monkeypatch
+    ):
+        # Held in its FIR until the main thread has scored and begun the
+        # image, the worker finds it taken; with the main thread held in the
+        # pipeline until the worker has begun it, the main thread does.
+        outs = {}
+        for hold, maker in (("worker", "pipeline"), ("main", "baseline")):
+            rc, threads, imaged = self._spied_compare(
+                tiny_scan, tmp_path, monkeypatch, hold=hold, tag=hold
+            )
+            assert rc == 0
+            assert imaged == [threads[maker]]
+            outs[hold] = tmp_path / hold
+            monkeypatch.undo()  # the next run wraps the real functions
+        for name in ("report.csv", "summary.txt", "input.pgm", "input.pgm.meta",
+                     "pipeline.pgm", "baseline.pgm"):
+            assert (outs["worker"] / name).read_bytes() == (outs["main"] / name).read_bytes()
 
     @pytest.mark.parametrize("fault", ["select", "pipeline"])
     @pytest.mark.parametrize("waits", ["fir", "line"])
@@ -638,6 +698,48 @@ class TestCompareReferenceThread:
         assert ("q_final: " in captured.out) == (fault == "pipeline")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["pipeline", "scores"])
+    def test_an_interrupt_stops_and_joins_the_worker(
+        self, tiny_scan, tmp_path, monkeypatch, where
+    ):
+        # The worker waits in its FIR until the main thread, interrupted in
+        # the pipeline or in its scores, has told it to stop; it then scores
+        # nothing and makes no image, and has ended when the interrupt leaves
+        # main.
+        stops, waited, scored, images = [], [], [], []
+        arm, scores, fir = cli._reference_arm, cli._scores, cli.baseline_denoise
+
+        def spied_arm(*args):
+            stops.append(args[-1])
+            return arm(*args)
+
+        def waiting_fir(*args):
+            waited.append(stops[0].wait(10))
+            return fir(*args)
+
+        def interrupted_scores(volume, roi, source, pixels=None):
+            scored.append(source)
+            if where == "scores":
+                raise KeyboardInterrupt
+            yield from scores(volume, roi, source, pixels)
+
+        def interrupted_pipeline(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_reference_arm", spied_arm)
+        monkeypatch.setattr(cli, "baseline_denoise", waiting_fir)
+        monkeypatch.setattr(cli, "_scores", interrupted_scores)
+        monkeypatch.setattr(cli, "_reconstruct", lambda *args: images.append(args))
+        if where == "pipeline":
+            monkeypatch.setattr(cli, "pipeline_denoise", interrupted_pipeline)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
+                  "--output", str(tmp_path / "cmp")])
+        assert threading.active_count() == threads
+        assert (waited, images) == ([True], [])
+        assert scored == ([] if where == "pipeline" else ["pipeline output"])
+        assert not (tmp_path / "cmp").exists()
 
 class TestVolumesAreCheckedOnce:
     """Every Volume is checked when it is built, and nowhere after."""

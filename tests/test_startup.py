@@ -1,6 +1,6 @@
 """A fresh ``ascankit`` process loads scipy only to low-pass traces of no
-more than ``LOWPASS_TAPS - 1`` samples, and the corpus, the generator and
-the thread pool only for the commands that use them.
+more than ``LOWPASS_TAPS - 1`` samples, and the corpus and the generator
+only for the command that uses them; no command loads ``concurrent.futures``.
 
 scipy.signal takes far longer to import, and holds far more memory, than
 the rest of the package, so every command on longer traces, the FIR
@@ -75,24 +75,40 @@ def test_only_a_lowpass_of_short_traces_loads_scipy(tmp_path):
 
 _IMPORT_CHILD = r"""
 import json, sys
+import numpy as np
 import ascankit.cli
-loaded = [m for m in ("ascankit.bench", "ascankit.synth", "concurrent.futures") if m in sys.modules]
+from ascankit.cli import main
+from ascankit.io import write_volume
+from ascankit.model import Volume
+
+def loaded(names):
+    return [m for m in names if m in sys.modules]
+
+result = {"loaded": loaded(("ascankit.bench", "ascankit.synth", "concurrent.futures"))}
+out = sys.argv[1]
+grid = np.random.default_rng(0).standard_normal((3, 2, 256))
+write_volume(Volume.from_grid(grid, 1e-8), f"{out}/scan.pavol")
+result["compare"] = main(["compare", "--input", f"{out}/scan.pavol", "--output", f"{out}/cmp",
+                          "--q", "1e-3", "--lp-cutoff-hz", "1e7", "--roi", "100:200"])
+result["after_compare"] = loaded(("concurrent.futures", "logging"))
 from ascankit import corpus_entry, default_spec
-print(json.dumps({"loaded": loaded, "entry": corpus_entry("phantom-L").name,
-                  "nt": default_spec().nt}))
+result.update(entry=corpus_entry("phantom-L").name, nt=default_spec().nt)
+print(json.dumps(result))
 """
 
 
-def test_importing_the_cli_loads_neither_bench_synth_nor_the_thread_pool():
-    # Only synth needs bench and synth, and only compare a thread pool; the
-    # package still serves bench's and synth's names.
+def test_importing_the_cli_loads_neither_bench_synth_nor_the_thread_pool(tmp_path):
+    # Only synth needs bench and synth; compare runs its worker as a plain
+    # thread, so not even it loads concurrent.futures, or logging with it.
+    # The package still serves bench's and synth's names.
     src = os.path.dirname(os.path.dirname(ascankit.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_CHILD], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, "-c", _IMPORT_CHILD, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["loaded"] == []
+    assert (result["compare"], result["after_compare"]) == (0, [])
     assert result["entry"] == "phantom-L"
     assert result["nt"] > 0
