@@ -9,11 +9,12 @@ denoise-and-score path) and averaging the per-trace winners.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+import threading
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import _envelope_blocks, _psnrs
+from .metrics import _block_traces, _envelope_blocks, _psnrs
 from .model import (
     DataError,
     InfinitePsnrError,
@@ -22,6 +23,7 @@ from .model import (
     RoiSpec,
     Trace,
     Volume,
+    _call_into,
 )
 from .rts import _smooth_lanes
 
@@ -37,6 +39,14 @@ _GRID_POINTS = 15
 #: The auto grid spans [1e-6, 1e-1] times the sampled noise floor.
 _GRID_LO = 1e-6
 _GRID_HI = 1e-1
+#: Fewest samples (lanes x steps) in a chunk of sweep lanes whose scores
+#: ``_chunk_scores`` splits with a helper thread.  Scoring alone, one thread
+#: against split (min of 60 calls, 2 cores): 120 x 4,096 lanes (sweep-long's
+#: sweep) 9.6 against 6.8 ms, 30 x 4,096 2.4 against 1.9 ms, 60 x 1,024
+#: (volume-wide's) 1.6 against 1.3 ms.  Split too, volume-wide's sweep raised
+#: its ``peak_rss_mb`` by 4.8 % (3 of 3 benchmark pairs) for a ``denoise_s``
+#: 3.7 % lower in 2 of 3.
+_SPLIT_SAMPLES = 1 << 17
 
 
 def estimate_r(trace: Trace, noise_window: int) -> float:
@@ -131,27 +141,20 @@ def select_q(
             raise DataError("q grid values must be finite and > 0")
 
     # One lane per (trace, candidate), trace-major: each trace is a block of
-    # as many lanes as candidates, a read-only view of its one row.  Lanes are
-    # scored in the order of a loop over traces and then candidates, a block
-    # of lanes at a time, since a whole chunk's complex spectra would
-    # outweigh the kernel's workspace.  An unbounded PSNR scores +inf, and
-    # scoring resumes at the next lane.  Every lane before a failing one has
-    # been scored, so an error names the trace of lane len(scores).
-    scores = []
+    # as many lanes as candidates, a read-only view of its one row.  Every
+    # lane before a failing one has been scored, so an error names the trace
+    # of lane len(scores).
+    scores: List[float] = []
     try:
         for _, smoothed in _smooth_lanes(
             [np.broadcast_to(rows[i], (grid_arr.size, volume.nt)) for i in flat_ids],
             np.tile(grid_arr, n_sample),
             np.repeat(rs, grid_arr.size),
         ):
-            for envs in _envelope_blocks(smoothed, axis=0):
-                first = len(scores)
-                while len(scores) < first + len(envs):
-                    try:
-                        for score in _psnrs(envs[len(scores) - first :], roi):
-                            scores.append(score)
-                    except InfinitePsnrError:
-                        scores.append(math.inf)
+            chunk, error = _chunk_scores(smoothed, roi)
+            scores += chunk
+            if error is not None:
+                raise error
     except (DataError, NumericsError) as exc:
         x, y = ids[len(scores) // grid_arr.size]
         raise type(exc)(f"trace (x={x}, y={y}): {exc}") from exc
@@ -170,3 +173,69 @@ def select_q(
             r_per_trace=tuple(rs),
             best_psnr_per_trace=tuple(table.max(axis=1)),
         )
+
+
+def _helper_lane(count: int, n: int) -> int:
+    """The first of a chunk's ``count`` lanes of ``n`` steps that
+    ``_chunk_scores`` leaves to its helper thread: ``count`` (none) below
+    ``_SPLIT_SAMPLES``, else the envelope block boundary after the first half
+    of the blocks, rounded up."""
+    if count * n < _SPLIT_SAMPLES:
+        return count
+    size = _block_traces(count, n)
+    return min(count, (-(-count // size) + 1) // 2 * size)
+
+
+def _chunk_scores(
+    smoothed: np.ndarray, roi: RoiSpec
+) -> Tuple[List[float], Optional[Exception]]:
+    """``_lane_scores`` of the time-major lanes of ``smoothed``.  The lanes
+    before ``_helper_lane`` are scored on this thread, and the rest, if any,
+    at once on a helper thread with its own buffers; the helper has ended
+    when this returns or raises.  A block holds the lanes it would hold
+    unsplit, so every score has the same bits.  As in one pass over the
+    lanes, the first failing lane's error is returned, and an exception that
+    escapes the helper is raised unless this thread's lanes failed first."""
+    split = _helper_lane(smoothed.shape[1], smoothed.shape[0])
+    outcome: List[object] = []
+    helper = None
+    if split < smoothed.shape[1]:
+        helper = threading.Thread(
+            target=_call_into, args=(outcome, _lane_scores, smoothed[:, split:], roi)
+        )
+        helper.start()
+    try:
+        scores, error = _lane_scores(smoothed[:, :split], roi)
+    finally:
+        if helper is not None:
+            helper.join()
+    if outcome and error is None:
+        (result,) = outcome
+        if isinstance(result, BaseException):
+            raise result
+        rest, error = result
+        scores += rest
+    return scores, error
+
+
+def _lane_scores(
+    smoothed: np.ndarray, roi: RoiSpec
+) -> Tuple[List[float], Optional[Exception]]:
+    """PSNR scores of the time-major lanes (columns) of ``smoothed`` up to the
+    first that fails, and that lane's error (None if none fails).  Lanes are
+    scored a block at a time, as a whole chunk's complex spectra would
+    outweigh the kernel's workspace; an unbounded PSNR scores +inf, and
+    scoring resumes at the next lane."""
+    scores: List[float] = []
+    try:
+        for envs in _envelope_blocks(smoothed, axis=0):
+            first = len(scores)
+            while len(scores) < first + len(envs):
+                try:
+                    for score in _psnrs(envs[len(scores) - first :], roi):
+                        scores.append(score)
+                except InfinitePsnrError:
+                    scores.append(math.inf)
+    except (DataError, NumericsError) as exc:
+        return scores, exc
+    return scores, None

@@ -22,7 +22,7 @@ import os
 import re
 import sys
 import threading
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,7 +44,9 @@ from .io import (
     write_volume,
 )
 from .metrics import _envelope_blocks, _psnrs, reconstruct
-from .model import DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Volume
+from .model import (
+    DataError, EnvelopeImage, NumericsError, QSelectionReport, RoiSpec, Volume, _call_into,
+)
 
 if TYPE_CHECKING:
     from .bench import CorpusEntry
@@ -402,14 +404,6 @@ def _reference_arm(
     except (DataError, NumericsError) as exc:
         return scores, exc
     return scores, None
-
-
-def _call_into(outcome: List[object], function: Callable[..., object], *args: object) -> None:
-    """A thread's target: append ``function(*args)``'s result, or what it raised."""
-    try:
-        outcome.append(function(*args))
-    except BaseException as exc:  # re-raised on the thread that reads ``outcome``
-        outcome.append(exc)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

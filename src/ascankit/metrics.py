@@ -30,6 +30,12 @@ __all__ = ["envelope", "reconstruct", "psnr", "psnr_gain"]
 _ENVELOPE_SAMPLES = 1 << 14
 
 
+def _block_traces(count: int, n: int) -> int:
+    """Traces per block of ``_envelope_blocks`` over ``count`` traces of ``n``
+    samples; only the last block can hold fewer."""
+    return max(1, min(count, _ENVELOPE_SAMPLES // n))
+
+
 def _envelope_blocks(traces: np.ndarray, axis: int = -1) -> Iterator[np.ndarray]:
     """Envelopes of the traces of the 2-D ``traces``, in order: its rows, or
     with ``axis=0`` its columns (time-major lanes).  Yields a C-ordered (traces, samples) block of whole traces
@@ -52,7 +58,7 @@ def _envelope_blocks(traces: np.ndarray, axis: int = -1) -> Iterator[np.ndarray]
         weights[1 : n // 2] = 2.0
     else:
         weights[1 : (n + 1) // 2] = 2.0
-    size = max(1, min(count, _ENVELOPE_SAMPLES // n))
+    size = _block_traces(count, n)
     spectra = np.empty((size, n), dtype=complex)
     envelopes = np.empty((size, n))
     for lo in range(0, count, size):

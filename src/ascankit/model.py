@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,14 @@ def _finite(samples: np.ndarray) -> np.ndarray:
         bad = int(np.flatnonzero(~finite)[0]) % samples.shape[-1]
         raise DataError(f"trace sample {bad} is not finite")
     return samples
+
+
+def _call_into(outcome: List[object], function: Callable[..., object], *args: object) -> None:
+    """A thread's target: append ``function(*args)``'s result, or what it raised."""
+    try:
+        outcome.append(function(*args))
+    except BaseException as exc:  # re-raised on the thread that reads ``outcome``
+        outcome.append(exc)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,10 +1,14 @@
 """Noise-variance estimation and grid-search selection of the process noise."""
 
 import math
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from ascankit import adapt, metrics, rts
 from ascankit.adapt import default_noise_window, default_q_grid, estimate_r, select_q
 from ascankit.metrics import psnr
 from ascankit.model import (
@@ -199,3 +203,181 @@ class TestSelectQ:
                 seed=0,
                 roi=RoiSpec(0, 4096),
             )
+
+
+#: Samples per trace of the split sweeps below: 4 lanes an envelope block.
+NT_SPLIT = 4096
+ROI_SPLIT = RoiSpec(1000, 3000)
+GRID_SPLIT = (1e-6, 1e-4, 1e-2)
+
+
+def _sampled_volume(rows, seed=0):
+    """A 1 x len(rows) volume whose traces ``select_q`` samples, with
+    ``n_sample=len(rows)`` and ``seed``, in the order of ``rows``."""
+    order = np.random.default_rng(seed).choice(len(rows), size=len(rows), replace=False)
+    data = np.empty((len(rows), NT_SPLIT))
+    data[order] = rows
+    return Volume(nx=1, ny=len(rows), nt=NT_SPLIT, dt=1e-8, data=data), order.tolist()
+
+
+def _rows(kinds):
+    """Traces of ``NT_SPLIT`` samples: ``"noise"``, ``"silent"``, or ``"loud"``
+    (noise whose envelope power outside ``ROI_SPLIT`` overflows)."""
+    rng = np.random.default_rng(5)
+    rows = []
+    for kind in kinds:
+        row = np.zeros(NT_SPLIT) if kind == "silent" else rng.normal(0.0, 0.1, NT_SPLIT)
+        if kind == "loud":
+            row[100:200] = 1e200
+        rows.append(row)
+    return rows
+
+
+def _report_bits(report):
+    floats = [*report.grid, *report.best_q_per_trace, report.q_final, *report.r_per_trace,
+              *report.best_psnr_per_trace]
+    return [float(v).hex() for v in floats], report.sampled_trace_ids
+
+
+@pytest.fixture
+def scored_by(monkeypatch):
+    """Calls of ``adapt._lane_scores``: whether on the calling thread, the
+    lanes given and what it returned; the calling thread's calls first."""
+    calls = []
+    lane_scores = adapt._lane_scores
+
+    def spied(smoothed, roi):
+        result = lane_scores(smoothed, roi)
+        calls.append((threading.current_thread() is threading.main_thread(),
+                      smoothed.shape[1], (list(result[0]), result[1])))
+        calls.sort(key=lambda call: not call[0])  # stable: each thread's in order
+        return result
+
+    monkeypatch.setattr(adapt, "_lane_scores", spied)
+    return calls
+
+
+class TestSplitScores:
+    """Above ``_SPLIT_SAMPLES`` a chunk's lanes are scored on two threads, the
+    calling thread taking the first half of its envelope blocks: the report
+    and the first error are those of one thread."""
+
+    @pytest.fixture
+    def split_all(self, monkeypatch):
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1)
+
+    def test_a_split_sweep_gives_the_one_thread_report_bit_for_bit(self, monkeypatch, scored_by):
+        # 8 traces x 11 candidates of 2048 samples: 11 blocks of 8 lanes.
+        volume, grid = _example_volume(), np.geomspace(1e-6, 1e-1, 11)
+        threads = threading.active_count()
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1 << 62)
+        whole = select_q(volume, grid, n_sample=8, seed=0, roi=ROI)
+        assert [call[:2] for call in scored_by] == [(True, 88)]
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1)
+        split = select_q(volume, grid, n_sample=8, seed=0, roi=ROI)
+        assert [call[:2] for call in scored_by[1:]] == [(True, 48), (False, 40)]
+        assert _report_bits(split) == _report_bits(whole)
+        assert threading.active_count() == threads
+
+    def test_unbounded_scores_are_inf_in_either_part(self, monkeypatch, scored_by, split_all):
+        # 12 lanes in 3 blocks: the helper scores lanes 8-11, the third
+        # trace's last candidate and the fourth trace's three.
+        volume, order = _sampled_volume(_rows(["silent", "noise", "silent", "noise"]))
+        split = select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        (_, _, (mine, error)), (_, _, (theirs, their_error)) = scored_by
+        assert (error, their_error) == (None, None)
+        inf = [s == math.inf for s in mine + theirs]
+        assert inf == [True] * 3 + [False] * 3 + [True] * 3 + [False] * 3
+        assert (len(mine), theirs[0]) == (8, math.inf)
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1 << 62)
+        assert _report_bits(split) == _report_bits(
+            select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        )
+        assert split.best_psnr_per_trace[0] == split.best_psnr_per_trace[2] == math.inf
+        assert split.best_q_per_trace[0] == split.best_q_per_trace[2] == GRID_SPLIT[0]
+        assert split.sampled_trace_ids == tuple((0, y) for y in order)
+
+    @pytest.mark.parametrize(
+        "loud, named",
+        [((3,), 3), ((1, 3), 1), ((2,), 2)],
+        ids=["helper-only", "both-parts", "across-the-split"],
+    )
+    def test_the_first_failing_lane_names_its_trace(self, scored_by, split_all, loud, named):
+        kinds = ["loud" if i in loud else "noise" for i in range(4)]
+        volume, order = _sampled_volume(_rows(kinds))
+        threads = threading.active_count()
+        with pytest.raises(NumericsError) as exc:
+            select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        assert str(exc.value) == (
+            f"trace (x=0, y={order[named]}): noise power outside the roi overflows"
+        )
+        assert [call[:2] for call in scored_by] == [(True, 8), (False, 4)]
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("escaping", ["warning", "base"])
+    def test_an_exception_that_escapes_the_helper_reaches_the_caller(
+        self, monkeypatch, split_all, escaping
+    ):
+        class Interrupt(BaseException):
+            pass
+
+        hooked, lane_scores = [], adapt._lane_scores
+
+        def raising(smoothed, roi):
+            if threading.current_thread() is not threading.main_thread():
+                if escaping == "base":
+                    raise Interrupt
+                warnings.warn_explicit("overflow encountered", RuntimeWarning, adapt.__file__, 1,
+                                       module="ascankit.adapt")
+            return lane_scores(smoothed, roi)
+
+        monkeypatch.setattr(adapt, "_lane_scores", raising)
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        volume, _ = _sampled_volume(_rows(["noise"] * 4))
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=RuntimeWarning, module="ascankit")
+            with pytest.raises(Interrupt if escaping == "base" else RuntimeWarning):
+                select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        assert (hooked, threading.active_count()) == ([], threads)
+
+    def test_the_helper_has_ended_when_the_caller_raises(self, monkeypatch, split_all):
+        class Interrupt(BaseException):
+            pass
+
+        raised, finished, lane_scores = threading.Event(), [], adapt._lane_scores
+
+        def interrupted(smoothed, roi):
+            if threading.current_thread() is threading.main_thread():
+                raised.set()
+                raise Interrupt
+            assert raised.wait(10)
+            time.sleep(0.05)  # still scoring when the caller's error leaves it
+            finished.append(lane_scores(smoothed, roi))
+            return finished[-1]
+
+        monkeypatch.setattr(adapt, "_lane_scores", interrupted)
+        volume, _ = _sampled_volume(_rows(["noise"] * 4))
+        threads = threading.active_count()
+        with pytest.raises(Interrupt):
+            select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        assert (len(finished), threading.active_count()) == (1, threads)
+
+
+class TestSplitPlacement:
+    """Like ``TestDefaultCap``: which of the benchmark's sweep chunks split."""
+
+    def test_the_long_sweep_splits_at_half_its_blocks(self):
+        # The q sweep of 8 traces of 4096 samples on a 15-point grid is one
+        # chunk of 30 blocks of 4 lanes.
+        assert rts._chunking(8 * 15, 4096) == (120, False)
+        assert metrics._block_traces(120, 4096) == 4
+        assert adapt._helper_lane(120, 4096) == 60
+
+    def test_the_wide_volumes_sweep_does_not_split(self):
+        # 4 traces of 1024 samples on a 15-point grid: 4 blocks of 16 lanes.
+        assert adapt._helper_lane(60, 1024) == 60
+
+    @pytest.mark.parametrize("count, n, first", [(5, 1 << 17, 3), (1, 1 << 20, 1), (9, 1 << 15, 5)])
+    def test_the_caller_takes_the_larger_half_of_the_blocks(self, count, n, first):
+        assert adapt._helper_lane(count, n) == first

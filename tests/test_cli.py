@@ -19,7 +19,7 @@ import pytest
 import scipy.signal
 from scipy.signal import _signaltools
 
-from ascankit import cli, metrics, model
+from ascankit import adapt, cli, metrics, model
 from ascankit.baseline import baseline_denoise, pipeline_denoise
 from ascankit.bench import CorpusEntry, ExpectedStats, corpus_entry, format_manifest, parse_manifest
 from ascankit.cli import main
@@ -322,6 +322,57 @@ class TestDenoise:
         assert rc == 0
         want = pipeline_denoise(read_volume(tiny_scan["scan"]), None, 0.001, noise_window=32)
         assert np.array_equal(read_volume(str(out)).data, want.data)
+
+
+class TestSweepHelperThread:
+    """``qselect`` and ``denoise`` with q='auto' on a sweep above
+    ``adapt._SPLIT_SAMPLES`` (4 traces x 11 candidates of 4096 samples)
+    score its second half on a helper thread, which has ended when main
+    returns: on success, and when a trace in that half fails."""
+
+    GRID = ",".join(repr(q) for q in np.geomspace(1e-6, 1e-2, 11).tolist())
+
+    @pytest.mark.parametrize("command", ["qselect", "denoise"])
+    @pytest.mark.parametrize(
+        "fault, code, error",
+        [
+            (None, 0, ""),
+            # A sum of finite samples, the spectrum's DC bin, overflows.
+            ("envelope", 2, "trace sample 0 is not finite"),
+            ("noise", 3, "noise power outside the roi overflows"),
+        ],
+        ids=["success", "exit-2", "exit-3"],
+    )
+    def test_the_helper_has_ended_when_main_returns(
+        self, tmp_path, monkeypatch, capsys, command, fault, code, error
+    ):
+        rng = np.random.default_rng(7)
+        data = rng.normal(0.0, 0.1, (1, 4, 4096))
+        # The last of the 4 sampled traces, in the helper's half.
+        last = int(np.random.default_rng(0).choice(4, size=4, replace=False)[-1])
+        if fault == "envelope":
+            data[0, last, 16:] = 1e307
+        elif fault == "noise":
+            data[0, last, 100:200] = 1e200
+        path = str(tmp_path / "scan.pavol")
+        write_volume(Volume.from_grid(data, 1e-8), path)
+        assert 44 * 4096 >= adapt._SPLIT_SAMPLES
+        scored, lane_scores = [], adapt._lane_scores
+
+        def spied(smoothed, roi):
+            scored.append(threading.current_thread() is threading.main_thread())
+            return lane_scores(smoothed, roi)
+
+        monkeypatch.setattr(adapt, "_lane_scores", spied)
+        threads = threading.active_count()
+        out = tmp_path / "out"
+        rc = main([command, "--input", path, "--output", str(out), "--q", "auto",
+                   "--q-grid", self.GRID, "--n-sample", "4", "--seed", "0",
+                   "--noise-window", "16", "--roi", "1000:3000"])
+        assert (rc, threading.active_count(), sorted(scored)) == (code, threads, [False, True])
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: trace (x=0, y={last}): {error}\n" if code else "")
+        assert out.exists() == (code == 0)
 
 
 class TestBaseline:
