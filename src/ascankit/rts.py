@@ -21,12 +21,9 @@ recursion (4 calls) and the means (3 in each direction); the gains take one
 call per sub-block of steps forward and two backward.  So an unsettled step
 costs 4 + 3 + 3 calls and a settled one 3 + 3: on narrow chunks the cost is
 per call; on wide ones, per sample too, so there settled lanes leave early.
-Its workspace holds the means of every step, and the variances of every
-step only where they fit; otherwise one variance per block of steps, from
-which the backward pass recomputes the rest (the store-or-recompute trade of
-Griewank & Walther's *revolve*, 2000).  Lanes move between their traces and
-the time-major workspace in square tiles, not one strided column at a time
-(the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
+Its workspace holds every step's means and variances.  Lanes move between
+their traces and the time-major workspace in square tiles, not one strided
+column at a time (the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
 """
 
 from __future__ import annotations
@@ -50,13 +47,13 @@ from .model import (
 
 __all__ = ["rts_smooth", "denoise_trace"]
 
-#: Cap, in bytes, on ``_smooth_lanes``' workspace: every step's means, and
-#: the variances in full or as per-block checkpoints (``_chunking``).  At
-#: 16 MiB the pipeline of a 16 x 16 x 1024 scan and its background is one
-#: chunk of 512 lanes, and a sweep of 120 lanes of 4,096 samples keeps its
-#: variances.  Against 4 MiB, that raised ``denoise``'s peak RSS by 3.5 and
-#: 4.9 MB on those two and left ``compare``'s where it was; corpus scoring
-#: went from 21.8 s to 10.9-12.0 s (10.5 s at 32 MiB, 2 cores).
+#: Cap, in bytes, on ``_smooth_lanes``' workspace: every step's means and
+#: variances, and the gains' scratch (``_chunk_width``).  At 16 MiB the
+#: pipeline of a 16 x 16 x 1024 scan and its background is one chunk of 512
+#: lanes, and a sweep of 120 lanes of 4,096 samples one of 120.  Against
+#: 4 MiB, that raised ``denoise``'s peak RSS by 3.5 and 4.9 MB on those two
+#: and left ``compare``'s where it was; corpus scoring went from 21.8 s to
+#: 10.9-12.0 s (10.5 s at 32 MiB, 2 cores).
 _LANE_BYTES = 16 << 20
 #: Lanes and steps per tile of ``_transposed``'s copies.
 _TILE = 64
@@ -156,21 +153,14 @@ def _leave(
         cycle[1, (k - j) % 2, lanes] = p / prior
 
 
-def _chunking(stop: int, n: int) -> Tuple[int, bool]:
-    """Lanes per chunk for ``stop`` lanes of ``n`` samples, and whether their
-    variances are checkpointed: the fewest chunks under ``_LANE_BYTES`` in
-    either layout, at the narrowest equal width, which stores the variances
-    if they fit.  Every lane holds its means and the scratch of two
-    sub-blocks of gains and a step; one that stores its variances holds them
-    too, one that checkpoints them a checkpoint per block and one block of
-    variances, which is the more below 130 samples."""
-    block = min(_CHECK_EVERY, n)
-    scratch = 2 * min(_GAIN_STEPS, block) + 1
-    stored = 8 * (2 * n + scratch)
-    checkpointed = 8 * (n + -(-n // block) + block + scratch)
-    chunks = max(1, min(-(-stop // max(1, _LANE_BYTES // lane)) for lane in (stored, checkpointed)))
-    width = max(1, -(-stop // chunks))
-    return width, width * stored > _LANE_BYTES
+def _chunk_width(stop: int, n: int) -> int:
+    """Lanes per chunk for ``stop`` lanes of ``n`` samples: the fewest chunks
+    under ``_LANE_BYTES``, at the narrowest equal width.  Every lane holds
+    its means, its variances and the scratch of two sub-blocks of gains and
+    a step."""
+    lane = 8 * (2 * n + 2 * min(_GAIN_STEPS, _CHECK_EVERY, n) + 1)
+    chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
+    return max(1, -(-stop // chunks))
 
 
 def _transposed(dst: np.ndarray, src: np.ndarray) -> None:
@@ -216,7 +206,8 @@ def _smooth_lanes(
     Yields ``(lo, smoothed)`` per chunk of lanes: ``smoothed[:, j]`` equals
     ``denoise_trace`` of lane ``lo + j`` bit for bit.  It is a time-major
     view of one workspace, under ``_LANE_BYTES`` unless a single lane needs
-    more, that the next chunk overwrites.  Lanes come up to the first that
+    more (about 16 bytes a sample, so past about a million samples), that
+    the next chunk overwrites.  Lanes come up to the first that
     ``denoise_trace`` refuses or whose result is not finite, and then that
     lane's ``denoise_trace`` error is raised.
 
@@ -236,22 +227,19 @@ def _smooth_lanes(
       each step's prior variance and denominator; one divide gives the
       sub-block's gains, and the means take 3 calls a step;
     - backward, per sub-block, two calls give the gains ``p / (p + q)``
-      from the stored or recomputed posterior variances, and the means take
-      3 calls a step.
+      from the stored posterior variances, and the means take 3 calls a
+      step.
 
     A check at the odd steps 127, 255, ... before the last block finds the
     lanes whose posterior variance equals the one two steps back: all their
     later ones are equal too, as the map is deterministic, so their gains
     alternate with the step's parity (``_leave``).  They leave the recursion
-    when all have settled, or in a chunk of ``_COMPACT_LANES`` or more with
-    stored variances when at most half its lanes stay live and 8 or more
-    steps follow (the packed rows then free the last 4 rows of ``p_buf`` for
-    the gains).  The recursion goes on for the live lanes, on compact copies,
-    their variances packed; the means stay full-width, on gain rows of both
-    kinds.  Once all have left, both passes cycle through two gain rows, 3 + 3
-    calls a step.  Where the variances do not fit in full (``_chunking``), the
-    backward pass recomputes each block's from the last of the block before
-    it, by the forward pass's own operations (4 calls a step).
+    when all have settled, or in a chunk of ``_COMPACT_LANES`` or more when
+    at most half its lanes stay live and 8 or more steps follow (the packed
+    rows then free the last 4 rows of ``p_buf`` for the gains).  The
+    recursion goes on for the live lanes, on compact copies, their variances
+    packed; the means stay full-width, on gain rows of both kinds.  Once all
+    have left, both passes cycle through two gain rows, 3 + 3 calls a step.
     """
     count = sum(len(block) for block in blocks)
     if count == 0:
@@ -260,17 +248,16 @@ def _smooth_lanes(
     accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
     stop = count if accepted.all() else int(np.argmin(accepted))
     n = blocks[0].shape[1]
-    width, checkpointed = _chunking(stop, n)
+    width = _chunk_width(stop, n)
     block = min(_CHECK_EVERY, n)
     sub = max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)))
     starts = range(0, n, block)
     # Time-major means (the input, until the forward pass overwrites it) and
-    # posterior variances: all, or a block and the last of each block.  A
-    # chunk of m lanes uses m entries a row, and once lanes leave the
-    # recursion, the live ones' later rows are packed after the full ones.
-    p_rows = block + len(starts) if checkpointed else n
+    # posterior variances.  A chunk of m lanes uses m entries a row, and once
+    # lanes leave the recursion, the live ones' later rows are packed after
+    # the full ones.
     x_buf = np.empty(n * width)
-    p_buf = np.empty(p_rows * width)
+    p_buf = np.empty(n * width)
     # A sub-block's prior variances, then its gains; its denominators, and
     # in the backward pass rows of q; and the step of the means.
     scratch_buf = np.empty((2 * sub + 1) * width)
@@ -281,7 +268,6 @@ def _smooth_lanes(
         for lo in range(0, stop, width):
             m = min(width, stop - lo)
             xs = x_buf[: n * m].reshape(n, m)
-            ps = p_buf[: p_rows * m].reshape(p_rows, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
             # Each operand of a 2-D call is C-contiguous and of its shape, or
             # numpy buffers it: up to 64 KiB a call.  The rows are made once,
@@ -305,7 +291,7 @@ def _smooth_lanes(
             for last, k0 in enumerate(starts):
                 k1 = min(k0 + block, n)
                 window = p_buf[used : used + (k1 - k0) * len(live)].reshape(k1 - k0, -1)
-                used = 0 if checkpointed else used + window.size  # packed once lanes leave
+                used += window.size  # packed once lanes leave
                 windows.append((window, live, ql))
                 for s in range(k0, k1, sub):
                     e = min(s + sub, k1)
@@ -328,8 +314,8 @@ def _smooth_lanes(
                 if k1 == n:  # no step follows the last block's check
                     break
                 done = _settled(window, k1 - 1)
-                if done.all() or (done.any() and not checkpointed and m >= _COMPACT_LANES
-                                  and n - k1 >= 8 and 2 * np.count_nonzero(~done) <= m):
+                if done.all() or (done.any() and m >= _COMPACT_LANES and n - k1 >= 8
+                                  and 2 * np.count_nonzero(~done) <= m):
                     gone = slice(None) if done.all() else np.flatnonzero(done)
                     if cycle is None:  # narrowing: in rows of p_buf that the packing frees
                         cycle = np.empty(4 * m) if done.all() else p_buf[(n - 4) * m : n * m]
@@ -342,8 +328,6 @@ def _smooth_lanes(
                     live, p_prev, ql, rl = live[keep], window[-1][keep], ql[keep], rl[keep]
                     pr, de = denoms.reshape(-1)[: 2 * sub * len(live)].reshape(2, sub, -1)
                     pr_rows, de_rows = list(pr), list(de)
-                elif checkpointed:  # keep the block's last variance
-                    ps[block + last] = p_prev
             if settled < n - 1:
                 gains = cycle[0, (settled + 1) % 2], cycle[0, settled % 2]
                 for x, gain in zip(xs[settled + 1 :], itertools.cycle(gains)):
@@ -369,15 +353,6 @@ def _smooth_lanes(
                 k0 = starts[b]
                 k1 = min(k0 + block, top)
                 window, live, ql = windows[b]
-                if checkpointed and b < last:
-                    p_prior, denom = prior_rows[0], step  # free until the means
-                    p_prev = ps[block + b - 1] if b else rs
-                    for p in window:
-                        add(p_prev, qs, p_prior)
-                        add(p_prior, rs, denom)
-                        multiply(rs, p_prior, p)
-                        divide(p, denom, p)
-                        p_prev = p
                 for e in range(k1, k0, -sub):
                     s = max(e - sub, k0)
                     p, gains = window[s - k0 : e - k0], priors[: e - s]

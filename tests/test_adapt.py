@@ -370,7 +370,7 @@ class TestSplitPlacement:
     def test_the_long_sweep_splits_at_half_its_blocks(self):
         # The q sweep of 8 traces of 4096 samples on a 15-point grid is one
         # chunk of 30 blocks of 4 lanes.
-        assert rts._chunking(8 * 15, 4096) == (120, False)
+        assert rts._chunk_width(8 * 15, 4096) == 120
         assert metrics._block_traces(120, 4096) == 4
         assert adapt._helper_lane(120, 4096) == 60
 

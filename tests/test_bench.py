@@ -417,7 +417,7 @@ class TestMeasureEntry:
         volume, background, _ = entry.generate()
         cap = lanes_per_chunk * _lane_bytes(entry.spec.nt) if lanes_per_chunk else rts._LANE_BYTES
         with mock.patch.object(rts, "_LANE_BYTES", cap):
-            assert rts._chunking(len(entry.mask), entry.spec.nt)[0] == (
+            assert rts._chunk_width(len(entry.mask), entry.spec.nt) == (
                 lanes_per_chunk or len(entry.mask)
             )
             measured = measure_entry(entry, volume, background, None if q is None else _report(q))

@@ -43,16 +43,8 @@ def _bits(values) -> np.ndarray:
 
 def _lane_bytes(n):
     """What a lane of ``n`` samples costs the kernel's workspace by its sizing
-    rule: its means, a variance checkpoint per block of ``_CHECK_EVERY``
-    steps, one block of recomputed variances, and two sub-blocks of
-    ``_GAIN_STEPS`` gains and a step of scratch."""
-    block = min(rts._CHECK_EVERY, n)
-    return 8 * (n + math.ceil(n / block) + block + 2 * min(rts._GAIN_STEPS, block) + 1)
-
-
-def _stored_lane_bytes(n):
-    """What a lane of ``n`` samples costs the kernel's workspace when it
-    stores its variances: them, its means and the same scratch."""
+    rule: its means, its variances, and two sub-blocks of ``_GAIN_STEPS``
+    gains and a step of scratch."""
     return 8 * (2 * n + 2 * min(rts._GAIN_STEPS, n) + 1)
 
 
@@ -70,14 +62,11 @@ def _lanes_per_chunk(lanes):
 
 def _chunks(rows, qs, rs):
     """Run the kernel on ``rows`` as three blocks (some may be empty), and
-    check that its chunks are the fewest that fit the cap in either layout,
-    all as wide as the first but the last; return copies of them."""
+    check that its chunks are the fewest that fit the cap, all as wide as the
+    first but the last; return copies of them."""
     count, n = len(rows), len(rows[0])
-    width, _ = rts._chunking(count, n)
-    fewest = min(
-        math.ceil(count / max(1, rts._LANE_BYTES // lane))
-        for lane in (_stored_lane_bytes(n), _lane_bytes(n))
-    )
+    width = rts._chunk_width(count, n)
+    fewest = math.ceil(count / max(1, rts._LANE_BYTES // _lane_bytes(n)))
     chunks, views = [], []
     for lo, smoothed in _smooth_lanes(np.array_split(np.asarray(rows), 3), qs, rs):
         chunks.append((lo, smoothed.copy()))
@@ -267,15 +256,15 @@ def _settle_step(q, r, n):
     return int(hits[0]) + 2 if len(hits) else None
 
 
-def _leaves_by_rule(qs, rs, n, checkpointed):
+def _leaves_by_rule(qs, rs, n):
     """The ``(k, lanes)`` that leave one chunk of lanes of ``n`` samples by
     the per-lane rule: at a check, the live lanes whose variance has settled
     leave when all of them have, or, in a chunk of at least
-    ``_COMPACT_LANES`` lanes with stored variances, when at most half of its
-    lanes stay live and at least 8 steps follow."""
+    ``_COMPACT_LANES`` lanes, when at most half of its lanes stay live and at
+    least 8 steps follow."""
     settle = [_settle_step(q, r, n) or math.inf for q, r in zip(qs, rs)]
     live, leaves = list(range(len(qs))), []
-    wide = not checkpointed and len(qs) >= rts._COMPACT_LANES
+    wide = len(qs) >= rts._COMPACT_LANES
     for k in range(rts._CHECK_EVERY - 1, n - 1, rts._CHECK_EVERY):
         done = [i for i in live if settle[i] <= k]
         narrows = wide and 2 * (len(live) - len(done)) <= len(qs) and n - k - 1 >= 8
@@ -381,9 +370,8 @@ class TestSettledLanes:
     def phased_lanes(draw):
         """Up to four lanes whose slowest settles at step 230 to 547; a
         length that ends one or two steps after that step, or runs past the
-        check that finds it, or any from 200 up (some never settle); stored
-        or checkpointed variances; and sub-blocks of gains that rarely
-        divide the length."""
+        check that finds it, or any from 200 up (some never settle); and
+        sub-blocks of gains that rarely divide the length."""
         exponents = [draw(st.floats(min_value=-3.0, max_value=-2.25))] + draw(
             st.lists(st.floats(min_value=-3.0, max_value=0.0), max_size=2)
         )
@@ -403,20 +391,17 @@ class TestSettledLanes:
             st.integers(min_value=200, max_value=settle + 300),
         ))
         steps = draw(st.sampled_from([1, 3, 8, rts._GAIN_STEPS]))
-        return qs, rs, n, settle, draw(st.booleans()), steps
+        return qs, rs, n, settle, steps
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(phased_lanes())
     def test_the_settled_phase_is_denoise_trace_at_any_length(self, lanes):
         # The settled passes cycle two gains from the check that finds the
         # lanes settled, at an odd step (127, 255, ...) before the last block.
-        qs, rs, n, settle, checkpointed, steps = lanes
+        qs, rs, n, settle, steps = lanes
         rows = np.random.default_rng(n).standard_normal((len(qs), n)).cumsum(axis=1)
         with mock.patch.object(rts, "_GAIN_STEPS", steps):
-            cap = len(qs) * (_lane_bytes(n) if checkpointed else _stored_lane_bytes(n))
-            with _cap(cap):
-                assert rts._chunking(len(qs), n) == (len(qs), checkpointed)
-            spy = _smooth_checked(rows, qs, rs, cap=cap)
+            spy = _smooth_checked(rows, qs, rs)
         found = [k for k in range(127, n - 1, 128) if k >= settle][:1]
         assert spy.leaves == [(k, list(range(len(qs)))) for k in found]
 
@@ -435,38 +420,32 @@ class TestSettledLanes:
             np.testing.assert_allclose(p_post.view(np.float64) + qs, closed, rtol=1e-12, atol=0.0)
 
 
-def _three_ways(rows, qs, rs):
-    """The settle spies of one chunk of ``rows`` at a compaction width of its
-    own, run with its later variances packed, stored in full and
-    checkpointed (so that the backward pass recomputes them).  Each run's
-    lanes are checked against ``denoise_trace`` bit for bit."""
-    count, n = rows.shape
-    full = count * _stored_lane_bytes(n)
+def _narrowed_and_stored(rows, qs, rs):
+    """The settle spies of one chunk of ``rows``, run at a compaction width
+    of its own, with its later variances packed, and at one lane more, with
+    them stored in full.  Each run's lanes are checked against
+    ``denoise_trace`` bit for bit."""
     spies = []
-    for cap, compact, checkpointed in [
-        (full, count, False), (full, count + 1, False), (count * _lane_bytes(n), count, True)
-    ]:
-        with mock.patch.object(rts, "_COMPACT_LANES", compact), _cap(cap):
-            assert rts._chunking(count, n) == (count, checkpointed)
-            spies.append(_smooth_checked(rows, qs, rs, cap=cap))
+    for compact in (len(rows), len(rows) + 1):
+        with mock.patch.object(rts, "_COMPACT_LANES", compact):
+            spies.append(_smooth_checked(rows, qs, rs))
     return spies
 
 
-class TestCheckpointedLanes:
-    """Chunks too wide to store their variances in full, which the backward
-    pass recomputes block by block from per-block checkpoints; and chunks
-    whose settled lanes leave and whose live lanes' variances are packed."""
+class TestNarrowedAndCappedChunks:
+    """Chunks whose settled lanes leave while others stay live, the live
+    lanes' later variances packed; and chunks sized by the workspace cap."""
 
     @pytest.mark.parametrize(
         "pairs, n, packed, settled",
         [
-            ([(1.0, 1.0)] * 3, 1024, [(127, [0, 1, 2])], 127),  # in block 0: nothing recomputed
+            ([(1.0, 1.0)] * 3, 1024, [(127, [0, 1, 2])], 127),  # all in block 0
             # Some within block 0: the packed run narrows there.
             (PERIOD_1 + PERIOD_2 + SILENT, 1024, [(127, [1, 3, 4]), (255, [0, 2])], 255),
             (PERIOD_1 + PERIOD_2 + SILENT, 300, [(127, [1, 3, 4]), (255, [0, 2])], 255),
             (PERIOD_2, 257, [(127, [1]), (255, [0])], 255),
-            # Every block recomputed, and packed after step 127; last blocks
-            # of 128 steps, of one and of two.
+            # Packed after step 127; last blocks of 128 steps, of one and of
+            # two.
             *[(PERIOD_1 + SILENT + UNSETTLED, n, [(127, [1, 2]), (255, [0])], None)
               for n in (1024, 1025, 1026)],
             # A chunk narrows only where 8 or more steps follow the check, so
@@ -479,24 +458,22 @@ class TestCheckpointedLanes:
             ([(0.004647425240565497, 1.0)] * 2, 258, [], None),
         ],
     )
-    def test_recomputed_variances_are_the_stored_ones(self, pairs, n, packed, settled):
+    def test_packed_variances_are_the_stored_ones(self, pairs, n, packed, settled):
         rows, qs, rs = _long_lanes(pairs, n, seed=n)
-        narrowed, stored, checkpointed = _three_ways(rows, qs, rs)
+        narrowed, stored = _narrowed_and_stored(rows, qs, rs)
         assert narrowed.leaves == packed
         assert stored.leaves == ([] if settled is None else [(settled, list(range(len(qs))))])
-        assert checkpointed.checks == stored.checks and checkpointed.leaves == stored.leaves
-        assert checkpointed.variances == stored.variances
         assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
         with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
-            assert narrowed.leaves == _leaves_by_rule(qs, rs, n, False)
+            assert narrowed.leaves == _leaves_by_rule(qs, rs, n)
 
     @st.composite
     def narrowing_chunks(draw):
         """A chunk of 4 to 12 lanes at a compaction width of its own: lanes
         with a fixed point, a 2-cycle, r = 0, or none within thousands of
         steps, and lanes of any drawn ratio; lengths of 128k + 1 and
-        128k + 2 among others, from 200 up, where a chunk can checkpoint its
-        variances; sub-blocks of gains that rarely divide the length."""
+        128k + 2 among others, from 200 up; sub-blocks of gains that rarely
+        divide the length."""
         count = draw(st.integers(min_value=4, max_value=12))
         known = st.sampled_from(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED)
         drawn = st.tuples(
@@ -517,12 +494,12 @@ class TestCheckpointedLanes:
     def test_lanes_leave_by_the_per_lane_rule_at_the_compaction_width(self, chunk):
         rows, qs, rs, steps = chunk
         with mock.patch.object(rts, "_GAIN_STEPS", steps):
-            narrowed, stored, checkpointed = _three_ways(rows, qs, rs)
+            narrowed, stored = _narrowed_and_stored(rows, qs, rs)
         n = rows.shape[1]
         with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
-            assert narrowed.leaves == _leaves_by_rule(qs, rs, n, False)
-            assert stored.leaves == checkpointed.leaves == _leaves_by_rule(qs, rs, n, True)
-        assert checkpointed.variances == stored.variances
+            assert narrowed.leaves == _leaves_by_rule(qs, rs, n)
+        with mock.patch.object(rts, "_COMPACT_LANES", len(qs) + 1):
+            assert stored.leaves == _leaves_by_rule(qs, rs, n)
         assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
 
     @pytest.mark.parametrize("cap", [None, 1])
@@ -531,25 +508,22 @@ class TestCheckpointedLanes:
         qs, rs = np.array([1.0, 1.0]), np.array([-1.0, 1.0])
         want = _error(denoise_trace, Trace(rows[0][0], 1e-6), qs[0], rs[0])
         with _cap(cap or rts._LANE_BYTES):
-            assert rts._chunking(0, 300) == (1, cap is not None)
+            assert rts._chunk_width(0, 300) == 1
             assert _error(list, _smooth_lanes(rows, qs, rs)) == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 128, 300])
-    def test_lanes_over_the_cap_are_checkpointed_one_a_chunk(self, n):
+    def test_lanes_over_the_cap_are_stored_one_a_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + SILENT, n, seed=n)
         with _cap(1):
-            assert rts._chunking(len(rows), n) == (1, True)
+            assert rts._chunk_width(len(rows), n) == 1
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
     @pytest.mark.parametrize("n", [2, 100, 128, 129])
-    def test_lanes_whose_variances_fit_the_cap_are_one_stored_chunk(self, n):
-        # Below 130 samples a checkpointed lane costs more than one that
-        # stores its variances, so sizing the chunks by it split these lanes.
+    def test_lanes_that_fill_the_cap_are_one_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, n, seed=n)
-        assert _lane_bytes(n) > _stored_lane_bytes(n)
-        with _cap(len(rows) * _stored_lane_bytes(n)):
-            assert rts._chunking(len(rows), n) == (len(rows), False)
+        with _cap(len(rows) * _lane_bytes(n)):
+            assert rts._chunk_width(len(rows), n) == len(rows)
             chunks = _chunks(rows, qs, rs)
         assert len(chunks) == 1
         _assert_denoised(rows, qs, rs, chunks)
@@ -559,7 +533,7 @@ class TestCheckpointedLanes:
         rows, qs, rs, _ = draw(TestSettledLanes.settling_lane_sets(
             n=st.one_of(st.integers(1, 130), st.integers(131, 700))
         ))
-        full = len(rows) * _stored_lane_bytes(rows.shape[1])
+        full = len(rows) * _lane_bytes(rows.shape[1])
         return rows, qs, rs, draw(st.integers(min_value=1, max_value=full + full // 2))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -570,12 +544,12 @@ class TestCheckpointedLanes:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
-    # None: as many lanes as one chunk holds, too many to store their variances.
-    @pytest.mark.parametrize("count, n, checkpointed", [(None, 4096, True), (512, 1024, False)])
-    def test_peak_allocation_stays_under_the_cap(self, count, n, checkpointed):
+    # None: as many lanes as one chunk holds.
+    @pytest.mark.parametrize("count, n", [(None, 4096), (512, 1024)])
+    def test_peak_allocation_stays_under_the_cap(self, count, n):
         count = count or rts._LANE_BYTES // _lane_bytes(n)
         rows, qs, rs = _long_lanes([(1e-2, 1.0)] * count, n)
-        assert rts._chunking(count, n)[1] == checkpointed
+        assert rts._chunk_width(count, n) == count
         tracemalloc.start()
         try:
             for _ in _smooth_lanes([rows], qs, rs):
@@ -614,23 +588,15 @@ class TestForwardHook:
     # Lanes that settle with either period, at once (r = 0) or never: one
     # chunk that never settles, or chunks [P1, P1, P2] (settles at step 255)
     # and [P2, r = 0, unsettled], or [P1, P1], [P2, P2] and [r = 0, unsettled].
-    @pytest.mark.parametrize(
-        "cap, width, checkpointed",
-        [
-            (None, 6, False),
-            (6 * _lane_bytes(1024), 6, True),
-            (3 * _stored_lane_bytes(1024), 3, False),
-            (2 * _lane_bytes(1024), 2, True),
-        ],
-    )
-    def test_the_hook_sees_the_kf_filter_means_and_changes_no_bit(self, cap, width, checkpointed):
+    @pytest.mark.parametrize("width", [None, 3, 2])
+    def test_the_hook_sees_the_kf_filter_means_and_changes_no_bit(self, width):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024, seed=7)
-        with _cap(cap or rts._LANE_BYTES):
-            assert rts._chunking(len(rows), 1024) == (width, checkpointed)
+        with _cap(width * _lane_bytes(1024) if width else rts._LANE_BYTES):
+            assert rts._chunk_width(len(rows), 1024) == (width or 6)
             self._assert_forward(rows, qs, rs)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(TestCheckpointedLanes.capped_lane_sets())
+    @given(TestNarrowedAndCappedChunks.capped_lane_sets())
     def test_the_hook_sees_the_kf_filter_means_at_any_cap(self, lanes):
         rows, qs, rs, cap = lanes
         with _cap(cap):
@@ -734,11 +700,19 @@ class TestPipelineMatchesScalarLoop:
 
 
 class TestDefaultCap:
-    def test_the_benchmark_shapes_run_as_one_chunk_with_stored_variances(self):
-        # The volume pipeline of a 16 x 16 x 1024 scan and its background, and
-        # the q sweep of 8 traces of 4096 samples on a 15-point grid.
-        assert rts._chunking(512, 1024) == (512, False)
-        assert rts._chunking(8 * 15, 4096) == (120, False)
+    # The benchmark's kernel calls each run as one chunk: the q sweeps of 8
+    # traces of 4096 samples and of 4 of 1024 on a 15-point grid, and the
+    # volume pipelines of a 4 x 2 x 4096 scan and a 16 x 16 x 1024 one with
+    # their backgrounds and of a 32 x 24 x 256 scan.  The corpus's q sweeps
+    # of 32 traces on a 15-point grid, and the kernel runs over impulse-heavy's
+    # and skew-dense's masked traces and their backgrounds, split.
+    @pytest.mark.parametrize(
+        "count, n, width",
+        [(120, 4096, 120), (16, 4096, 16), (512, 1024, 512), (60, 1024, 60), (768, 256, 768),
+         (480, 32768, 30), (64, 32768, 22), (480, 8192, 120), (280, 8192, 94)],
+    )
+    def test_the_benchmark_and_corpus_shapes_keep_their_chunk_widths(self, count, n, width):
+        assert rts._chunk_width(count, n) == width
 
     # The volume pipelines of a 16 x 16 x 1024 scan with its background and of
     # a 32 x 24 x 256 scan narrow their recursion; the q sweeps of 8 traces of
@@ -752,7 +726,7 @@ class TestDefaultCap:
         unsettled = [5, count // 2, count - 1]
         pairs = [UNSETTLED[0] if i in unsettled else (1.0, 1.0) for i in range(count)]
         rows, qs, rs = _long_lanes(pairs, n)
-        assert rts._chunking(count, n) == (count, False)
+        assert rts._chunk_width(count, n) == count
         spy, (chunk,) = _spied(rows, qs, rs, rts._LANE_BYTES)
         settled = [i for i in range(count) if i not in unsettled]
         assert spy.leaves == ([(127, settled)] if narrows else [])
@@ -928,8 +902,8 @@ class TestMemory:
         # vectors and numpy's buffers for the subtraction.
         volume, background = _scan(seed=58, nx=32, ny=32), _scan(seed=59, nx=32, ny=32)
         lanes = 2 * 32 * 32
-        with _cap(lanes * _stored_lane_bytes(NT)):
-            assert rts._chunking(lanes, NT) == (lanes, False)
+        with _cap(lanes * _lane_bytes(NT)):
+            assert rts._chunk_width(lanes, NT) == lanes
             tracemalloc.start()
             try:
                 pipeline_denoise(volume, background, 3e-4, noise_window=16)
