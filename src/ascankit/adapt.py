@@ -228,7 +228,7 @@ def _lane_scores(
     scoring resumes at the next lane."""
     scores: List[float] = []
     try:
-        for envs in _envelope_blocks(smoothed, axis=0):
+        for envs in _envelope_blocks(smoothed.T):
             first = len(scores)
             while len(scores) < first + len(envs):
                 try:

@@ -239,7 +239,7 @@ def _denoised_rows(
                 if mid < hi:
                     lines = out[mid - n_traces : hi - n_traces]
                     _subtract_transposed(lines, lanes[:, mid - lo :])
-                    bad = _first_bad(lines, axis=1)
+                    bad = _first_bad(lines)
                     if bad is not None:
                         received = mid + bad
                         _finite(lines[bad])
@@ -272,7 +272,7 @@ def baseline_denoise(
             _lowpassed(backs[lo : lo + block], taps, back)
             with np.errstate(over="ignore"):  # finite low-passes can differ by more than a float
                 np.subtract(lines, back, out=lines)
-    bad = _first_bad(out, axis=1)  # a bad filtered sample spoils the difference too
+    bad = _first_bad(out)  # a bad filtered sample spoils the difference too
     if bad is not None:
         # Trace by trace: the filtered trace, its filtered background, their
         # difference, the first two filtered again, as the difference may

@@ -13,7 +13,7 @@ The definitions are immutable: any change to an entry requires bumping
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
@@ -388,7 +388,7 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 def _envelope_peaks(lanes: np.ndarray) -> List[int]:
     """The envelope-peak sample of each column of the time-major ``lanes``."""
-    blocks = _envelope_blocks(lanes, axis=0)
+    blocks = _envelope_blocks(lanes.T)
     return [peak for envs in blocks for peak in envs.argmax(axis=1).tolist()]
 
 
@@ -524,16 +524,11 @@ def format_manifest(entry: CorpusEntry) -> str:
         "entry": entry.name,
         "nx": str(entry.nx),
         "ny": str(entry.ny),
-        "synth_nt": str(spec.nt),
-        "synth_dt": repr(spec.dt),
-        "synth_pulse_center_hz": repr(spec.pulse_center_hz),
-        "synth_pulse_time_s": repr(spec.pulse_time_s),
-        "synth_pulse_amp": repr(spec.pulse_amp),
-        "synth_noise_sigma": repr(spec.noise_sigma),
-        "synth_impulse_rate": repr(spec.impulse_rate),
-        "synth_impulse_amp": repr(spec.impulse_amp),
-        "synth_reflections": _format_reflections(spec.reflections),
-        "synth_seed": str(spec.seed),
+        **{  # an int's repr is its str
+            f"synth_{f.name}": _format_reflections(spec.reflections)
+            if f.name == "reflections" else repr(getattr(spec, f.name))
+            for f in fields(SynthSpec)
+        },
         **config_to_strings(entry.config()),
         "mask": _format_mask(entry.mask),
     }
@@ -549,18 +544,12 @@ def parse_manifest(text: str, source: str = "<manifest>") -> CorpusEntry:
     agrees, and an ad-hoc manifest gets a zeroed bundle.
     """
     pairs = parse_kv(text, source=source)
-    spec = SynthSpec(
-        nt=int_field(pairs, "synth_nt", source),
-        dt=float_field(pairs, "synth_dt", source),
-        pulse_center_hz=float_field(pairs, "synth_pulse_center_hz", source),
-        pulse_time_s=float_field(pairs, "synth_pulse_time_s", source),
-        pulse_amp=float_field(pairs, "synth_pulse_amp", source),
-        noise_sigma=float_field(pairs, "synth_noise_sigma", source),
-        impulse_rate=float_field(pairs, "synth_impulse_rate", source),
-        impulse_amp=float_field(pairs, "synth_impulse_amp", source),
-        reflections=_parse_reflections(require_field(pairs, "synth_reflections", source), source),
-        seed=int_field(pairs, "synth_seed", source),
-    )
+    numbers = {"int": int_field, "float": float_field}  # by SynthSpec's annotations
+    spec = SynthSpec(**{
+        f.name: _parse_reflections(require_field(pairs, "synth_reflections", source), source)
+        if f.name == "reflections" else numbers[f.type](pairs, f"synth_{f.name}", source)
+        for f in fields(SynthSpec)
+    })
     config_pairs = {key: require_field(pairs, key, source) for key in _MANIFEST_CONFIG_KEYS}
     config_pairs.update((key, pairs[key]) for key in _OPTIONAL_CONFIG_KEYS if key in pairs)
     config = config_from_strings(config_pairs, source=source)

@@ -36,21 +36,20 @@ def _block_traces(count: int, n: int) -> int:
     return max(1, min(count, _ENVELOPE_SAMPLES // n))
 
 
-def _envelope_blocks(traces: np.ndarray, axis: int = -1) -> Iterator[np.ndarray]:
-    """Envelopes of the traces of the 2-D ``traces``, in order: its rows, or
-    with ``axis=0`` its columns (time-major lanes).  Yields a C-ordered (traces, samples) block of whole traces
-    at a time, under ``_ENVELOPE_SAMPLES``: a view of a buffer that is
-    allocated once per call and that the next block overwrites.
+def _envelope_blocks(traces: np.ndarray) -> Iterator[np.ndarray]:
+    """Envelopes of the rows of the 2-D ``traces``, in order.  Yields a
+    C-ordered (traces, samples) block of whole traces at a time, under
+    ``_ENVELOPE_SAMPLES``: a view of a buffer that is allocated once per
+    call and that the next block overwrites.
 
     Built in the frequency domain: positive frequencies doubled, negative
     frequencies zeroed, DC (and Nyquist for even lengths) kept as is.  Each
     block is cast into a complex buffer and transformed, weighted and
     transformed back in place, with the bits of ``abs(ifft(fft(x) * w))``.
     """
-    n = traces.shape[axis]
+    count, n = traces.shape
     if n < 2:
         raise DataError("envelope needs at least 2 samples")
-    count = traces.shape[axis + 1]  # the other axis
     weights = np.zeros(n)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -64,7 +63,7 @@ def _envelope_blocks(traces: np.ndarray, axis: int = -1) -> Iterator[np.ndarray]
     for lo in range(0, count, size):
         k = min(size, count - lo)
         spectrum, env = spectra[:k], envelopes[:k]
-        np.copyto(spectrum, traces[:, lo : lo + k].T if axis == 0 else traces[lo : lo + k])
+        np.copyto(spectrum, traces[lo : lo + k])
         # A finite trace can have an envelope that overflows; the callers
         # refuse it, naming the trace, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -15,22 +15,22 @@ The volume-level paths run many traces at once through ``_smooth_lanes``,
 which matches the scalar ``denoise_trace`` bit for bit.  Its variances and
 gains depend on ``(q, r)`` alone and in floating point settle, lane by lane,
 to a fixed point or a 2-cycle, the steady-state filter (Anderson & Moore,
-*Optimal Filtering*, 1979); from there a lane's means need two gains.
-The kernel calls numpy per step only for what is sequential, the variance
-recursion (4 calls) and the means (3 in each direction); the gains take one
-call per sub-block of steps forward and two backward.  So an unsettled step
-costs 4 + 3 + 3 calls and a settled one 3 + 3: on narrow chunks the cost is
-per call; on wide ones, per sample too, so there settled lanes leave early.
-Its workspace holds every step's means and variances.  Lanes move between
-their traces and the time-major workspace in square tiles, not one strided
-column at a time (the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
+*Optimal Filtering*, 1979); from there a lane's means need two gains, kept
+in its column of the gain rows.  The kernel calls numpy per step only for
+what is sequential, the variance recursion (4 calls) and the means (3 in each
+direction); the gains take one call per sub-block of steps forward and two
+backward.  So an unsettled step costs 4 + 3 + 3 calls and a settled one
+3 + 3: on narrow chunks the cost is per call; on wide ones, per sample too,
+so there settled lanes leave early.  Its workspace holds every step's means
+and variances.  Lanes move between their traces and the time-major workspace
+in square tiles, not one strided column at a time (the blocked copies of
+Lam, Rothberg & Wolf, ASPLOS 1991).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-import itertools
 import math
 
 import numpy as np
@@ -64,8 +64,8 @@ _CHECK_EVERY = 128
 #: around a sub-block costs a few calls.  On the benchmark's kernel calls (16
 #: to 768 lanes), against gains built a step at a time, 8 steps took 0.84 to
 #: 0.95 of the time, 32 steps 0.79 to 0.97 and 128 steps 0.75 to 1.07; the
-#: byte cap keeps the scratch from growing with wide chunks (21 steps at 768
-#: lanes).
+#: byte cap keeps the scratch from growing with wide chunks (20 steps at 768
+#: lanes, as a sub-block holds an even number of steps).
 _GAIN_STEPS = 32
 _GAIN_BYTES = 256 << 10
 #: Fewest lanes of a chunk whose settled lanes leave the recursion before all
@@ -156,9 +156,9 @@ def _leave(
 def _chunk_width(stop: int, n: int) -> int:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples: the fewest chunks
     under ``_LANE_BYTES``, at the narrowest equal width.  Every lane holds
-    its means, its variances and the scratch of two sub-blocks of gains and
-    a step."""
-    lane = 8 * (2 * n + 2 * min(_GAIN_STEPS, _CHECK_EVERY, n) + 1)
+    its means, its variances and the scratch of two sub-blocks of gains (an
+    even number of steps, at least 2) and a step."""
+    lane = 8 * (2 * n + 4 * max(1, min(_GAIN_STEPS, _CHECK_EVERY, n) // 2) + 1)
     chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
     return max(1, -(-stop // chunks))
 
@@ -175,13 +175,13 @@ def _transposed(dst: np.ndarray, src: np.ndarray) -> None:
             np.copyto(dst[i : i + _TILE, k : k + _TILE], src[k : k + _TILE, i : i + _TILE].T)
 
 
-def _first_bad(lanes: np.ndarray, axis: int) -> Optional[int]:
-    """The first lane of ``lanes`` with a sample that is not finite, its
-    samples along ``axis``, or None.  Unlike ``np.isfinite(lanes)``, min and
-    max need no temporary the size of ``lanes``."""
+def _first_bad(lanes: np.ndarray) -> Optional[int]:
+    """The first row of ``lanes`` with a sample that is not finite, or None.
+    Unlike ``np.isfinite(lanes)``, min and max need no temporary the size of
+    ``lanes``."""
     if np.isfinite(lanes.min()) and np.isfinite(lanes.max()):
         return None
-    return int(np.argmax(~np.isfinite(lanes.min(axis=axis)) | ~np.isfinite(lanes.max(axis=axis))))
+    return int(np.argmax(~np.isfinite(lanes.min(axis=1)) | ~np.isfinite(lanes.max(axis=1))))
 
 
 def _pieces(blocks: Sequence[np.ndarray], lo: int, hi: int) -> List[Tuple[int, np.ndarray]]:
@@ -236,10 +236,12 @@ def _smooth_lanes(
     alternate with the step's parity (``_leave``).  They leave the recursion
     when all have settled, or in a chunk of ``_COMPACT_LANES`` or more when
     at most half its lanes stay live and 8 or more steps follow (the packed
-    rows then free the last 4 rows of ``p_buf`` for the gains).  The
-    recursion goes on for the live lanes, on compact copies, their variances
-    packed; the means stay full-width, on gain rows of both kinds.  Once all
-    have left, both passes cycle through two gain rows, 3 + 3 calls a step.
+    rows then free the last 4 rows of ``p_buf`` for the gains).  Sub-blocks
+    hold an even number of steps and start at even ones, so a left lane's
+    two gains go into its column of the gain rows once, by parity: forward
+    ones as it leaves, backward ones as that pass starts.  The recursion
+    goes on for the live lanes, on compact copies, their variances packed,
+    and each sub-block writes only their gains; the means stay full-width.
     """
     count = sum(len(block) for block in blocks)
     if count == 0:
@@ -250,7 +252,7 @@ def _smooth_lanes(
     n = blocks[0].shape[1]
     width = _chunk_width(stop, n)
     block = min(_CHECK_EVERY, n)
-    sub = max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)))
+    sub = 2 * max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)) // 2)  # even
     starts = range(0, n, block)
     # Time-major means (the input, until the forward pass overwrites it) and
     # posterior variances.  A chunk of m lanes uses m entries a row, and once
@@ -258,8 +260,9 @@ def _smooth_lanes(
     # the full ones.
     x_buf = np.empty(n * width)
     p_buf = np.empty(n * width)
-    # A sub-block's prior variances, then its gains; its denominators, and
-    # in the backward pass rows of q; and the step of the means.
+    # A sub-block's prior variances, then its gains; its denominators (the
+    # live lanes' priors and denominators once lanes leave), in the backward
+    # pass rows of q (or p + q); and the step of the means.
     scratch_buf = np.empty((2 * sub + 1) * width)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     # Overflow gives inf or nan as it does for the scalar path's Python
@@ -287,82 +290,69 @@ def _smooth_lanes(
             # The lanes in the recursion, their q, r and scratch, and each
             # block's variances; the left lanes' gains [forward, backward][parity].
             live, ql, rl, pr, de, used = np.arange(m), qs, rs, priors, denoms, 0
-            pr_rows, de_rows, windows, cycle, settled = prior_rows, list(denoms), [], None, n - 1
-            for last, k0 in enumerate(starts):
+            pr_rows, de_rows, windows, cycle = prior_rows, list(denoms), [], None
+            for k0 in starts:
                 k1 = min(k0 + block, n)
-                window = p_buf[used : used + (k1 - k0) * len(live)].reshape(k1 - k0, -1)
+                window = p_buf[used : used + (k1 - k0) * len(live)].reshape(k1 - k0, len(live))
                 used += window.size  # packed once lanes leave
                 windows.append((window, live, ql))
                 for s in range(k0, k1, sub):
                     e = min(s + sub, k1)
-                    for p_prior, denom, p in zip(pr_rows, de_rows, window[s - k0 : e - k0]):
-                        add(p_prev, ql, p_prior)
-                        add(p_prior, rl, denom)
-                        multiply(rl, p_prior, p)
-                        divide(p, denom, p)
-                        p_prev = p
-                    divide(pr[: e - s], de[: e - s], pr[: e - s])
-                    if len(live) < m:  # the left lanes' gains by parity, and the live ones'
-                        gains = priors[: e - s]
-                        gains[::2], gains[1::2] = cycle[0, s % 2], cycle[0, 1 - s % 2]
-                        gains[:, live] = pr[: e - s]
+                    if len(live):
+                        for p_prior, denom, p in zip(pr_rows, de_rows, window[s - k0 : e - k0]):
+                            add(p_prev, ql, p_prior)
+                            add(p_prior, rl, denom)
+                            multiply(rl, p_prior, p)
+                            divide(p, denom, p)
+                            p_prev = p
+                        divide(pr[: e - s], de[: e - s], pr[: e - s])
+                        if len(live) < m:  # beside the left lanes' gains
+                            priors[: e - s, live] = pr[: e - s]
                     for x, gain in zip(xs[s:e], prior_rows):
                         subtract(x, x_prev, step)
                         multiply(gain, step, step)
                         add(x_prev, step, x)
                         x_prev = x
-                if k1 == n:  # no step follows the last block's check
-                    break
+                if k1 == n or not len(live):  # no step follows the last check, or no lane is live
+                    continue
                 done = _settled(window, k1 - 1)
                 if done.all() or (done.any() and m >= _COMPACT_LANES and n - k1 >= 8
                                   and 2 * np.count_nonzero(~done) <= m):
-                    gone = slice(None) if done.all() else np.flatnonzero(done)
                     if cycle is None:  # narrowing: in rows of p_buf that the packing frees
                         cycle = np.empty(4 * m) if done.all() else p_buf[(n - 4) * m : n * m]
                         cycle = cycle.reshape(2, 2, m)
-                    _leave(cycle, live[gone], k1 - 1, window[-1:-3:-1, gone], ql[gone], rl[gone])
-                    if done.all():
-                        settled = k1 - 1
-                        break
-                    keep = np.flatnonzero(~done)
+                    _leave(cycle, live[done], k1 - 1, window[-1:-3:-1, done], ql[done], rl[done])
+                    # Sub-blocks start at even steps, so row i of priors is
+                    # of step parity i; each sub-block overwrites the live
+                    # lanes' columns.
+                    priors[::2], priors[1::2] = cycle[0]
+                    keep = ~done
                     live, p_prev, ql, rl = live[keep], window[-1][keep], ql[keep], rl[keep]
-                    pr, de = denoms.reshape(-1)[: 2 * sub * len(live)].reshape(2, sub, -1)
+                    pr, de = denoms.reshape(-1)[: 2 * sub * len(live)].reshape(2, sub, len(live))
                     pr_rows, de_rows = list(pr), list(de)
-            if settled < n - 1:
-                gains = cycle[0, (settled + 1) % 2], cycle[0, settled % 2]
-                for x, gain in zip(xs[settled + 1 :], itertools.cycle(gains)):
-                    subtract(x, x_prev, step)
-                    multiply(gain, step, step)
-                    add(x_prev, step, x)
-                    x_prev = x
             if forward is not None:
                 forward(lo, np.lib.stride_tricks.as_strided(xs, writeable=False))
             # Backward, in place: c = p_post[k] / p_prior[k+1], where
             # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
-            if settled < n - 1:
-                gains = cycle[1, n % 2], cycle[1, 1 - n % 2]  # step n - 2's first
-                x_next = xs[n - 1]
-                for x, gain in zip(xs[settled + 1 : n - 1][::-1], itertools.cycle(gains)):
-                    subtract(x_next, x, step)
-                    multiply(gain, step, step)
-                    add(x, step, x)
-                    x_next = x
-            denoms[...] = qs  # as rows: against a 1-D q the adds are buffered
-            top = min(settled + 1, n - 1)
-            for b in range(last, -1, -1):
-                k0 = starts[b]
-                k1 = min(k0 + block, top)
-                window, live, ql = windows[b]
-                for e in range(k1, k0, -sub):
-                    s = max(e - sub, k0)
-                    p, gains = window[s - k0 : e - k0], priors[: e - s]
-                    pq = priors.reshape(-1)[: p.size].reshape(p.shape) if len(live) < m else gains
-                    add(p, ql if len(live) < m else denoms[: e - s], pq)
-                    divide(p, pq, p if len(live) < m else gains)  # packed: in place
-                    if len(live) < m:
-                        gains[::2], gains[1::2] = cycle[1, s % 2], cycle[1, 1 - s % 2]
-                        gains[:, live] = p
-                    x_next = xs[e]
+            if cycle is not None:
+                priors[::2], priors[1::2] = cycle[1]
+            x_next = xs[n - 1]
+            for k0, (window, live, ql) in zip(reversed(starts), reversed(windows)):
+                k1 = min(k0 + block, n - 1)
+                if len(live) == m:  # q as rows, against which the adds are not buffered;
+                    denoms[...] = qs  # the packed windows use denoms as scratch
+                for s in reversed(range(k0, k1, sub)):
+                    e = min(s + sub, k1)
+                    if len(live):
+                        p, gains = window[s - k0 : e - k0], priors[: e - s]
+                        if len(live) == m:
+                            add(p, denoms[: e - s], gains)
+                            divide(p, gains, gains)
+                        else:  # packed: in place, then beside the left lanes' gains
+                            pq = denoms.reshape(-1)[: p.size].reshape(p.shape)
+                            add(p, ql, pq)
+                            divide(p, pq, p)
+                            gains[:, live] = p
                     for x, gain in zip(xs[s:e][::-1], prior_rows[e - s - 1 :: -1]):
                         subtract(x_next, x, step)
                         multiply(gain, step, step)
@@ -371,7 +361,7 @@ def _smooth_lanes(
             for j, lanes in pieces:  # r = 0 is the identity map
                 for i in np.flatnonzero(rs[j : j + len(lanes)] == 0.0):
                     xs[:, j + i] = lanes[i]
-            bad = _first_bad(xs, axis=0)
+            bad = _first_bad(xs.T)
             if bad is not None:
                 yield lo, xs[:, :bad]
                 _finite(xs[:, bad])  # raises denoise_trace's "not finite" error

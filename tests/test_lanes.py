@@ -44,8 +44,9 @@ def _bits(values) -> np.ndarray:
 def _lane_bytes(n):
     """What a lane of ``n`` samples costs the kernel's workspace by its sizing
     rule: its means, its variances, and two sub-blocks of ``_GAIN_STEPS``
-    gains and a step of scratch."""
-    return 8 * (2 * n + 2 * min(rts._GAIN_STEPS, n) + 1)
+    gains, rounded down to an even count of at least 2, and a step of
+    scratch."""
+    return 8 * (2 * n + 2 * (2 * max(1, min(rts._GAIN_STEPS, n) // 2)) + 1)
 
 
 def _cap(nbytes):
@@ -420,6 +421,22 @@ class TestSettledLanes:
             np.testing.assert_allclose(p_post.view(np.float64) + qs, closed, rtol=1e-12, atol=0.0)
 
 
+class _RecordedEmpty:
+    """numpy, as ``rts`` sees it, recording the bytes of each array that
+    ``empty`` makes."""
+
+    def __init__(self):
+        self.nbytes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, *args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        self.nbytes.append(out.nbytes)
+        return out
+
+
 def _narrowed_and_stored(rows, qs, rs):
     """The settle spies of one chunk of ``rows``, run at a compaction width
     of its own, with its later variances packed, and at one lane more, with
@@ -501,6 +518,38 @@ class TestNarrowedAndCappedChunks:
         with mock.patch.object(rts, "_COMPACT_LANES", len(qs) + 1):
             assert stored.leaves == _leaves_by_rule(qs, rs, n)
         assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
+
+    def test_a_wide_chunk_whose_gain_byte_cap_is_odd_narrows_twice(self):
+        # At 768 lanes the gain scratch's byte cap allows an odd number of
+        # steps a sub-block, which is rounded down to an even one, so that
+        # the left lanes' gain rows keep their step parity.  Per 16 lanes: 8
+        # settle by step 101 and leave at step 127 (half the chunk stays
+        # live), 7 settle by step 177 and leave at step 255, and 1 never
+        # settles.  The last block's 43 backward steps are an odd count.
+        assert rts._GAIN_BYTES // (16 * 768) % 2 == 1
+        kinds = [PERIOD_1[1], PERIOD_2[1]] * 4 + [PERIOD_1[0], PERIOD_2[0]] * 3 + [PERIOD_1[0]]
+        pairs = [UNSETTLED[0] if i % 16 == 15 else kinds[i % 16] for i in range(768)]
+        rows, qs, rs = _long_lanes(pairs, 300)
+        spy = _smooth_checked(rows, qs, rs)
+        fast = [i for i in range(768) if i % 16 < 8]
+        slow = [i for i in range(768) if 8 <= i % 16 < 15]
+        assert spy.leaves == [(127, fast), (255, slow)] == _leaves_by_rule(qs, rs, 300)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_lanes_keep_the_workspace_under_the_cap(self, n):
+        # A sub-block holds 2 steps of gains even where the lanes have fewer.
+        # Lanes for two chunks at least, had the scratch been costed at n
+        # steps: the kernel's arrays, made for its widest chunk, fit the cap.
+        cap = 1 << 20
+        count = 2 * cap // (8 * (2 * n + 2 * n + 1))
+        rows = np.random.default_rng(n).standard_normal((count, n))
+        numpy = _RecordedEmpty()
+        with _cap(cap), mock.patch.object(rts, "np", numpy):
+            chunks = _smooth_lanes([rows], np.full(count, 1e-2), np.ones(count))
+            lo, smoothed = next(chunks)
+            chunks.close()
+            assert smoothed.shape == (n, rts._chunk_width(count, n)) and count > smoothed.shape[1]
+        assert 0 < sum(numpy.nbytes) <= cap
 
     @pytest.mark.parametrize("cap", [None, 1])
     def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
