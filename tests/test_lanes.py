@@ -5,11 +5,22 @@ The kernel must reproduce ``denoise_trace`` bit for bit on every lane, and
 (kept in ``oracles``) exactly: the same report, the same bytes, the same
 first error naming the same trace.  Each caller is checked with the default
 workspace (one chunk here) and with a cap small enough to force many chunks.
+
+The kernel has two paths: the compiled ``_lanes.c`` where ``rts._library``
+builds it, and the numpy recursion otherwise.  Every bit-for-bit test runs on
+both (the ``kernel`` fixture); the tests of the numpy recursion's settle and
+leave mechanism pin it (``_spied``).
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import math
+import os
+import shutil
+import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -35,6 +46,19 @@ SAMPLE = st.one_of(
     st.sampled_from([0.0, -0.0]),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def kernel(request):
+    """Runs a test on the compiled kernel, where it builds, and on the numpy
+    fallback, forced as a machine without a compiler would force it."""
+    if request.param == "numpy":
+        with mock.patch.object(rts, "_library", lambda: None):
+            yield request.param
+    elif rts._library() is None:
+        pytest.skip("the compiled lane kernel does not build here")
+    else:
+        yield request.param
 
 
 def _bits(values) -> np.ndarray:
@@ -131,6 +155,7 @@ def _error(fn, *args, **kwargs):
     return type(info.value), str(info.value)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestKernel:
     @st.composite
     def lane_sets(draw):
@@ -181,6 +206,51 @@ class TestKernel:
     def test_no_lanes_yields_nothing(self):
         assert list(_smooth_lanes([], np.array([]), np.array([]))) == []
         assert list(_smooth_lanes([np.ones((0, 3))] * 2, np.array([]), np.array([]))) == []
+
+    def test_lanes_of_no_samples_yield_empty_chunks_and_refuse_bad_variances(self):
+        rows = [np.ones((2, 0)), np.ones((1, 0))]
+        qs, rs = np.ones(3), np.array([1.0, 0.0, 1.0])
+        with _cap(2 * _lane_bytes(0)):
+            assert [(lo, smoothed.shape) for lo, smoothed in _smooth_lanes(rows, qs, rs)] == [
+                (0, (0, 2)), (2, (0, 1))
+            ]
+        chunks = []
+
+        def run():
+            for lo, smoothed in _smooth_lanes(rows, qs, np.array([1.0, 1.0, -1.0])):
+                chunks.append((lo, smoothed.shape))
+
+        assert _error(run) == (DataError, "measurement-noise variance r must be finite and >= 0")
+        assert chunks == [(0, (0, 2))]
+
+    def test_fewer_variances_than_lanes_are_refused_before_the_loop_reads_them(self):
+        with pytest.raises(ValueError):
+            list(_smooth_lanes([np.ones((3, 4))], np.ones(2), np.ones(2)))
+
+    # Lanes in groups of 8 and a narrower last group, of one or two samples,
+    # some with r = 0 and some starting at -0.0.
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 17])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_and_two_sample_lanes_match_denoise_trace_bit_for_bit(self, count, n):
+        rng = np.random.default_rng(count * n)
+        rows = rng.standard_normal((count, n))
+        rows[::3, 0] = -0.0
+        qs = 10.0 ** rng.uniform(-6.0, 6.0, count)
+        rs = np.where(np.arange(count) % 4 == 1, 0.0, 10.0 ** rng.uniform(-6.0, 6.0, count))
+        _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
+
+    def test_a_lane_overflowing_in_a_short_last_group_is_refused_after_those_before_it(self):
+        rows, qs, rs = _mixed_lanes(19, NT)
+        rows[17], qs[17], rs[17] = _overflowing(), 3e-4, 1e-6
+        chunks = []
+
+        def run():
+            for lo, smoothed in _smooth_lanes([rows], qs, rs):
+                chunks.append((lo, smoothed.copy()))
+
+        assert _error(run) == _error(denoise_trace, Trace(rows[17], 1e-6), qs[17], rs[17])
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (NT, 17))]
+        _assert_denoised(rows, qs, rs, chunks)
 
     @pytest.mark.parametrize(
         "q", [float("nan"), float("inf"), -1.0, -0.0, 0.0, 5e-324, 1.0, 1e308]
@@ -278,9 +348,11 @@ def _leaves_by_rule(qs, rs, n):
 
 
 def _spied(rows, qs, rs, cap):
-    """The settle spy and the chunks of a kernel run capped at ``cap`` bytes."""
+    """The settle spy and the chunks of a kernel run capped at ``cap`` bytes,
+    on the numpy recursion, the one that settles."""
     spy = _SettleSpy()
-    with mock.patch.multiple(rts, _settled=spy.settled, _leave=spy.leave), _cap(cap):
+    spies = dict(_settled=spy.settled, _leave=spy.leave, _library=lambda: None)
+    with mock.patch.multiple(rts, **spies), _cap(cap):
         chunks = _chunks(rows, qs, rs)
     return spy, chunks
 
@@ -295,8 +367,8 @@ def _smooth_checked(rows, qs, rs, width=None, cap=None):
 
 
 class TestSettledLanes:
-    """Lanes long enough for the kernel's settle checks, which the short
-    lanes of ``TestKernel`` never reach.  These chunks are narrower than
+    """Lanes long enough for the numpy recursion's settle checks, which the
+    short lanes of ``TestKernel`` never reach.  These chunks are narrower than
     ``_COMPACT_LANES``: their lanes leave the recursion all at once."""
 
     def test_a_lane_that_never_settles_keeps_its_chunk_on_the_full_recursion(self):
@@ -450,8 +522,9 @@ def _narrowed_and_stored(rows, qs, rs):
 
 
 class TestNarrowedAndCappedChunks:
-    """Chunks whose settled lanes leave while others stay live, the live
-    lanes' later variances packed; and chunks sized by the workspace cap."""
+    """Chunks of the numpy recursion whose settled lanes leave while others
+    stay live, the live lanes' later variances packed; and chunks sized by
+    the workspace cap, on both paths."""
 
     @pytest.mark.parametrize(
         "pairs, n, packed, settled",
@@ -535,6 +608,7 @@ class TestNarrowedAndCappedChunks:
         slow = [i for i in range(768) if 8 <= i % 16 < 15]
         assert spy.leaves == [(127, fast), (255, slow)] == _leaves_by_rule(qs, rs, 300)
 
+    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("n", [1, 2])
     def test_short_lanes_keep_the_workspace_under_the_cap(self, n):
         # A sub-block holds 2 steps of gains even where the lanes have fewer.
@@ -551,6 +625,7 @@ class TestNarrowedAndCappedChunks:
             assert smoothed.shape == (n, rts._chunk_width(count, n)) and count > smoothed.shape[1]
         assert 0 < sum(numpy.nbytes) <= cap
 
+    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("cap", [None, 1])
     def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
         rows = [np.ones((2, 300))]
@@ -560,6 +635,7 @@ class TestNarrowedAndCappedChunks:
             assert rts._chunk_width(0, 300) == 1
             assert _error(list, _smooth_lanes(rows, qs, rs)) == want
 
+    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 128, 300])
     def test_lanes_over_the_cap_are_stored_one_a_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + SILENT, n, seed=n)
@@ -568,6 +644,7 @@ class TestNarrowedAndCappedChunks:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
+    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("n", [2, 100, 128, 129])
     def test_lanes_that_fill_the_cap_are_one_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, n, seed=n)
@@ -585,6 +662,7 @@ class TestNarrowedAndCappedChunks:
         full = len(rows) * _lane_bytes(rows.shape[1])
         return rows, qs, rs, draw(st.integers(min_value=1, max_value=full + full // 2))
 
+    @pytest.mark.usefixtures("kernel")
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(capped_lane_sets())
     def test_any_cap_gives_the_fewest_chunks_and_the_same_bits(self, lanes):
@@ -594,6 +672,7 @@ class TestNarrowedAndCappedChunks:
         _assert_denoised(rows, qs, rs, chunks)
 
     # None: as many lanes as one chunk holds.
+    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("count, n", [(None, 4096), (512, 1024)])
     def test_peak_allocation_stays_under_the_cap(self, count, n):
         count = count or rts._LANE_BYTES // _lane_bytes(n)
@@ -609,6 +688,7 @@ class TestNarrowedAndCappedChunks:
         assert peak <= rts._LANE_BYTES + (64 << 10)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestForwardHook:
     """The means the kernel hands its ``forward`` hook between its passes."""
 
@@ -652,6 +732,7 @@ class TestForwardHook:
             self._assert_forward(rows, qs, rs)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestSelectQMatchesScalarLoop:
     @pytest.mark.parametrize("lanes", [None, 3])
     @pytest.mark.parametrize("grid", [GRID, None])
@@ -701,6 +782,7 @@ class TestSelectQMatchesScalarLoop:
         assert _error(select_q, volume, **kwargs) == want
 
 
+@pytest.mark.usefixtures("kernel")
 class TestPipelineMatchesScalarLoop:
     @pytest.mark.parametrize("lanes", [None, 4])
     @pytest.mark.parametrize("with_background", [False, True])
@@ -795,6 +877,7 @@ def _mixed_lanes(count, n, seed=0):
     return _long_lanes((MIXED * count)[:count], n, seed=seed)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestTiles:
     """The kernel copies its lanes in, and ``pipeline_denoise`` and
     ``select_q`` copy them out, in tiles of ``rts._TILE`` lanes by
@@ -942,6 +1025,7 @@ def _outcome(fn, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestMemory:
     def test_pipeline_peak_is_the_output_and_the_kernel_workspace(self):
         # A cap that holds the volume's and the background's lanes with their
@@ -961,3 +1045,127 @@ class TestMemory:
                 tracemalloc.stop()
             slack = volume.data.nbytes // 4
             assert peak <= volume.data.nbytes + lanes * 2 * 8 * NT + slack
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    """A cache directory of its own for ``rts._library``, which is built
+    afresh in the test and again after it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    rts._library.cache_clear()
+    yield tmp_path / "cache" / "ascankit"
+    rts._library.cache_clear()
+
+
+def _denoised_lanes():
+    """Run the kernel on 19 mixed lanes of 300 samples, checked bit for bit."""
+    rows, qs, rs = _mixed_lanes(19, 300, seed=19)
+    _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
+
+
+class TestLibrary:
+    """How ``rts._library`` builds, caches and loads the compiled kernel, and
+    what runs where it cannot."""
+
+    needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+
+    @needs_cc
+    def test_a_compiler_builds_the_library_and_the_kernel_takes_it(self, cache):
+        library = rts._library()
+        assert library is not None
+        (built,) = os.listdir(cache)  # no partial file is left beside it
+        assert built.startswith("_lanes-") and built.endswith(".so") and len(built) == 7 + 64 + 3
+        calls = []
+
+        def lanes_smooth(*args):
+            calls.append(args[4:6])
+            library.lanes_smooth(*args)
+
+        with mock.patch.object(rts, "_library", lambda: mock.Mock(lanes_smooth=lanes_smooth)):
+            with _cap(7 * _lane_bytes(300)):
+                _denoised_lanes()
+        assert calls == [(300, 7), (300, 7), (300, 5)]
+
+    @needs_cc
+    def test_a_second_process_loads_the_cached_library_without_compiling(self, cache):
+        assert rts._library() is not None
+        (built,) = cache.iterdir()
+        before = built.stat()
+        rts._library.cache_clear()
+        with mock.patch.object(rts, "_built", mock.Mock(side_effect=AssertionError("compiled"))):
+            assert rts._library() is not None
+        after = built.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        _denoised_lanes()
+
+    @pytest.mark.parametrize("case", ["no cc", "a failing cc", "a cache that is a file",
+                                      "a read-only cache"])
+    def test_without_a_library_the_numpy_recursion_runs_silently(
+        self, case, cache, tmp_path, monkeypatch, capfd
+    ):
+        if case == "no cc":
+            (tmp_path / "bin").mkdir()
+            monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        elif case == "a failing cc":
+            (tmp_path / "bin").mkdir()
+            (tmp_path / "bin" / "cc").write_text("#!/bin/sh\necho 'cc: no' >&2\nexit 1\n")
+            (tmp_path / "bin" / "cc").chmod(0o755)
+            monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+        elif case == "a cache that is a file":
+            cache.parent.write_text("")
+        else:
+            cache.parent.mkdir()
+            cache.parent.chmod(0o500)
+            if os.access(cache.parent, os.W_OK):
+                pytest.skip("this user can write to a read-only directory")
+        capfd.readouterr()
+        assert rts._library() is None
+        with mock.patch.object(rts, "_numpy_passes", wraps=rts._numpy_passes) as fallback:
+            _denoised_lanes()  # denoise_trace's bits
+        assert fallback.call_count == 1
+        assert capfd.readouterr() == ("", "")
+        if case == "a failing cc":
+            assert os.listdir(cache) == []  # the failed build's file is removed
+
+    @needs_cc
+    def test_another_thread_runs_python_during_a_kernel_call(self, cache):
+        # Lanes that take milliseconds: a thread records the time, over and
+        # over, while this one calls the kernel.  Some of its times fall
+        # inside the call as ctypes.CDLL, which releases the GIL, makes it;
+        # none as ctypes.PyDLL, which holds it, makes the same call.  The
+        # thread hands the GIL back at every step, and a long switch
+        # interval keeps it from taking the GIL before the call.
+        library = rts._library()
+        n, m = 1 << 17, 8
+        xs = np.random.default_rng(0).standard_normal((n, m)).cumsum(axis=0)
+        variances, qs, rs = np.empty(8 * n), np.full(m, 1e-3), np.ones(m)
+        args = [a.ctypes.data for a in (xs, variances, qs, rs)] + [n, m, None]
+        holding = ctypes.PyDLL(library._name).lanes_smooth
+        holding.argtypes, holding.restype = library.lanes_smooth.argtypes, None
+
+        def inside(kernel):
+            times, stop = [], threading.Event()
+
+            def tick():
+                while not stop.is_set():
+                    times.append(time.perf_counter())
+                    time.sleep(0)
+
+            clock = threading.Thread(target=tick)
+            clock.start()
+            while not times:
+                time.sleep(1e-3)
+            start = time.perf_counter()
+            kernel(*args)
+            end = time.perf_counter()
+            stop.set()
+            clock.join()
+            return sum(start < t < end for t in times)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1.0)
+        try:
+            assert inside(holding) == 0
+            assert any(inside(library.lanes_smooth) for _ in range(5))
+        finally:
+            sys.setswitchinterval(interval)
