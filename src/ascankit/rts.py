@@ -15,20 +15,12 @@ The volume-level paths run many traces at once through ``_smooth_lanes``,
 which matches the scalar ``denoise_trace`` bit for bit on either of its two
 paths.  Where a C compiler is found, it runs ``_lanes.c``, built on first use
 (``_library``): one call per chunk does the whole recursion, 8 lanes at a
-time, without the GIL.  Otherwise it runs a numpy recursion with the same
-bits, whose cost is numpy's per call.  The variances and gains depend on
-``(q, r)`` alone and in floating point settle, lane by lane, to a fixed
-point or a 2-cycle, the steady-state filter (Anderson & Moore, *Optimal
-Filtering*, 1979); from there a lane's means need two gains, kept in its
-column of the gain rows.  The numpy recursion calls numpy per step only for
-what is sequential, the variance recursion (4 calls) and the means (3 in each
-direction); the gains take one call per sub-block of steps forward and two
-backward.  So an unsettled step costs 4 + 3 + 3 calls and a settled one
-3 + 3: on narrow chunks the cost is per call; on wide ones, per sample too,
-so there settled lanes leave early.  Its workspace holds every step's means
-and variances; the compiled path's, the means.  Lanes move between their
-traces and the time-major workspace in square tiles, not one strided column
-at a time (the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
+time, without the GIL.  Otherwise it runs the same recursion a step at a
+time across the chunk's lanes in numpy calls, 8 a step forward and 5
+backward, with the same bits; its workspace holds every step's means and
+variances, where the compiled path's holds the means.  Lanes move between
+their traces and the time-major workspace in square tiles, not one strided
+column at a time (the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
 """
 
 from __future__ import annotations
@@ -58,7 +50,7 @@ from .model import (
 __all__ = ["rts_smooth", "denoise_trace"]
 
 #: Cap, in bytes, on ``_smooth_lanes``' workspace: every step's means and
-#: variances, and the gains' scratch (``_chunk_width``).  At 16 MiB the
+#: variances, and a step's scratch (``_chunk_width``).  At 16 MiB the
 #: pipeline of a 16 x 16 x 1024 scan and its background is one chunk of 512
 #: lanes, and a sweep of 120 lanes of 4,096 samples one of 120.  Against
 #: 4 MiB, that raised ``denoise``'s peak RSS by 3.5 and 4.9 MB on those two
@@ -67,23 +59,6 @@ __all__ = ["rts_smooth", "denoise_trace"]
 _LANE_BYTES = 16 << 20
 #: Lanes and steps per tile of ``_transposed``'s copies.
 _TILE = 64
-#: Time steps between ``_smooth_lanes``' checks for settled variances.
-_CHECK_EVERY = 128
-#: Most time steps, and most bytes of scratch (two sub-blocks of lanes), per
-#: sub-block whose gains ``_smooth_lanes`` computes in one call.  The Python
-#: around a sub-block costs a few calls.  On the benchmark's kernel calls (16
-#: to 768 lanes), against gains built a step at a time, 8 steps took 0.84 to
-#: 0.95 of the time, 32 steps 0.79 to 0.97 and 128 steps 0.75 to 1.07; the
-#: byte cap keeps the scratch from growing with wide chunks (20 steps at 768
-#: lanes, as a sub-block holds an even number of steps).
-_GAIN_STEPS = 32
-_GAIN_BYTES = 256 << 10
-#: Fewest lanes of a chunk whose settled lanes leave the recursion before all
-#: have.  With 2 never settling, leaving saved 0.8-1.0 us a step at 120-256
-#: lanes of 1,024 steps, 3.0-5.7 at 384-768.  On sweep-long's q sweep (lanes
-#: settling at steps 383-1,535) it cost 0.03-0.15 us a step at 120-240 lanes
-#: and saved 0.4 MB of peak RSS (seeds 0-1, 101 / 14 pairs, 2 cores).
-_COMPACT_LANES = 256
 #: How ``_library`` builds ``_lanes.c``.  Bit for bit with the scalar path:
 #: no multiply-add fused and no -ffast-math (which would also set
 #: flush-to-zero for the whole process), nor -march=native; -O3 vectorises a
@@ -224,29 +199,12 @@ def _built(source: bytes, directory: str, path: str) -> bool:
             os.remove(partial)
 
 
-def _settled(ps: np.ndarray, k: int) -> np.ndarray:
-    """Which lanes' variance at step ``k``, ``ps[-1]``, repeats ``ps[-3]``
-    bit for bit, so that every later one is ``ps[-2]`` or ``ps[-1]``."""
-    return ps[-1].view(np.uint64) == ps[-3].view(np.uint64)
-
-
-def _leave(
-    cycle: np.ndarray, lanes: np.ndarray, k: int, post: np.ndarray, q: np.ndarray, r: np.ndarray
-) -> None:
-    """Write into ``cycle`` the forward and backward gains, by step parity, of
-    ``lanes`` settled at step ``k`` with posterior variances ``post`` at k, k - 1."""
-    for j, p in enumerate(post):  # p_post of step k - j and of each later one of its parity
-        prior = p + q
-        cycle[0, (k - j + 1) % 2, lanes] = prior / (prior + r)
-        cycle[1, (k - j) % 2, lanes] = p / prior
-
-
 def _chunk_width(stop: int, n: int) -> int:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples: the fewest chunks
     under ``_LANE_BYTES``, at the narrowest equal width.  Every lane holds
-    its means, its variances and the scratch of two sub-blocks of gains (an
-    even number of steps, at least 2) and a step."""
-    lane = 8 * (2 * n + 4 * max(1, min(_GAIN_STEPS, _CHECK_EVERY, n) // 2) + 1)
+    what ``_numpy_passes`` keeps of it: its means, its variances, a step's
+    three scratch values and the previous step's mean."""
+    lane = 8 * (2 * n + 4)
     chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
     return max(1, -(-stop // chunks))
 
@@ -318,6 +276,7 @@ def _smooth_lanes(
     # The lanes whose variances _check_variances accepts, up to the first refused.
     accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
     stop = count if accepted.all() else int(np.argmin(accepted))
+    del accepted  # a byte a lane, which _chunk_width does not count
     n = blocks[0].shape[1]
     width = _chunk_width(stop, n)
     library = _library()
@@ -377,129 +336,47 @@ def _compiled_passes(library: ctypes.CDLL, n: int, width: int,
 
 def _numpy_passes(n: int, width: int,
                   forward: Optional[Callable[[int, np.ndarray], None]]) -> Callable:
-    """``_smooth_lanes``' two passes over a chunk of lanes of ``n`` samples
-    in numpy calls, which group the elements differently from the scalar
-    path; that is free because the variances and gains depend on ``(q, r)``
-    alone and no mean feeds back into them:
-
-    - forward, per sub-block of at most ``_GAIN_STEPS`` steps, the variance
-      recursion runs alone (add, add, multiply, divide a step) and keeps
-      each step's prior variance and denominator; one divide gives the
-      sub-block's gains, and the means take 3 calls a step;
-    - backward, per sub-block, two calls give the gains ``p / (p + q)``
-      from the stored posterior variances, and the means take 3 calls a
-      step.
-
-    A check at the odd steps 127, 255, ... before the last block finds the
-    lanes whose posterior variance equals the one two steps back: all their
-    later ones are equal too, as the map is deterministic, so their gains
-    alternate with the step's parity (``_leave``).  They leave the recursion
-    when all have settled, or in a chunk of ``_COMPACT_LANES`` or more when
-    at most half its lanes stay live and 8 or more steps follow (the packed
-    rows then free the last 4 rows of ``p_buf`` for the gains).  Sub-blocks
-    hold an even number of steps and start at even ones, so a left lane's
-    two gains go into its column of the gain rows once, by parity: forward
-    ones as it leaves, backward ones as that pass starts.  The recursion
-    goes on for the live lanes, on compact copies, their variances packed,
-    and each sub-block writes only their gains; the means stay full-width.
-    """
-    block = max(1, min(_CHECK_EVERY, n))
-    sub = 2 * max(1, min(_GAIN_STEPS, block, _GAIN_BYTES // (16 * width)) // 2)  # even
-    starts = range(0, n, block)
-    # Time-major posterior variances.  A chunk of m lanes uses m entries a
-    # row, and once lanes leave the recursion, the live ones' later rows are
-    # packed after the full ones.
+    """``_smooth_lanes``' two passes over a chunk of lanes of ``n`` samples,
+    a step at a time across the chunk's lanes: forward, 4 numpy calls for the
+    posterior variance, 1 for the gain and 3 for the mean; backward, 2 for
+    the gain ``p / (p + q)`` from the stored posterior variance and 3 for the
+    mean.  Its workspace is every step's posterior variance and a step's
+    prior variance (then gain), denominator and difference of means."""
     p_buf = np.empty(n * width)
-    # A sub-block's prior variances, then its gains; its denominators (the
-    # live lanes' priors and denominators once lanes leave), in the backward
-    # pass rows of q (or p + q); and the step of the means.
-    scratch_buf = np.empty((2 * sub + 1) * width)
+    scratch_buf = np.empty(3 * width)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
     def passes(lo: int, xs: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> None:
         m = xs.shape[1]
-        # Each operand of a 2-D call is C-contiguous and of its shape, or
-        # numpy buffers it: up to 64 KiB a call.  The rows are made once,
-        # as a row view costs about as much as a call.
-        scratch = scratch_buf[: (2 * sub + 1) * m].reshape(2 * sub + 1, m)
-        priors, denoms, step = scratch[:sub], scratch[sub:-1], scratch[-1]
-        prior_rows = list(priors)
+        ps = p_buf[: n * m].reshape(n, m)
+        gain, denom, step = scratch_buf[: 3 * m].reshape(3, m)
         # The filter starts from x0 = y[0] and p0 = r, and its first prior
         # mean is x0 + 0.0, which turns -0.0 into +0.0.  Every later prior
         # mean x_post + 0.0 is left at x_post: a posterior is a sum
         # x_prior + g*(y - x_prior) with x_prior != -0.0, and such a sum
         # is never -0.0, so the + 0.0 would change no bit.
         x_prev, p_prev = xs[0] + 0.0, rs
-        # The lanes in the recursion, their q, r and scratch, and each
-        # block's variances; the left lanes' gains [forward, backward][parity].
-        live, ql, rl, pr, de, used = np.arange(m), qs, rs, priors, denoms, 0
-        pr_rows, de_rows, windows, cycle = prior_rows, list(denoms), [], None
-        for k0 in starts:
-            k1 = min(k0 + block, n)
-            window = p_buf[used : used + (k1 - k0) * len(live)].reshape(k1 - k0, len(live))
-            used += window.size  # packed once lanes leave
-            windows.append((window, live, ql))
-            for s in range(k0, k1, sub):
-                e = min(s + sub, k1)
-                if len(live):
-                    for p_prior, denom, p in zip(pr_rows, de_rows, window[s - k0 : e - k0]):
-                        add(p_prev, ql, p_prior)
-                        add(p_prior, rl, denom)
-                        multiply(rl, p_prior, p)
-                        divide(p, denom, p)
-                        p_prev = p
-                    divide(pr[: e - s], de[: e - s], pr[: e - s])
-                    if len(live) < m:  # beside the left lanes' gains
-                        priors[: e - s, live] = pr[: e - s]
-                for x, gain in zip(xs[s:e], prior_rows):
-                    subtract(x, x_prev, step)
-                    multiply(gain, step, step)
-                    add(x_prev, step, x)
-                    x_prev = x
-            if k1 == n or not len(live):  # no step follows the last check, or no lane is live
-                continue
-            done = _settled(window, k1 - 1)
-            if done.all() or (done.any() and m >= _COMPACT_LANES and n - k1 >= 8
-                              and 2 * np.count_nonzero(~done) <= m):
-                if cycle is None:  # narrowing: in rows of p_buf that the packing frees
-                    cycle = np.empty(4 * m) if done.all() else p_buf[(n - 4) * m : n * m]
-                    cycle = cycle.reshape(2, 2, m)
-                _leave(cycle, live[done], k1 - 1, window[-1:-3:-1, done], ql[done], rl[done])
-                # Sub-blocks start at even steps, so row i of priors is
-                # of step parity i; each sub-block overwrites the live
-                # lanes' columns.
-                priors[::2], priors[1::2] = cycle[0]
-                keep = ~done
-                live, p_prev, ql, rl = live[keep], window[-1][keep], ql[keep], rl[keep]
-                pr, de = denoms.reshape(-1)[: 2 * sub * len(live)].reshape(2, sub, len(live))
-                pr_rows, de_rows = list(pr), list(de)
+        for x, p in zip(xs, ps):
+            add(p_prev, qs, gain)  # the prior variance
+            add(gain, rs, denom)
+            multiply(rs, gain, p)
+            divide(p, denom, p)
+            divide(gain, denom, gain)
+            subtract(x, x_prev, step)
+            multiply(gain, step, step)
+            add(x_prev, step, x)
+            x_prev, p_prev = x, p
         if forward is not None:
             forward(lo, np.lib.stride_tricks.as_strided(xs, writeable=False))
         # Backward, in place: c = p_post[k] / p_prior[k+1], where
         # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
-        if cycle is not None:
-            priors[::2], priors[1::2] = cycle[1]
         x_next = xs[n - 1]
-        for k0, (window, live, ql) in zip(reversed(starts), reversed(windows)):
-            k1 = min(k0 + block, n - 1)
-            if len(live) == m:  # q as rows, against which the adds are not buffered;
-                denoms[...] = qs  # the packed windows use denoms as scratch
-            for s in reversed(range(k0, k1, sub)):
-                e = min(s + sub, k1)
-                if len(live):
-                    p, gains = window[s - k0 : e - k0], priors[: e - s]
-                    if len(live) == m:
-                        add(p, denoms[: e - s], gains)
-                        divide(p, gains, gains)
-                    else:  # packed: in place, then beside the left lanes' gains
-                        pq = denoms.reshape(-1)[: p.size].reshape(p.shape)
-                        add(p, ql, pq)
-                        divide(p, pq, p)
-                        gains[:, live] = p
-                for x, gain in zip(xs[s:e][::-1], prior_rows[e - s - 1 :: -1]):
-                    subtract(x_next, x, step)
-                    multiply(gain, step, step)
-                    add(x, step, x)
-                    x_next = x
+        for x, p in zip(xs[-2::-1], ps[-2::-1]):
+            add(p, qs, gain)
+            divide(p, gain, gain)
+            subtract(x_next, x, step)
+            multiply(gain, step, step)
+            add(x, step, x)
+            x_next = x
 
     return passes

@@ -8,8 +8,7 @@ workspace (one chunk here) and with a cap small enough to force many chunks.
 
 The kernel has two paths: the compiled ``_lanes.c`` where ``rts._library``
 builds it, and the numpy recursion otherwise.  Every bit-for-bit test runs on
-both (the ``kernel`` fixture); the tests of the numpy recursion's settle and
-leave mechanism pin it (``_spied``).
+both (the ``kernel`` fixture).
 """
 
 import contextlib
@@ -33,7 +32,7 @@ from ascankit.adapt import select_q
 from ascankit.baseline import pipeline_denoise
 from ascankit.kalman import kf_filter, random_walk_params
 from ascankit.model import DataError, NumericsError, RoiSpec, Trace, Volume
-from ascankit.rts import _leave, _settled, _smooth_lanes, denoise_trace
+from ascankit.rts import _smooth_lanes, denoise_trace
 from ascankit.synth import default_spec, synth_volume
 from oracles import scalar_denoised_volume, scalar_select_q
 
@@ -67,10 +66,8 @@ def _bits(values) -> np.ndarray:
 
 def _lane_bytes(n):
     """What a lane of ``n`` samples costs the kernel's workspace by its sizing
-    rule: its means, its variances, and two sub-blocks of ``_GAIN_STEPS``
-    gains, rounded down to an even count of at least 2, and a step of
-    scratch."""
-    return 8 * (2 * n + 2 * (2 * max(1, min(rts._GAIN_STEPS, n) // 2)) + 1)
+    rule: its means, its variances, and 4 values of a step's scratch."""
+    return 8 * (2 * n + 4)
 
 
 def _cap(nbytes):
@@ -281,41 +278,19 @@ PERIOD_1 = [(1e-2, 1.0), (1.0, 1.0)]
 PERIOD_2 = [(0.012, 1.0), (0.034, 1.0)]
 SILENT = [(1e-3, 0.0)]
 UNSETTLED = [(1e-12, 1.0)]
-
-
-class _SettleSpy:
-    """Stands in for ``rts._settled`` and ``rts._leave``, and records in the
-    run's lane numbers: each check as ``(k, lanes found settled)``, each
-    leaving as ``(k, lanes)``, and at ``variances[lane, k]`` the bits of the
-    variances of steps ``k - 1`` and ``k`` of each lane checked.  A check at
-    a step no later than the last one starts a chunk."""
-
-    def __init__(self):
-        self.checks, self.leaves, self.variances = [], [], {}
-        self._k, self._lo, self._width = math.inf, 0, 0
-
-    def settled(self, ps, k):
-        if k <= self._k:
-            self._lo, self._width = self._lo + self._width, ps.shape[1]
-            self._live = np.arange(ps.shape[1])
-        self._k = k
-        done = _settled(ps, k)
-        self.checks.append((k, (self._lo + self._live[done]).tolist()))
-        for lane, before, last in zip(self._lo + self._live, ps[-2], ps[-1]):
-            self.variances[int(lane), k] = tuple(_bits([before, last]).tolist())
-        return done
-
-    def leave(self, cycle, lanes, k, post, q, r):
-        left = np.arange(cycle.shape[-1])[lanes]
-        self.leaves.append((k, (self._lo + left).tolist()))
-        self._live = np.setdiff1d(self._live, left)
-        return _leave(cycle, lanes, k, post, q, r)
+#: (q, r) pairs that lanes cycle through: both settle periods, r = 0 and a
+#: lane that never settles.
+MIXED = PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED
 
 
 def _long_lanes(pairs, n, seed=0):
     rows = np.random.default_rng(seed).standard_normal((len(pairs), n)).cumsum(axis=1)
     qs, rs = (np.array(values) for values in zip(*pairs))
     return rows, qs, rs
+
+
+def _mixed_lanes(count, n, seed=0):
+    return _long_lanes((MIXED * count)[:count], n, seed=seed)
 
 
 def _settle_step(q, r, n):
@@ -327,97 +302,37 @@ def _settle_step(q, r, n):
     return int(hits[0]) + 2 if len(hits) else None
 
 
-def _leaves_by_rule(qs, rs, n):
-    """The ``(k, lanes)`` that leave one chunk of lanes of ``n`` samples by
-    the per-lane rule: at a check, the live lanes whose variance has settled
-    leave when all of them have, or, in a chunk of at least
-    ``_COMPACT_LANES`` lanes, when at most half of its lanes stay live and at
-    least 8 steps follow."""
-    settle = [_settle_step(q, r, n) or math.inf for q, r in zip(qs, rs)]
-    live, leaves = list(range(len(qs))), []
-    wide = len(qs) >= rts._COMPACT_LANES
-    for k in range(rts._CHECK_EVERY - 1, n - 1, rts._CHECK_EVERY):
-        done = [i for i in live if settle[i] <= k]
-        narrows = wide and 2 * (len(live) - len(done)) <= len(qs) and n - k - 1 >= 8
-        if done == live or done and narrows:
-            leaves.append((k, done))
-            live = [i for i in live if i not in done]
-        if not live:
-            break
-    return leaves
-
-
-def _spied(rows, qs, rs, cap):
-    """The settle spy and the chunks of a kernel run capped at ``cap`` bytes,
-    on the numpy recursion, the one that settles."""
-    spy = _SettleSpy()
-    spies = dict(_settled=spy.settled, _leave=spy.leave, _library=lambda: None)
-    with mock.patch.multiple(rts, **spies), _cap(cap):
+def _smooth_checked(rows, qs, rs, width=None):
+    """Run the kernel with a cap of ``width`` lanes (default: all), and check
+    every lane against ``denoise_trace`` bit for bit."""
+    with _cap((width or len(rows)) * _lane_bytes(rows.shape[1])):
         chunks = _chunks(rows, qs, rs)
-    return spy, chunks
-
-
-def _smooth_checked(rows, qs, rs, width=None, cap=None):
-    """Run the kernel with a cap of ``width`` lanes (default: all) or ``cap``
-    bytes, check every lane against ``denoise_trace`` bit for bit, and
-    return the settle spy."""
-    spy, chunks = _spied(rows, qs, rs, cap or (width or len(rows)) * _lane_bytes(rows.shape[1]))
     _assert_denoised(rows, qs, rs, chunks)
-    return spy
 
 
 class TestSettledLanes:
-    """Lanes long enough for the numpy recursion's settle checks, which the
-    short lanes of ``TestKernel`` never reach.  These chunks are narrower than
-    ``_COMPACT_LANES``: their lanes leave the recursion all at once."""
+    """Lanes long enough for their variances to settle in floating point, to
+    a fixed point or a 2-cycle (the steady-state filter), which the short
+    lanes of ``TestKernel`` never reach, beside lanes that settle at once
+    (r = 0) or never."""
 
-    def test_a_lane_that_never_settles_keeps_its_chunk_on_the_full_recursion(self):
-        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024)
-        spy = _smooth_checked(rows, qs, rs)
-        assert spy.checks == (
-            [(127, [1, 3, 4])] + [(k, [0, 1, 2, 3, 4]) for k in range(255, 1023, 128)]
-        )
-        assert spy.leaves == []
-
-    def test_settled_lanes_of_both_periods_take_the_steady_path(self):
-        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, 1024)
-        spy = _smooth_checked(rows, qs, rs)
-        assert spy.checks == [(127, [1, 3, 4]), (255, [0, 1, 2, 3, 4])]
-        assert spy.leaves == [(255, [0, 1, 2, 3, 4])]
-        periods = [spy.variances[lane, 255] for lane in range(5)]
-        assert [before != last for before, last in periods] == [False, False, True, True, False]
-
-    # The last block has no check, as no step follows it: lanes that settle
-    # in it, or at its first steps, run the full recursion to the end.
+    # Every kind of lane, in one chunk and in chunks of two ([P1, P1],
+    # [P2, P2], [r = 0, unsettled], [q = r]), at lengths on both sides of 128,
+    # 256 and 1,024 steps; lanes that settle at steps 256 and 257, the last
+    # step or the one before it; and three settled lanes beside an unsettled
+    # one, at 263 and 264 steps.
+    @pytest.mark.usefixtures("kernel")
+    @pytest.mark.parametrize("width", [None, 2])
     @pytest.mark.parametrize(
-        "pairs, n, leaves",
-        [
-            ([(1.0, 1.0)] * 3, 128, []),
-            ([(1.0, 1.0)] * 3, 129, [(127, [0, 1, 2])]),
-            ([(1.0, 1.0)] * 3, 130, [(127, [0, 1, 2])]),
-            (PERIOD_1 + PERIOD_2, 256, []),
-            (PERIOD_1 + PERIOD_2, 257, [(255, [0, 1, 2, 3])]),
-            (PERIOD_1 + PERIOD_2, 258, [(255, [0, 1, 2, 3])]),
-        ],
+        "pairs, n",
+        [(MIXED + [(1.0, 1.0)], n) for n in (127, 128, 129, 130, 255, 256, 257, 258,
+                                              1024, 1025, 1026)]
+        + [([(0.004883376234556759, 1.0)] * 2, 257), ([(0.004647425240565497, 1.0)] * 2, 258),
+           ([(1e-2, 1.0)] * 3 + UNSETTLED, 263), ([(1e-2, 1.0)] * 3 + UNSETTLED, 264)],
     )
-    def test_settling_at_the_last_steps_leaves_few_or_no_steady_steps(self, pairs, n, leaves):
+    def test_every_kind_of_lane_matches_denoise_trace_bit_for_bit(self, pairs, n, width):
         rows, qs, rs = _long_lanes(pairs, n, seed=n)
-        spy = _smooth_checked(rows, qs, rs)
-        assert [k for k, _ in spy.checks] == list(range(127, n - 1, 128))
-        assert spy.leaves == leaves
-
-    def test_each_chunk_settles_on_its_own(self):
-        # Chunks of two: [P1, P1], [unsettled, P2], [P2, r = 0], [q = r].
-        pairs = PERIOD_1 + UNSETTLED + PERIOD_2 + SILENT + [(1.0, 1.0)]
-        rows, qs, rs = _long_lanes(pairs, 640, seed=3)
-        spy = _smooth_checked(rows, qs, rs, width=2)
-        assert spy.checks == (
-            [(127, [1]), (255, [0, 1])]
-            + [(127, [])] + [(k, [3]) for k in (255, 383, 511)]
-            + [(127, [4, 5])]
-            + [(127, [6])]
-        )
-        assert spy.leaves == [(255, [0, 1]), (127, [4, 5]), (127, [6])]
+        _smooth_checked(rows, qs, rs, width)
 
     @st.composite
     def settling_lane_sets(draw, n=st.integers(min_value=100, max_value=1500)):
@@ -433,6 +348,7 @@ class TestSettledLanes:
         rows = rng.standard_normal((count, n)) * draw(scale)
         return rows, qs, rs, draw(st.integers(min_value=1, max_value=count))
 
+    @pytest.mark.usefixtures("kernel")
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(settling_lane_sets())
     def test_long_lanes_match_denoise_trace_bit_for_bit(self, lanes):
@@ -441,10 +357,10 @@ class TestSettledLanes:
 
     @st.composite
     def phased_lanes(draw):
-        """Up to four lanes whose slowest settles at step 230 to 547; a
-        length that ends one or two steps after that step, or runs past the
-        check that finds it, or any from 200 up (some never settle); and
-        sub-blocks of gains that rarely divide the length."""
+        """Up to four lanes whose slowest settles at step 230 to 547 (or
+        not within 600 steps, counted as 600), and a length that ends one or
+        two steps after that step, or any from 200 up to a few hundred steps
+        past it."""
         exponents = [draw(st.floats(min_value=-3.0, max_value=-2.25))] + draw(
             st.lists(st.floats(min_value=-3.0, max_value=0.0), max_size=2)
         )
@@ -456,116 +372,28 @@ class TestSettledLanes:
         if draw(st.booleans()):
             q, r = draw(st.sampled_from(PERIOD_2))
             qs, rs = np.append(qs, q), np.append(rs, r)
-        settle = max(_settle_step(q, r, 600) for q, r in zip(qs, rs))
-        check = settle + (127 - settle) % 128  # the first regular check after it
+        settle = max(_settle_step(q, r, 600) or 600 for q, r in zip(qs, rs))
         n = draw(st.one_of(
             st.integers(min_value=settle + 1, max_value=settle + 2),
-            st.integers(min_value=check + 2, max_value=check + 300),
-            st.integers(min_value=200, max_value=settle + 300),
+            st.integers(min_value=200, max_value=settle + 428),
         ))
-        steps = draw(st.sampled_from([1, 3, 8, rts._GAIN_STEPS]))
-        return qs, rs, n, settle, steps
+        return qs, rs, n
 
+    @pytest.mark.usefixtures("kernel")
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(phased_lanes())
     def test_the_settled_phase_is_denoise_trace_at_any_length(self, lanes):
-        # The settled passes cycle two gains from the check that finds the
-        # lanes settled, at an odd step (127, 255, ...) before the last block.
-        qs, rs, n, settle, steps = lanes
+        qs, rs, n = lanes
         rows = np.random.default_rng(n).standard_normal((len(qs), n)).cumsum(axis=1)
-        with mock.patch.object(rts, "_GAIN_STEPS", steps):
-            spy = _smooth_checked(rows, qs, rs)
-        found = [k for k in range(127, n - 1, 128) if k >= settle][:1]
-        assert spy.leaves == [(k, list(range(len(qs)))) for k in found]
-
-    def test_settled_prior_variance_is_the_closed_form(self):
-        # The steady-state prior variance P solves P = P*r/(P + r) + q.
-        r = 2.5e-3
-        qs = np.logspace(-4.0, 6.0, 41) * r
-        rs = np.full_like(qs, r)
-        rows = np.random.default_rng(5).standard_normal((len(qs), 2048)) * math.sqrt(r)
-        spy = _smooth_checked(rows, qs, rs)
-        assert spy.leaves == [(1663, list(range(41)))]  # the slowest lane settles at step 1632
-        before, last = np.array([spy.variances[lane, 1663] for lane in range(41)]).T
-        assert np.flatnonzero(before != last).tolist() == [16, 17]  # period 2; the rest, 1
-        closed = (qs + np.sqrt(qs * qs + 4.0 * qs * rs)) / 2.0
-        for p_post in (before, last):
-            np.testing.assert_allclose(p_post.view(np.float64) + qs, closed, rtol=1e-12, atol=0.0)
-
-
-class _RecordedEmpty:
-    """numpy, as ``rts`` sees it, recording the bytes of each array that
-    ``empty`` makes."""
-
-    def __init__(self):
-        self.nbytes = []
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def empty(self, *args, **kwargs):
-        out = np.empty(*args, **kwargs)
-        self.nbytes.append(out.nbytes)
-        return out
-
-
-def _narrowed_and_stored(rows, qs, rs):
-    """The settle spies of one chunk of ``rows``, run at a compaction width
-    of its own, with its later variances packed, and at one lane more, with
-    them stored in full.  Each run's lanes are checked against
-    ``denoise_trace`` bit for bit."""
-    spies = []
-    for compact in (len(rows), len(rows) + 1):
-        with mock.patch.object(rts, "_COMPACT_LANES", compact):
-            spies.append(_smooth_checked(rows, qs, rs))
-    return spies
-
-
-class TestNarrowedAndCappedChunks:
-    """Chunks of the numpy recursion whose settled lanes leave while others
-    stay live, the live lanes' later variances packed; and chunks sized by
-    the workspace cap, on both paths."""
-
-    @pytest.mark.parametrize(
-        "pairs, n, packed, settled",
-        [
-            ([(1.0, 1.0)] * 3, 1024, [(127, [0, 1, 2])], 127),  # all in block 0
-            # Some within block 0: the packed run narrows there.
-            (PERIOD_1 + PERIOD_2 + SILENT, 1024, [(127, [1, 3, 4]), (255, [0, 2])], 255),
-            (PERIOD_1 + PERIOD_2 + SILENT, 300, [(127, [1, 3, 4]), (255, [0, 2])], 255),
-            (PERIOD_2, 257, [(127, [1]), (255, [0])], 255),
-            # Packed after step 127; last blocks of 128 steps, of one and of
-            # two.
-            *[(PERIOD_1 + SILENT + UNSETTLED, n, [(127, [1, 2]), (255, [0])], None)
-              for n in (1024, 1025, 1026)],
-            # A chunk narrows only where 8 or more steps follow the check, so
-            # that its packed rows leave room for the settled lanes' gains.
-            ([(1e-2, 1.0)] * 3 + UNSETTLED, 263, [], None),
-            ([(1e-2, 1.0)] * 3 + UNSETTLED, 264, [(255, [0, 1, 2])], None),
-            # Lanes that settle at steps 256 and 257, in a last block of one
-            # or two steps, which has no check.
-            ([(0.004883376234556759, 1.0)] * 2, 257, [], None),
-            ([(0.004647425240565497, 1.0)] * 2, 258, [], None),
-        ],
-    )
-    def test_packed_variances_are_the_stored_ones(self, pairs, n, packed, settled):
-        rows, qs, rs = _long_lanes(pairs, n, seed=n)
-        narrowed, stored = _narrowed_and_stored(rows, qs, rs)
-        assert narrowed.leaves == packed
-        assert stored.leaves == ([] if settled is None else [(settled, list(range(len(qs))))])
-        assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
-        with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
-            assert narrowed.leaves == _leaves_by_rule(qs, rs, n)
+        _smooth_checked(rows, qs, rs)
 
     @st.composite
-    def narrowing_chunks(draw):
-        """A chunk of 4 to 12 lanes at a compaction width of its own: lanes
-        with a fixed point, a 2-cycle, r = 0, or none within thousands of
-        steps, and lanes of any drawn ratio; lengths of 128k + 1 and
-        128k + 2 among others, from 200 up; sub-blocks of gains that rarely
-        divide the length."""
+    def mixed_chunks(draw):
+        """A chunk of 4 to 12 lanes: lanes with a fixed point, a 2-cycle,
+        r = 0, or none within thousands of steps, and lanes of any drawn
+        ratio; lengths of 128k + 1 and 128k + 2 among others, from 200 up."""
         count = draw(st.integers(min_value=4, max_value=12))
-        known = st.sampled_from(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED)
+        known = st.sampled_from(MIXED)
         drawn = st.tuples(
             st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e), st.just(1.0)
         )
@@ -576,56 +404,29 @@ class TestNarrowedAndCappedChunks:
             st.integers(min_value=200, max_value=800),
         ))
         rows, qs, rs = _long_lanes(pairs, n, seed=draw(st.integers(0, 2**16)))
-        steps = draw(st.sampled_from([1, 3, 8, rts._GAIN_STEPS]))
-        return rows * scale, qs * scale, rs * scale, steps
+        return rows * scale, qs * scale, rs * scale
 
+    @pytest.mark.usefixtures("kernel")
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(narrowing_chunks())
-    def test_lanes_leave_by_the_per_lane_rule_at_the_compaction_width(self, chunk):
-        rows, qs, rs, steps = chunk
-        with mock.patch.object(rts, "_GAIN_STEPS", steps):
-            narrowed, stored = _narrowed_and_stored(rows, qs, rs)
-        n = rows.shape[1]
-        with mock.patch.object(rts, "_COMPACT_LANES", len(qs)):
-            assert narrowed.leaves == _leaves_by_rule(qs, rs, n)
-        with mock.patch.object(rts, "_COMPACT_LANES", len(qs) + 1):
-            assert stored.leaves == _leaves_by_rule(qs, rs, n)
-        assert narrowed.variances == {key: stored.variances[key] for key in narrowed.variances}
+    @given(mixed_chunks())
+    def test_chunks_of_mixed_lanes_match_denoise_trace_bit_for_bit(self, chunk):
+        _smooth_checked(*chunk)
 
-    def test_a_wide_chunk_whose_gain_byte_cap_is_odd_narrows_twice(self):
-        # At 768 lanes the gain scratch's byte cap allows an odd number of
-        # steps a sub-block, which is rounded down to an even one, so that
-        # the left lanes' gain rows keep their step parity.  Per 16 lanes: 8
-        # settle by step 101 and leave at step 127 (half the chunk stays
-        # live), 7 settle by step 177 and leave at step 255, and 1 never
-        # settles.  The last block's 43 backward steps are an odd count.
-        assert rts._GAIN_BYTES // (16 * 768) % 2 == 1
-        kinds = [PERIOD_1[1], PERIOD_2[1]] * 4 + [PERIOD_1[0], PERIOD_2[0]] * 3 + [PERIOD_1[0]]
-        pairs = [UNSETTLED[0] if i % 16 == 15 else kinds[i % 16] for i in range(768)]
-        rows, qs, rs = _long_lanes(pairs, 300)
-        spy = _smooth_checked(rows, qs, rs)
-        fast = [i for i in range(768) if i % 16 < 8]
-        slow = [i for i in range(768) if 8 <= i % 16 < 15]
-        assert spy.leaves == [(127, fast), (255, slow)] == _leaves_by_rule(qs, rs, 300)
+    def test_settled_prior_variance_is_the_closed_form(self):
+        # The steady-state prior variance P solves P = P*r/(P + r) + q; the
+        # slowest of these lanes settles at step 1,632.
+        r = 2.5e-3
+        trace = Trace(np.zeros(2048), 1e-6)
+        for q in np.logspace(-4.0, 6.0, 41) * r:
+            p_prior = kf_filter(trace, random_walk_params(trace, q, r)).p_prior
+            closed = (q + math.sqrt(q * q + 4.0 * q * r)) / 2.0
+            np.testing.assert_allclose(p_prior[-2:], closed, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.usefixtures("kernel")
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_short_lanes_keep_the_workspace_under_the_cap(self, n):
-        # A sub-block holds 2 steps of gains even where the lanes have fewer.
-        # Lanes for two chunks at least, had the scratch been costed at n
-        # steps: the kernel's arrays, made for its widest chunk, fit the cap.
-        cap = 1 << 20
-        count = 2 * cap // (8 * (2 * n + 2 * n + 1))
-        rows = np.random.default_rng(n).standard_normal((count, n))
-        numpy = _RecordedEmpty()
-        with _cap(cap), mock.patch.object(rts, "np", numpy):
-            chunks = _smooth_lanes([rows], np.full(count, 1e-2), np.ones(count))
-            lo, smoothed = next(chunks)
-            chunks.close()
-            assert smoothed.shape == (n, rts._chunk_width(count, n)) and count > smoothed.shape[1]
-        assert 0 < sum(numpy.nbytes) <= cap
 
-    @pytest.mark.usefixtures("kernel")
+@pytest.mark.usefixtures("kernel")
+class TestCappedChunks:
+    """Chunks sized by the workspace cap."""
+
     @pytest.mark.parametrize("cap", [None, 1])
     def test_no_accepted_lane_raises_the_first_lanes_error(self, cap):
         rows = [np.ones((2, 300))]
@@ -635,7 +436,6 @@ class TestNarrowedAndCappedChunks:
             assert rts._chunk_width(0, 300) == 1
             assert _error(list, _smooth_lanes(rows, qs, rs)) == want
 
-    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("n", [1, 2, 3, 100, 128, 300])
     def test_lanes_over_the_cap_are_stored_one_a_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + SILENT, n, seed=n)
@@ -644,7 +444,6 @@ class TestNarrowedAndCappedChunks:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
-    @pytest.mark.usefixtures("kernel")
     @pytest.mark.parametrize("n", [2, 100, 128, 129])
     def test_lanes_that_fill_the_cap_are_one_chunk(self, n):
         rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT, n, seed=n)
@@ -662,7 +461,6 @@ class TestNarrowedAndCappedChunks:
         full = len(rows) * _lane_bytes(rows.shape[1])
         return rows, qs, rs, draw(st.integers(min_value=1, max_value=full + full // 2))
 
-    @pytest.mark.usefixtures("kernel")
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(capped_lane_sets())
     def test_any_cap_gives_the_fewest_chunks_and_the_same_bits(self, lanes):
@@ -671,12 +469,13 @@ class TestNarrowedAndCappedChunks:
             chunks = _chunks(rows, qs, rs)
         _assert_denoised(rows, qs, rs, chunks)
 
-    # None: as many lanes as one chunk holds.
-    @pytest.mark.usefixtures("kernel")
-    @pytest.mark.parametrize("count, n", [(None, 4096), (512, 1024)])
+    # As many lanes as one chunk holds (None), or fewer.
+    @pytest.mark.parametrize("count, n", [(None, 1), (None, 2), (None, 8), (None, 4096),
+                                          (512, 1024)])
     def test_peak_allocation_stays_under_the_cap(self, count, n):
         count = count or rts._LANE_BYTES // _lane_bytes(n)
-        rows, qs, rs = _long_lanes([(1e-2, 1.0)] * count, n)
+        rows = np.random.default_rng(n).standard_normal((count, n)).cumsum(axis=1)
+        qs, rs = np.full(count, 1e-2), np.ones(count)
         assert rts._chunk_width(count, n) == count
         tracemalloc.start()
         try:
@@ -725,7 +524,7 @@ class TestForwardHook:
             self._assert_forward(rows, qs, rs)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(TestNarrowedAndCappedChunks.capped_lane_sets())
+    @given(TestCappedChunks.capped_lane_sets())
     def test_the_hook_sees_the_kf_filter_means_at_any_cap(self, lanes):
         rows, qs, rs, cap = lanes
         with _cap(cap):
@@ -845,36 +644,17 @@ class TestDefaultCap:
     def test_the_benchmark_and_corpus_shapes_keep_their_chunk_widths(self, count, n, width):
         assert rts._chunk_width(count, n) == width
 
-    # The volume pipelines of a 16 x 16 x 1024 scan with its background and of
-    # a 32 x 24 x 256 scan narrow their recursion; the q sweeps of 8 traces of
-    # 4096 samples and of 4 traces of 1024 samples on a 15-point grid do not.
-    @pytest.mark.parametrize(
-        "count, n, narrows",
-        [(512, 1024, True), (768, 256, True), (120, 4096, False), (60, 1024, False)],
-    )
-    def test_only_wide_chunks_narrow_their_recursion(self, count, n, narrows):
-        # Lanes that settle at step 20, and three that never do.
-        unsettled = [5, count // 2, count - 1]
-        pairs = [UNSETTLED[0] if i in unsettled else (1.0, 1.0) for i in range(count)]
-        rows, qs, rs = _long_lanes(pairs, n)
-        assert rts._chunk_width(count, n) == count
-        spy, (chunk,) = _spied(rows, qs, rs, rts._LANE_BYTES)
-        settled = [i for i in range(count) if i not in unsettled]
-        assert spy.leaves == ([(127, settled)] if narrows else [])
-        with mock.patch.object(rts, "_COMPACT_LANES", count + 1):
-            _, (full,) = _spied(rows, qs, rs, rts._LANE_BYTES)
-        assert _bits(chunk[1]).tolist() == _bits(full[1]).tolist()
-        picked = unsettled + [0, 1]
-        _assert_denoised(rows[picked], qs[picked], rs[picked], [(0, chunk[1][:, picked])])
-
-
-#: (q, r) pairs that lanes cycle through: both settle periods, r = 0 and a
-#: lane that never settles.
-MIXED = PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED
-
-
-def _mixed_lanes(count, n, seed=0):
-    return _long_lanes((MIXED * count)[:count], n, seed=seed)
+    # The benchmark's one-chunk volume pipelines and q sweeps, and a wide
+    # chunk of 300 steps, with lanes of every kind; the first and the last
+    # lane of each kind are checked.
+    @pytest.mark.usefixtures("kernel")
+    @pytest.mark.parametrize("count, n", [(512, 1024), (768, 256), (768, 300), (120, 4096),
+                                          (60, 1024)])
+    def test_the_benchmark_shapes_match_denoise_trace_bit_for_bit(self, count, n):
+        rows, qs, rs = _mixed_lanes(count, n)
+        (lo, smoothed), = _smooth_lanes([rows], qs, rs)
+        picked = list(range(len(MIXED))) + list(range(count - len(MIXED), count))
+        _assert_denoised(rows[picked], qs[picked], rs[picked], [(lo, smoothed[:, picked])])
 
 
 @pytest.mark.usefixtures("kernel")
