@@ -140,16 +140,16 @@ def select_q(
         if not np.all(np.isfinite(grid_arr)) or (grid_arr <= 0.0).any():
             raise DataError("q grid values must be finite and > 0")
 
-    # One lane per (trace, candidate), trace-major: each trace is a block of
-    # as many lanes as candidates, a read-only view of its one row.  Every
-    # lane before a failing one has been scored, so an error names the trace
-    # of lane len(scores).
+    # One lane per (trace, candidate), trace-major: each trace's row is read
+    # by as many lanes as candidates.  Every lane before a failing one has
+    # been scored, so an error names the trace of lane len(scores).
     scores: List[float] = []
     try:
         for _, smoothed in _smooth_lanes(
-            [np.broadcast_to(rows[i], (grid_arr.size, volume.nt)) for i in flat_ids],
+            [rows],
             np.tile(grid_arr, n_sample),
             np.repeat(rs, grid_arr.size),
+            lanes=np.repeat(flat_ids, grid_arr.size),
         ):
             chunk, error = _chunk_scores(smoothed, roi)
             scores += chunk
@@ -189,23 +189,23 @@ def _helper_lane(count: int, n: int) -> int:
 def _chunk_scores(
     smoothed: np.ndarray, roi: RoiSpec
 ) -> Tuple[List[float], Optional[Exception]]:
-    """``_lane_scores`` of the time-major lanes of ``smoothed``.  The lanes
+    """``_lane_scores`` of the lanes (rows) of ``smoothed``.  The lanes
     before ``_helper_lane`` are scored on this thread, and the rest, if any,
     at once on a helper thread with its own buffers; the helper has ended
     when this returns or raises.  A block holds the lanes it would hold
     unsplit, so every score has the same bits.  As in one pass over the
     lanes, the first failing lane's error is returned, and an exception that
     escapes the helper is raised unless this thread's lanes failed first."""
-    split = _helper_lane(smoothed.shape[1], smoothed.shape[0])
+    split = _helper_lane(*smoothed.shape)
     outcome: List[object] = []
     helper = None
-    if split < smoothed.shape[1]:
+    if split < len(smoothed):
         helper = threading.Thread(
-            target=_call_into, args=(outcome, _lane_scores, smoothed[:, split:], roi)
+            target=_call_into, args=(outcome, _lane_scores, smoothed[split:], roi)
         )
         helper.start()
     try:
-        scores, error = _lane_scores(smoothed[:, :split], roi)
+        scores, error = _lane_scores(smoothed[:split], roi)
     finally:
         if helper is not None:
             helper.join()
@@ -221,14 +221,14 @@ def _chunk_scores(
 def _lane_scores(
     smoothed: np.ndarray, roi: RoiSpec
 ) -> Tuple[List[float], Optional[Exception]]:
-    """PSNR scores of the time-major lanes (columns) of ``smoothed`` up to the
+    """PSNR scores of the lanes (rows) of ``smoothed`` up to the
     first that fails, and that lane's error (None if none fails).  Lanes are
     scored a block at a time, as a whole chunk's complex spectra would
     outweigh the kernel's workspace; an unbounded PSNR scores +inf, and
     scoring resumes at the next lane."""
     scores: List[float] = []
     try:
-        for envs in _envelope_blocks(smoothed.T):
+        for envs in _envelope_blocks(smoothed):
             first = len(scores)
             while len(scores) < first + len(envs):
                 try:

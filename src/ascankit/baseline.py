@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .adapt import _checked_window, _noise_powers, default_noise_window
 from .model import DataError, Trace, Volume, _finite
-from .rts import _TILE, _first_bad, _smooth_lanes, _transposed
+from .rts import _first_bad, _smooth_lanes
 
 __all__ = [
     "differential_subtract",
@@ -164,21 +164,6 @@ def _check_inputs(volume: Volume, background: Optional[Volume]) -> None:
         )
 
 
-def _subtract_transposed(lines: np.ndarray, lanes: np.ndarray) -> None:
-    """``lines -= lanes.T`` for time-major ``lanes``, a strip of ``_TILE``
-    lines at a time: each strip's lanes are copied to a C-ordered scratch in
-    tiles, so that the subtraction streams along rows of one memory order,
-    not through operands of opposite orders.  The bits are those of one
-    ``np.subtract``."""
-    strip = np.empty((_TILE, min(lines.shape[1], 16 * _TILE)))
-    for i in range(0, len(lines), _TILE):
-        for k in range(0, lines.shape[1], strip.shape[1]):
-            dst = lines[i : i + _TILE, k : k + strip.shape[1]]
-            src = strip[: dst.shape[0], : dst.shape[1]]
-            _transposed(src, lanes[k : k + src.shape[1], i : i + _TILE])
-            np.subtract(dst, src, out=dst)
-
-
 def pipeline_denoise(
     volume: Volume,
     background: Optional[Volume],
@@ -233,12 +218,12 @@ def _denoised_rows(
                     smoothed(lo, lanes)
                 # Trace lanes are copied into their rows of ``out``, and
                 # background lanes subtracted from them.
-                hi = lo + lanes.shape[1]
+                hi = lo + len(lanes)
                 mid = min(max(lo, n_traces), hi)
-                _transposed(out[lo:mid], lanes[:, : mid - lo])
+                out[lo:mid] = lanes[: mid - lo]
                 if mid < hi:
                     lines = out[mid - n_traces : hi - n_traces]
-                    _subtract_transposed(lines, lanes[:, mid - lo :])
+                    np.subtract(lines, lanes[mid - lo :], out=lines)
                     bad = _first_bad(lines)
                     if bad is not None:
                         received = mid + bad

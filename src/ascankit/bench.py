@@ -387,8 +387,8 @@ def corpus_entry(name: str) -> CorpusEntry:
 
 
 def _envelope_peaks(lanes: np.ndarray) -> List[int]:
-    """The envelope-peak sample of each column of the time-major ``lanes``."""
-    blocks = _envelope_blocks(lanes.T)
+    """The envelope-peak sample of each row of ``lanes``."""
+    blocks = _envelope_blocks(lanes)
     return [peak for envs in blocks for peak in envs.argmax(axis=1).tolist()]
 
 
@@ -431,7 +431,7 @@ def measure_entry(
     def peaks(found: List[int]) -> Callable[[int, np.ndarray], None]:
         def read(lo: int, lanes: np.ndarray) -> None:  # a chunk's trace lanes come first
             if lo < n:
-                found.extend(_envelope_peaks(lanes[:, : n - lo]))
+                found.extend(_envelope_peaks(lanes[: n - lo]))
         return read
 
     pipeline = np.empty((n, nt))
@@ -439,7 +439,7 @@ def measure_entry(
         [rows, backs], q, rs, pipeline, lambda i: divmod(int(ids[i]), volume.ny),
         forward=peaks(fwd_peaks), smoothed=peaks(sm_peaks),
     )
-    (clean_peak,) = _envelope_peaks(clean_samples(entry.spec)[:, np.newaxis])
+    (clean_peak,) = _envelope_peaks(clean_samples(entry.spec)[np.newaxis])
 
     # The pipeline's PSNR gains over the reference, a block of traces at a time.
     masked = (Volume(nx=n, ny=1, nt=nt, dt=volume.dt, data=lines) for lines in (rows, backs))

@@ -18,14 +18,12 @@ paths.  Where a C compiler is found, it runs ``_lanes.c``, built on first use
 time, without the GIL.  Otherwise it runs the same recursion a step at a
 time across the chunk's lanes in numpy calls, 8 a step forward and 5
 backward, with the same bits; its workspace holds every step's means and
-variances, where the compiled path's holds the means.  Lanes move between
-their traces and the time-major workspace in square tiles, not one strided
-column at a time (the blocked copies of Lam, Rothberg & Wolf, ASPLOS 1991).
+variances, where the compiled path's holds the smoothed rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import ctypes
 import functools
@@ -57,8 +55,6 @@ __all__ = ["rts_smooth", "denoise_trace"]
 #: and left ``compare``'s where it was; corpus scoring went from 21.8 s to
 #: 10.9-12.0 s (10.5 s at 32 MiB, 2 cores).
 _LANE_BYTES = 16 << 20
-#: Lanes and steps per tile of ``_transposed``'s copies.
-_TILE = 64
 #: How ``_library`` builds ``_lanes.c``.  Bit for bit with the scalar path:
 #: no multiply-add fused and no -ffast-math (which would also set
 #: flush-to-zero for the whole process), nor -march=native; -O3 vectorises a
@@ -156,8 +152,8 @@ def _library() -> Optional[ctypes.CDLL]:
         library = ctypes.CDLL(path)
     except OSError:
         return None
-    pointer, size = ctypes.c_void_p, ctypes.c_size_t  # xs, ps, q, r, n, m, fwd
-    library.lanes_smooth.argtypes = [pointer] * 4 + [size] * 2 + [pointer]
+    pointer, size = ctypes.c_void_p, ctypes.c_size_t  # rows, out, fwd, ws, q, r, n, m
+    library.lanes_smooth.argtypes = [pointer] * 6 + [size] * 2
     library.lanes_smooth.restype = None
     return library
 
@@ -202,23 +198,12 @@ def _built(source: bytes, directory: str, path: str) -> bool:
 def _chunk_width(stop: int, n: int) -> int:
     """Lanes per chunk for ``stop`` lanes of ``n`` samples: the fewest chunks
     under ``_LANE_BYTES``, at the narrowest equal width.  Every lane holds
-    what ``_numpy_passes`` keeps of it: its means, its variances, a step's
-    three scratch values and the previous step's mean."""
+    what ``_numpy_passes`` keeps of it: its means, its variances (whose
+    buffer also holds its rows in and out), a step's three scratch values
+    and the previous step's mean."""
     lane = 8 * (2 * n + 4)
     chunks = max(1, -(-stop // max(1, _LANE_BYTES // lane)))
     return max(1, -(-stop // chunks))
-
-
-def _transposed(dst: np.ndarray, src: np.ndarray) -> None:
-    """Copy ``src.T`` into 2-D ``dst``, one ``_TILE`` x ``_TILE`` tile at
-    a time: a strided column at a time would touch a cache line per element,
-    and at wide rows those lines alias in the cache."""
-    if src.strides[0] == 0:  # a repeated row, as select_q's lanes, has no such columns
-        return np.copyto(dst, src.T)
-    rows, cols = dst.shape
-    for i in range(0, rows, _TILE):
-        for k in range(0, cols, _TILE):
-            np.copyto(dst[i : i + _TILE, k : k + _TILE], src[k : k + _TILE, i : i + _TILE].T)
 
 
 def _first_bad(lanes: np.ndarray) -> Optional[int]:
@@ -230,49 +215,53 @@ def _first_bad(lanes: np.ndarray) -> Optional[int]:
     return int(np.argmax(~np.isfinite(lanes.min(axis=1)) | ~np.isfinite(lanes.max(axis=1))))
 
 
-def _pieces(blocks: Sequence[np.ndarray], lo: int, hi: int) -> List[Tuple[int, np.ndarray]]:
-    """``(j, rows)`` covering lanes ``lo`` to ``hi - 1`` of ``blocks``: ``rows``
-    is a slice of one block whose first row is lane ``lo + j``."""
-    pieces, start = [], 0
-    for block in blocks:
-        a, b = max(lo, start), min(hi, start + len(block))
-        if a < b:
-            pieces.append((a - lo, block[a - start : b - start]))
-        start += len(block)
-    return pieces
-
-
 def _smooth_lanes(
     blocks: Sequence[np.ndarray], q: np.ndarray, r: np.ndarray,
-    *, forward: Optional[Callable[[int, np.ndarray], None]] = None,
+    *, lanes: Optional[np.ndarray] = None,
+    forward: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> Iterator[Tuple[int, np.ndarray]]:
-    """Filter and smooth the lanes, the rows of the 2-D ``blocks`` in order
-    (one length), lane ``i`` with variances ``q[i]`` and ``r[i]``.
+    """Filter and smooth the lanes, lane ``i`` with variances ``q[i]`` and
+    ``r[i]``.  The rows of the 2-D ``blocks`` (one length), in order, are
+    numbered from 0; lane ``i`` is row ``lanes[i]``, and by default every row
+    is one lane.
 
-    Yields ``(lo, smoothed)`` per chunk of lanes: ``smoothed[:, j]`` equals
-    ``denoise_trace`` of lane ``lo + j`` bit for bit.  It is a time-major
+    Yields ``(lo, smoothed)`` per chunk of lanes: ``smoothed[j]`` equals
+    ``denoise_trace`` of lane ``lo + j`` bit for bit.  It is a trace-major
     view of one workspace, under ``_LANE_BYTES`` unless a single lane needs
     more (about 16 bytes a sample, so past about a million samples), that
     the next chunk overwrites.  Lanes come up to the first that
     ``denoise_trace`` refuses or whose result is not finite, and then that
     lane's ``denoise_trace`` error is raised.
 
-    ``forward(lo, means)``, if given, is called between a chunk's two passes
-    with a read-only view: ``means[:, j]`` is ``kf_filter``'s ``x_post`` of
-    lane ``lo + j`` bit for bit, also where ``r`` is 0.
+    ``forward(lo, means)``, if given, is called with each chunk before it is
+    yielded, with a read-only trace-major view: ``means[j]`` is
+    ``kf_filter``'s ``x_post`` of lane ``lo + j`` bit for bit, also where
+    ``r`` is 0.
 
-    Each chunk's lanes are copied into the workspace, and its two passes run
-    on the compiled kernel where ``_library`` has one (``_compiled_passes``)
-    and otherwise on numpy (``_numpy_passes``); then the ``r = 0`` lanes are
-    copied through and the first lane that is not finite is found.  Both
-    passes give every element the IEEE operations of ``kf_filter`` and
-    ``rts_smooth``, on the same operands and in their order; the model's
-    unit ``f`` and ``h`` and zero ``gu`` are folded away, which changes no
-    bit.  Chunks are as wide on both paths.
+    Each chunk's two passes run on the compiled kernel where ``_library``
+    has one (``_compiled_passes``) and otherwise on numpy
+    (``_numpy_passes``); then the ``r = 0`` lanes are copied through and the
+    first lane that is not finite is found.  Both passes give every element
+    the IEEE operations of ``kf_filter`` and ``rts_smooth``, on the same
+    operands and in their order; the model's unit ``f`` and ``h`` and zero
+    ``gu`` are folded away, which changes no bit.  Chunks are as wide on
+    both paths.
     """
-    count = sum(len(block) for block in blocks)
+    # The compiled kernel reads each row as n contiguous doubles.
+    blocks = [np.ascontiguousarray(block, dtype=np.float64) for block in blocks]
+    starts = np.cumsum([0] + [len(block) for block in blocks])
+    count = int(starts[-1]) if lanes is None else len(lanes)
     if count == 0:
         return
+    q, r = (np.ascontiguousarray(v, dtype=np.float64) for v in (q, r))
+    if q.shape != (count,) or r.shape != (count,):  # the C loop reads one of each a lane
+        raise ValueError(f"{count} lanes need {count} values of q and of r")
+
+    def row(lane: int) -> np.ndarray:
+        i = lane if lanes is None else int(lanes[lane])
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        return blocks[k][i - starts[k]]
+
     # The lanes whose variances _check_variances accepts, up to the first refused.
     accepted = np.isfinite(q) & (q > 0.0) & np.isfinite(r) & (r >= 0.0)
     stop = count if accepted.all() else int(np.argmin(accepted))
@@ -280,75 +269,82 @@ def _smooth_lanes(
     n = blocks[0].shape[1]
     width = _chunk_width(stop, n)
     library = _library()
-    # Time-major means: the input, until the passes overwrite it.
-    x_buf = np.empty(n * width)
+    means = None if forward is None else np.empty((width, n))
     if library is None:
-        passes = _numpy_passes(n, width, forward)
+        passes = _numpy_passes(n, width, row)
     else:
-        passes = _compiled_passes(library, n, width, forward)
+        addresses = np.concatenate(
+            [block.ctypes.data + block.strides[0] * np.arange(len(block)) for block in blocks]
+        )
+        if lanes is not None:
+            addresses = addresses[lanes]
+        passes = _compiled_passes(library, n, width, addresses)
     # Overflow gives inf or nan as it does for the scalar path's Python
     # floats, silently; such a lane is refused below.
     with np.errstate(all="ignore"):
         for lo in range(0, stop, width):
             m = min(width, stop - lo)
-            xs = x_buf[: n * m].reshape(n, m)
             qs, rs = q[lo : lo + m], r[lo : lo + m]
-            pieces = _pieces(blocks, lo, lo + m)
-            for j, lanes in pieces:
-                _transposed(xs[:, j : j + len(lanes)], lanes)
-            if n:  # a lane of no samples has no first one to start from
-                passes(lo, xs, qs, rs)
-            for j, lanes in pieces:  # r = 0 is the identity map
-                for i in np.flatnonzero(rs[j : j + len(lanes)] == 0.0):
-                    xs[:, j + i] = lanes[i]
-            bad = _first_bad(xs.T)
+            fwd = None if means is None else means[:m]
+            # A lane of no samples has no first one to start from.
+            smoothed = passes(lo, qs, rs, fwd) if n else np.empty((m, 0))
+            if forward is not None:
+                forward(lo, np.lib.stride_tricks.as_strided(fwd, writeable=False))
+            for j in np.flatnonzero(rs == 0.0):  # r = 0 is the identity map
+                smoothed[j] = row(lo + j)
+            bad = _first_bad(smoothed)
             if bad is not None:
-                yield lo, xs[:, :bad]
-                _finite(xs[:, bad])  # raises denoise_trace's "not finite" error
-            yield lo, xs
+                yield lo, smoothed[:bad]
+                _finite(smoothed[bad])  # raises denoise_trace's "not finite" error
+            yield lo, smoothed
     if stop < count:
         _check_variances(float(q[stop]), float(r[stop]))
 
 
 def _compiled_passes(library: ctypes.CDLL, n: int, width: int,
-                     forward: Optional[Callable[[int, np.ndarray], None]]) -> Callable:
+                     addresses: np.ndarray) -> Callable:
     """``_smooth_lanes``' two passes over a chunk of lanes of ``n`` samples in
-    one call of ``_lanes.c``'s ``lanes_smooth``, which runs 8 lanes at a time
-    with their posterior variances in an 8 x ``n`` scratch, and copies the
-    forward means out only for ``forward``.  ctypes releases the GIL for the
-    call."""
-    variances = np.empty(8 * n)
-    means = None if forward is None else np.empty(n * width)
+    one call of ``_lanes.c``'s ``lanes_smooth``.  It reads lane ``i`` from
+    the row at ``addresses[i]``, runs 8 lanes at a time in an 8 x ``n``
+    time-major scratch with their posterior variances in another, and writes
+    their smoothed rows out, and their forward means to the rows of ``fwd``
+    unless it is None.  ctypes releases the GIL for the call."""
+    smoothed = np.empty((width, n))
+    scratch = np.empty(2 * 8 * n)
 
-    def passes(lo: int, xs: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> None:
-        m = xs.shape[1]
-        qs, rs = (np.ascontiguousarray(v, dtype=np.float64) for v in (qs, rs))  # held for the call
-        if qs.shape != (m,) or rs.shape != (m,):  # the C loop reads one of each a lane
-            raise ValueError(f"{m} lanes need {m} values of q and of r")
-        fwd = None if means is None else means[: n * m].reshape(n, m)
-        library.lanes_smooth(xs.ctypes.data, variances.ctypes.data, qs.ctypes.data,
-                             rs.ctypes.data, n, m, None if fwd is None else fwd.ctypes.data)
-        if forward is not None:
-            forward(lo, np.lib.stride_tricks.as_strided(fwd, writeable=False))
+    def passes(lo: int, qs: np.ndarray, rs: np.ndarray, fwd: Optional[np.ndarray]) -> np.ndarray:
+        m = len(qs)
+        library.lanes_smooth(addresses[lo:].ctypes.data, smoothed.ctypes.data,
+                             None if fwd is None else fwd.ctypes.data, scratch.ctypes.data,
+                             qs.ctypes.data, rs.ctypes.data, n, m)
+        return smoothed[:m]
 
     return passes
 
 
-def _numpy_passes(n: int, width: int,
-                  forward: Optional[Callable[[int, np.ndarray], None]]) -> Callable:
+def _numpy_passes(n: int, width: int, row: Callable[[int], np.ndarray]) -> Callable:
     """``_smooth_lanes``' two passes over a chunk of lanes of ``n`` samples,
     a step at a time across the chunk's lanes: forward, 4 numpy calls for the
     posterior variance, 1 for the gain and 3 for the mean; backward, 2 for
     the gain ``p / (p + q)`` from the stored posterior variance and 3 for the
-    mean.  Its workspace is every step's posterior variance and a step's
-    prior variance (then gain), denominator and difference of means."""
-    p_buf = np.empty(n * width)
+    mean.  Its workspace is every step's mean and posterior variance, time
+    major, and a step's prior variance (then gain), denominator and
+    difference of means.  The lanes' rows, ``row(i)`` for lane ``i``, are
+    gathered into the variances' buffer and transposed into the means, and
+    the smoothed means transposed back into that buffer, which is returned;
+    the forward means are transposed into the rows of ``fwd`` unless it is
+    None."""
+    x_buf, p_buf = np.empty(n * width), np.empty(n * width)
     scratch_buf = np.empty(3 * width)
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
-    def passes(lo: int, xs: np.ndarray, qs: np.ndarray, rs: np.ndarray) -> None:
-        m = xs.shape[1]
-        ps = p_buf[: n * m].reshape(n, m)
+    def passes(lo: int, qs: np.ndarray, rs: np.ndarray, fwd: Optional[np.ndarray]) -> np.ndarray:
+        m = len(qs)
+        xs, ps = x_buf[: n * m].reshape(n, m), p_buf[: n * m].reshape(n, m)
+        rows = p_buf[: n * m].reshape(m, n)
+        for j in range(m):
+            rows[j] = row(lo + j)
+        np.copyto(xs, rows.T)
         gain, denom, step = scratch_buf[: 3 * m].reshape(3, m)
         # The filter starts from x0 = y[0] and p0 = r, and its first prior
         # mean is x0 + 0.0, which turns -0.0 into +0.0.  Every later prior
@@ -366,8 +362,8 @@ def _numpy_passes(n: int, width: int,
             multiply(gain, step, step)
             add(x_prev, step, x)
             x_prev, p_prev = x, p
-        if forward is not None:
-            forward(lo, np.lib.stride_tricks.as_strided(xs, writeable=False))
+        if fwd is not None:
+            np.copyto(fwd, xs.T)
         # Backward, in place: c = p_post[k] / p_prior[k+1], where
         # p_prior[k+1] = p_post[k] + q and x_prior[k+1] = x_post[k].
         x_next = xs[n - 1]
@@ -378,5 +374,7 @@ def _numpy_passes(n: int, width: int,
             multiply(gain, step, step)
             add(x, step, x)
             x_next = x
+        np.copyto(rows, xs.T)
+        return rows
 
     return passes

@@ -249,7 +249,7 @@ def scored_by(monkeypatch):
     def spied(smoothed, roi):
         result = lane_scores(smoothed, roi)
         calls.append((threading.current_thread() is threading.main_thread(),
-                      smoothed.shape[1], (list(result[0]), result[1])))
+                      len(smoothed), (list(result[0]), result[1])))
         calls.sort(key=lambda call: not call[0])  # stable: each thread's in order
         return result
 

@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -95,14 +96,14 @@ def _chunks(rows, qs, rs):
         views.append(smoothed)
     assert [lo for lo, _ in chunks] == list(range(0, count, width))
     assert len(chunks) == fewest and width == math.ceil(count / fewest)
-    assert all(smoothed.shape == (n, min(width, count - lo)) for lo, smoothed in chunks)
+    assert all(smoothed.shape == (min(width, count - lo), n) for lo, smoothed in chunks)
     assert all(np.shares_memory(views[0], later) for later in views)  # one workspace
     return chunks
 
 
 def _assert_denoised(rows, qs, rs, chunks):
     for lo, smoothed in chunks:
-        for j, got in enumerate(smoothed.T):
+        for j, got in enumerate(smoothed):
             want = denoise_trace(Trace(rows[lo + j], 1e-6), qs[lo + j], rs[lo + j])
             assert np.array_equal(_bits(got), _bits(want.samples)), lo + j
 
@@ -178,8 +179,8 @@ class TestKernel:
         rows = [np.array([[-0.0, -0.0, -0.0]]), np.array([[-0.0]])]
         (lo, smoothed), = _smooth_lanes(rows[:1], np.array([1.0]), np.array([1.0]))
         want = denoise_trace(Trace(rows[0][0], 1e-6), 1.0, 1.0).samples
-        assert np.array_equal(_bits(smoothed[:, 0]), _bits(want))
-        assert not np.signbit(smoothed[:, 0]).any()
+        assert np.array_equal(_bits(smoothed[0]), _bits(want))
+        assert not np.signbit(smoothed[0]).any()
         (lo, smoothed), = _smooth_lanes(rows[1:], np.array([1.0]), np.array([0.0]))
         assert np.signbit(smoothed[0, 0])  # r = 0 copies the sample through
 
@@ -197,7 +198,7 @@ class TestKernel:
                 chunks.append((lo, smoothed.copy()))
 
         assert _error(run) == _error(denoise_trace, Trace(tail, 1e-6), 1e6, 1.0)
-        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (64, 1))]
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (1, 64))]
         _assert_denoised(rows, qs, rs, chunks)
 
     def test_no_lanes_yields_nothing(self):
@@ -209,7 +210,7 @@ class TestKernel:
         qs, rs = np.ones(3), np.array([1.0, 0.0, 1.0])
         with _cap(2 * _lane_bytes(0)):
             assert [(lo, smoothed.shape) for lo, smoothed in _smooth_lanes(rows, qs, rs)] == [
-                (0, (0, 2)), (2, (0, 1))
+                (0, (2, 0)), (2, (1, 0))
             ]
         chunks = []
 
@@ -218,7 +219,7 @@ class TestKernel:
                 chunks.append((lo, smoothed.shape))
 
         assert _error(run) == (DataError, "measurement-noise variance r must be finite and >= 0")
-        assert chunks == [(0, (0, 2))]
+        assert chunks == [(0, (2, 0))]
 
     def test_fewer_variances_than_lanes_are_refused_before_the_loop_reads_them(self):
         with pytest.raises(ValueError):
@@ -246,7 +247,7 @@ class TestKernel:
                 chunks.append((lo, smoothed.copy()))
 
         assert _error(run) == _error(denoise_trace, Trace(rows[17], 1e-6), qs[17], rs[17])
-        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (NT, 17))]
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (17, NT))]
         _assert_denoised(rows, qs, rs, chunks)
 
     @pytest.mark.parametrize(
@@ -267,7 +268,7 @@ class TestKernel:
             )
         else:
             (lo, smoothed), = _smooth_lanes(rows, np.array([q]), np.array([r]))
-            assert np.array_equal(_bits(smoothed[:, 0]), _bits(want))
+            assert np.array_equal(_bits(smoothed[0]), _bits(want))
 
 
 #: (q, r) of lanes whose variances settle, in the scalar recursion, to a fixed
@@ -508,19 +509,21 @@ class TestForwardHook:
             assert _bits(got).tolist() == _bits(want).tolist()
         for (lo, means), (_, smoothed) in zip(seen, plain):
             assert means.shape == smoothed.shape
-            for j, got in enumerate(means.T):
+            for j, got in enumerate(means):
                 trace = Trace(rows[lo + j], 1e-6)
                 params = random_walk_params(trace, qs[lo + j], rs[lo + j])
                 assert np.array_equal(_bits(got), _bits(kf_filter(trace, params).x_post)), lo + j
 
     # Lanes that settle with either period, at once (r = 0) or never: one
     # chunk that never settles, or chunks [P1, P1, P2] (settles at step 255)
-    # and [P2, r = 0, unsettled], or [P1, P1], [P2, P2] and [r = 0, unsettled].
+    # and [P2, r = 0, unsettled], or [P1, P1], [P2, P2] and [r = 0, unsettled];
+    # and 19 such lanes, whose one chunk is three groups of the compiled kernel.
+    @pytest.mark.parametrize("count", [6, 19])
     @pytest.mark.parametrize("width", [None, 3, 2])
-    def test_the_hook_sees_the_kf_filter_means_and_changes_no_bit(self, width):
-        rows, qs, rs = _long_lanes(PERIOD_1 + PERIOD_2 + SILENT + UNSETTLED, 1024, seed=7)
+    def test_the_hook_sees_the_kf_filter_means_and_changes_no_bit(self, width, count):
+        rows, qs, rs = _mixed_lanes(count, 1024, seed=7)
         with _cap(width * _lane_bytes(1024) if width else rts._LANE_BYTES):
-            assert rts._chunk_width(len(rows), 1024) == (width or 6)
+            assert rts._chunk_width(len(rows), 1024) == (width or count)
             self._assert_forward(rows, qs, rs)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
@@ -654,39 +657,41 @@ class TestDefaultCap:
         rows, qs, rs = _mixed_lanes(count, n)
         (lo, smoothed), = _smooth_lanes([rows], qs, rs)
         picked = list(range(len(MIXED))) + list(range(count - len(MIXED), count))
-        _assert_denoised(rows[picked], qs[picked], rs[picked], [(lo, smoothed[:, picked])])
+        _assert_denoised(rows[picked], qs[picked], rs[picked], [(lo, smoothed[picked])])
 
 
 @pytest.mark.usefixtures("kernel")
-class TestTiles:
-    """The kernel copies its lanes in, and ``pipeline_denoise`` and
-    ``select_q`` copy them out, in tiles of ``rts._TILE`` lanes by
-    ``rts._TILE`` steps: lane counts and lengths on both sides of a tile's
-    edge, chunks that mix the volume's and the background's lanes, and a
-    lane that fails in the middle of a tile."""
+class TestGroups:
+    """The compiled kernel copies its lanes in from their rows, and writes
+    them out, 8 lanes at a time: lane counts and lengths on both sides of a
+    group's edge, lanes that share a row, chunks that mix the volume's and
+    the background's lanes, and a lane that fails in the middle of a
+    group."""
 
-    @pytest.mark.parametrize(
-        "count, n",
-        [(1, 65), (63, 65), (64, 65), (65, 65), (513, 65),
-         (65, 1), (65, 2), (65, 63), (65, 1024), (513, 1024)],
-    )
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 15, 17, 513])
+    @pytest.mark.parametrize("n", [1, 2, 65, 1024])
     def test_every_lane_matches_denoise_trace_bit_for_bit(self, count, n):
-        assert rts._TILE == 64
         rows, qs, rs = _mixed_lanes(count, n, seed=count + n)
         _assert_denoised(rows, qs, rs, _chunks(rows, qs, rs))
 
+    # As select_q builds them: each of three rows read by one lane per
+    # candidate q, in one chunk or in chunks that start mid-group.
     @pytest.mark.parametrize("count, n", [(15, 4096), (7, 65), (70, 130), (1, 1)])
-    def test_a_repeated_row_is_copied_as_the_tiles_copy_it(self, count, n):
-        # select_q's lanes: one row broadcast over the grid, a first stride of 0.
-        row = np.random.default_rng(n).standard_normal(n)
-        src = np.broadcast_to(row, (count, n))
-        assert src.strides[0] == 0
-        got, want = np.empty((n, count)), np.empty((n, count))
-        rts._transposed(got, src)
-        rts._transposed(want, np.ascontiguousarray(src))
-        assert got.tobytes() == want.tobytes() == np.repeat(row[:, None], count, axis=1).tobytes()
+    @pytest.mark.parametrize("width", [None, 11])
+    def test_lanes_that_share_a_row_match_denoise_trace_bit_for_bit(self, count, n, width):
+        rows = np.random.default_rng(n).standard_normal((3, n)).cumsum(axis=1)
+        lanes = np.repeat([2, 0, 1], count)
+        qs = np.tile(np.geomspace(1e-6, 1e2, count), 3)
+        rs = np.repeat([1.0, 0.0, 1e-3], count)  # the second row's lanes copy it through
+        chunks = []
+        with _cap((width or 3 * count) * _lane_bytes(n)):
+            for lo, smoothed in _smooth_lanes(np.array_split(rows, 2), qs, rs, lanes=lanes):
+                chunks.append((lo, smoothed.copy()))
+        assert [lo for lo, _ in chunks] == list(range(0, 3 * count, len(chunks[0][1])))
+        assert lo + len(smoothed) == 3 * count
+        _assert_denoised(rows[lanes], qs, rs, chunks)
 
-    def test_a_lane_that_overflows_mid_tile_raises_its_error_after_the_lanes_before_it(self):
+    def test_a_lane_that_overflows_mid_group_raises_its_error_after_the_lanes_before_it(self):
         rows, qs, rs = _mixed_lanes(130, 64)
         rows[70], qs[70], rs[70] = _overflowing()[:64], 3e-4, 1e-6
         chunks = []
@@ -696,28 +701,19 @@ class TestTiles:
                 chunks.append((lo, smoothed.copy()))
 
         assert _error(run) == _error(denoise_trace, Trace(rows[70], 1e-6), qs[70], rs[70])
-        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (64, 70))]
+        assert [(lo, smoothed.shape) for lo, smoothed in chunks] == [(0, (70, 64))]
         _assert_denoised(rows, qs, rs, chunks)
 
     @pytest.mark.parametrize("lanes", [None, 70, 130])
     def test_chunks_that_mix_volume_and_background_lanes_are_byte_equal(self, lanes):
         # 100 traces and 100 background traces: one chunk, chunks of 67 (the
-        # second holds both kinds, split mid-tile), or chunks of 100.
+        # second holds both kinds, split mid-group at lane 100), or chunks
+        # of 100.
         volume = _silent(_scan(seed=51, nx=10, ny=10))
         background = _scan(seed=52, nx=10, ny=10)
         want = scalar_denoised_volume(volume, background, 3e-4, 16)
         with _lanes_per_chunk(lanes):
             got = pipeline_denoise(volume, background, 3e-4, noise_window=16)
-        assert got.data.tobytes() == np.asarray(want).tobytes()
-
-    def test_background_lines_past_a_subtraction_strip_are_byte_equal(self):
-        # pipeline_denoise subtracts the background in strips of _TILE lines
-        # by 16 * _TILE steps: 70 traces of 1,100 samples cross both edges.
-        rng = np.random.default_rng(58)
-        volume = Volume.from_grid(rng.standard_normal((1, 70, 1100)), 1e-6)
-        background = Volume.from_grid(rng.standard_normal((1, 70, 1100)) * 0.5, 1e-6)
-        want = scalar_denoised_volume(volume, background, 3e-4, 16)
-        got = pipeline_denoise(volume, background, 3e-4, noise_window=16)
         assert got.data.tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("lanes", [None, 67])
@@ -729,7 +725,7 @@ class TestTiles:
             ({(0, 3): _loud_head()}, {(0, 1): _overflowing()}),  # a volume lane first
         ],
     )
-    def test_a_pipeline_lane_that_fails_mid_tile_is_the_scalar_error(
+    def test_a_pipeline_lane_that_fails_mid_group_is_the_scalar_error(
         self, lanes, volume_traces, background_traces
     ):
         volume = _with_traces(_scan(seed=53, nx=10, ny=10), volume_traces)
@@ -749,7 +745,7 @@ class TestTiles:
             ([(6, 1), (3, 7)], None, (3, 7)),
         ],
     )
-    def test_a_difference_that_overflows_mid_tile_is_checked_in_lane_order(
+    def test_a_difference_that_overflows_mid_group_is_checked_in_lane_order(
         self, lanes, differences, overflowing, named
     ):
         # Finite smoothed traces of opposite sign whose difference overflows,
@@ -772,9 +768,9 @@ class TestTiles:
 
     @pytest.mark.parametrize("block", [None, 7, 64])
     @pytest.mark.parametrize("kind", ["silent", "loud head", "overflowing", "huge envelope"])
-    def test_a_sweep_lane_that_fails_mid_tile_is_the_scalar_error(self, block, kind):
+    def test_a_sweep_lane_that_fails_mid_group_is_the_scalar_error(self, block, kind):
         # 9 sampled traces on the 15-point derived grid: the fifth trace's
-        # lanes are 60 to 74, across the first tile's edge.
+        # lanes are 60 to 74, across two groups' edges.
         volume = _scan(seed=57, nx=4, ny=4)
         kwargs = dict(n_sample=9, seed=6, noise_window=16, roi=ROI)
         fifth = np.random.default_rng(6).choice(16, size=9, replace=False)[4]
@@ -858,7 +854,7 @@ class TestLibrary:
         calls = []
 
         def lanes_smooth(*args):
-            calls.append(args[4:6])
+            calls.append(args[6:8])
             library.lanes_smooth(*args)
 
         with mock.patch.object(rts, "_library", lambda: mock.Mock(lanes_smooth=lanes_smooth)):
@@ -896,8 +892,10 @@ class TestLibrary:
         else:
             cache.parent.mkdir()
             cache.parent.chmod(0o500)
-            if os.access(cache.parent, os.W_OK):
-                pytest.skip("this user can write to a read-only directory")
+            # Root writes to a read-only directory all the same; the build's
+            # file is refused to every user as the mode refuses it to others.
+            refused = PermissionError(13, "Permission denied", str(cache))
+            monkeypatch.setattr(tempfile, "mkstemp", mock.Mock(side_effect=refused))
         capfd.readouterr()
         assert rts._library() is None
         with mock.patch.object(rts, "_numpy_passes", wraps=rts._numpy_passes) as fallback:
@@ -916,10 +914,12 @@ class TestLibrary:
         # thread hands the GIL back at every step, and a long switch
         # interval keeps it from taking the GIL before the call.
         library = rts._library()
-        n, m = 1 << 17, 8
-        xs = np.random.default_rng(0).standard_normal((n, m)).cumsum(axis=0)
-        variances, qs, rs = np.empty(8 * n), np.full(m, 1e-3), np.ones(m)
-        args = [a.ctypes.data for a in (xs, variances, qs, rs)] + [n, m, None]
+        m, n = 8, 1 << 17
+        rows = np.random.default_rng(0).standard_normal((m, n)).cumsum(axis=1)
+        addresses = rows.ctypes.data + rows.strides[0] * np.arange(m)
+        out, scratch, qs, rs = np.empty((m, n)), np.empty(2 * 8 * n), np.full(m, 1e-3), np.ones(m)
+        args = [addresses.ctypes.data, out.ctypes.data, None, scratch.ctypes.data,
+                qs.ctypes.data, rs.ctypes.data, n, m]
         holding = ctypes.PyDLL(library._name).lanes_smooth
         holding.argtypes, holding.restype = library.lanes_smooth.argtypes, None
 
