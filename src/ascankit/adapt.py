@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import _block_traces, _envelope_blocks, _psnrs
+from .metrics import _envelope_blocks, _psnrs
 from .model import (
     DataError,
     InfinitePsnrError,
@@ -175,31 +175,23 @@ def select_q(
         )
 
 
-def _helper_lane(count: int, n: int) -> int:
-    """The first of a chunk's ``count`` lanes of ``n`` steps that
-    ``_chunk_scores`` leaves to its helper thread: ``count`` (none) below
-    ``_SPLIT_SAMPLES``, else the envelope block boundary after the first half
-    of the blocks, rounded up."""
-    if count * n < _SPLIT_SAMPLES:
-        return count
-    size = _block_traces(count, n)
-    return min(count, (-(-count // size) + 1) // 2 * size)
-
-
 def _chunk_scores(
     smoothed: np.ndarray, roi: RoiSpec
 ) -> Tuple[List[float], Optional[Exception]]:
-    """``_lane_scores`` of the lanes (rows) of ``smoothed``.  The lanes
-    before ``_helper_lane`` are scored on this thread, and the rest, if any,
-    at once on a helper thread with its own buffers; the helper has ended
-    when this returns or raises.  A block holds the lanes it would hold
-    unsplit, so every score has the same bits.  As in one pass over the
-    lanes, the first failing lane's error is returned, and an exception that
-    escapes the helper is raised unless this thread's lanes failed first."""
-    split = _helper_lane(*smoothed.shape)
+    """``_lane_scores`` of the lanes (rows) of ``smoothed``.  A chunk of at
+    least ``_SPLIT_SAMPLES`` samples is split at half its lanes, rounded up:
+    this thread scores the first part, and a helper thread with its own
+    buffers the rest at once; the helper has ended when this returns or
+    raises.  Each lane's envelope and score are taken from its own row
+    alone, so every score has the bits it has unsplit.  As in one pass over
+    the lanes, the first failing lane's error is returned, and an exception
+    that escapes the helper is raised unless this thread's lanes failed
+    first."""
+    count, n = smoothed.shape
+    split = count if count * n < _SPLIT_SAMPLES else (count + 1) // 2
     outcome: List[object] = []
     helper = None
-    if split < len(smoothed):
+    if split < count:
         helper = threading.Thread(
             target=_call_into, args=(outcome, _lane_scores, smoothed[split:], roi)
         )

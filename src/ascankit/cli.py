@@ -380,30 +380,27 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _reference_arm(
-    volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec, source: str,
-    images: Dict[str, EnvelopeImage], claim: threading.Lock, stop: threading.Event,
-) -> Tuple[List[Tuple[int, int, float]], Optional[Exception]]:
+    volume: Volume, background: Optional[Volume], cutoff_hz: float, roi: RoiSpec,
+    stop: threading.Event,
+) -> Tuple[List[Tuple[int, int, float]], Optional[EnvelopeImage], Optional[Exception]]:
     """``compare``'s second thread: the FIR reference's scores up to its first
-    failing trace and its image, then, if it takes ``claim`` first, the
-    input's image; the images go into ``images``.  The FIR's error raises; a
-    later one is returned, for the caller to order.  Once ``stop`` is set, it
-    returns before its next step: the next scan line, or the input's image."""
+    failing trace, its image (None if a trace failed or it stopped) and the
+    scoring error.  The FIR's error raises; a scoring error is returned, for
+    the caller to order.  Once ``stop`` is set, it returns before its next
+    scan line."""
     reference = baseline_denoise(volume, background, cutoff_hz)
     scores: List[Tuple[int, int, float]] = []
     if stop.is_set():
-        return scores, None
+        return scores, None, None
     pixels = np.empty((volume.nx, volume.ny))
     try:
         for score in _scores(reference, roi, "baseline output", pixels):
             scores.append(score)  # kept up to an error
             if score[1] == volume.ny - 1 and stop.is_set():
-                return scores, None
-        images["baseline"] = EnvelopeImage(volume.nx, volume.ny, pixels)
-        if claim.acquire(blocking=False):
-            images["input"] = _reconstruct(volume, source)
+                return scores, None, None
     except (DataError, NumericsError) as exc:
-        return scores, exc
-    return scores, None
+        return scores, None, exc
+    return scores, EnvelopeImage(volume.nx, volume.ny, pixels), None
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -414,19 +411,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # The reference needs no q, and its FIR passes and envelope FFTs release
     # the GIL, so a second thread filters, scores and images it while q is
     # chosen and the pipeline runs and is scored.  The input's image depends
-    # on neither filter: the thread that takes ``claim`` first, each once its
-    # scores are done (the main thread only if its own raised nothing), makes
-    # it.  The main thread joins the worker on every path.  Errors keep a
+    # on neither filter: the main thread makes it once its own scores raised
+    # nothing.  The main thread joins the worker on every path.  Errors keep a
     # sequential run's order: q's, the pipeline's, the FIR's, the earlier
     # trace's scoring error (the pipeline's at a tie), then the input image's.
     # As q's and the pipeline's errors come first, the worker stops early
     # after one of them.
-    images: Dict[str, EnvelopeImage] = {}
-    claim, stop, outcome = threading.Lock(), threading.Event(), []
+    stop, outcome = threading.Event(), []
     worker = threading.Thread(
         target=_call_into,
-        args=(outcome, _reference_arm, volume, background, config.lp_cutoff_hz, roi,
-              args.input, images, claim, stop),
+        args=(outcome, _reference_arm, volume, background, config.lp_cutoff_hz, roi, stop),
     )
     worker.start()
     try:
@@ -440,8 +434,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         error: Optional[Exception] = None
         try:
             scored.extend(_scores(pipeline, roi, "pipeline output", pixels))
-            if claim.acquire(blocking=False):
-                images["input"] = _reconstruct(volume, args.input)
+            input_image = _reconstruct(volume, args.input)
         except (DataError, NumericsError) as exc:
             error = exc
     except BaseException:
@@ -452,7 +445,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     (result,) = outcome
     if isinstance(result, BaseException):
         raise result
-    reference, reference_error = result
+    reference, reference_image, reference_error = result
     # An input image's error has every trace scored before it, so it comes
     # after any scoring error of the other arm.
     if error is None or (reference_error is not None and len(reference) < len(scored)):
@@ -463,7 +456,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         (x, y, score, ref, score - ref)
         for (x, y, score), (_, _, ref) in zip(scored, reference)
     ]
-    images["pipeline"] = EnvelopeImage(volume.nx, volume.ny, pixels)
 
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.csv")
@@ -486,8 +478,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         "n_gain_positive": str(int((gain_arr > 0).sum())),
     }
     atomic_write_text(summary_path, format_kv(summary))
-    for tag in ("input", "pipeline", "baseline"):
-        write_image(images[tag], os.path.join(args.output, f"{tag}.pgm"))
+    for tag, image in (("input", input_image),
+                       ("pipeline", EnvelopeImage(volume.nx, volume.ny, pixels)),
+                       ("baseline", reference_image)):
+        write_image(image, os.path.join(args.output, f"{tag}.pgm"))
     print(f"mean_psnr_gain_db: {float(gain_arr.mean())!r}")
     print(f"wrote {report_path}")
     print(f"wrote {summary_path}")

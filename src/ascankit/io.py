@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .model import DataError, EnvelopeImage, RoiSpec, Volume
+from .model import DataError, EnvelopeImage, RoiSpec, Volume, _sample_at
 
 __all__ = [
     "VOLUME_MAGIC",
@@ -188,10 +188,8 @@ def _encoded(volume: Volume, dtype: str) -> np.ndarray:
         samples = np.ascontiguousarray(volume.data, dtype=_DTYPES[dtype])
     if not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         flat = int(np.argmin(np.isfinite(samples)))
-        x, rem = divmod(flat, volume.ny * volume.nt)
-        y, t = divmod(rem, volume.nt)
         raise DataError(
-            f"volume sample at (x={x}, y={y}, t={t}) = {float(volume.data[flat])!r} "
+            f"volume sample at {_sample_at(volume, flat)} = {float(volume.data[flat])!r} "
             f"overflows {dtype}"
         )
     return samples

@@ -30,17 +30,12 @@ __all__ = ["envelope", "reconstruct", "psnr", "psnr_gain"]
 _ENVELOPE_SAMPLES = 1 << 14
 
 
-def _block_traces(count: int, n: int) -> int:
-    """Traces per block of ``_envelope_blocks`` over ``count`` traces of ``n``
-    samples; only the last block can hold fewer."""
-    return max(1, min(count, _ENVELOPE_SAMPLES // n))
-
-
 def _envelope_blocks(traces: np.ndarray) -> Iterator[np.ndarray]:
     """Envelopes of the rows of the 2-D ``traces``, in order.  Yields a
-    C-ordered (traces, samples) block of whole traces at a time, under
-    ``_ENVELOPE_SAMPLES``: a view of a buffer that is allocated once per
-    call and that the next block overwrites.
+    C-ordered (traces, samples) block of whole traces at a time, as many as
+    fit ``_ENVELOPE_SAMPLES`` but at least one (only the last block can hold
+    fewer): a view of a buffer that is allocated once per call and that the
+    next block overwrites.  A row's envelope has the same bits in any block.
 
     Built in the frequency domain: positive frequencies doubled, negative
     frequencies zeroed, DC (and Nyquist for even lengths) kept as is.  Each
@@ -57,7 +52,7 @@ def _envelope_blocks(traces: np.ndarray) -> Iterator[np.ndarray]:
         weights[1 : n // 2] = 2.0
     else:
         weights[1 : (n + 1) // 2] = 2.0
-    size = _block_traces(count, n)
+    size = max(1, min(count, _ENVELOPE_SAMPLES // n))
     spectra = np.empty((size, n), dtype=complex)
     envelopes = np.empty((size, n))
     for lo in range(0, count, size):

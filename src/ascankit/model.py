@@ -159,10 +159,15 @@ def validate_volume(volume: Volume) -> Volume:
     # searched for when one of them is not finite.
     if not (np.isfinite(volume.data.min()) and np.isfinite(volume.data.max())):
         flat = int(np.argmin(np.isfinite(volume.data)))
-        x, rem = divmod(flat, volume.ny * volume.nt)
-        y, t = divmod(rem, volume.nt)
-        raise DataError(f"volume sample at (x={x}, y={y}, t={t}) is not finite")
+        raise DataError(f"volume sample at {_sample_at(volume, flat)} is not finite")
     return volume
+
+
+def _sample_at(volume: Volume, flat: int) -> str:
+    """``(x=…, y=…, t=…)`` of the sample at flat index ``flat`` of ``volume``."""
+    x, rem = divmod(flat, volume.ny * volume.nt)
+    y, t = divmod(rem, volume.nt)
+    return f"(x={x}, y={y}, t={t})"
 
 
 @dataclass(frozen=True)

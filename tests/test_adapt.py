@@ -259,7 +259,7 @@ def scored_by(monkeypatch):
 
 class TestSplitScores:
     """Above ``_SPLIT_SAMPLES`` a chunk's lanes are scored on two threads, the
-    calling thread taking the first half of its envelope blocks: the report
+    calling thread taking the first half of its lanes, rounded up: the report
     and the first error are those of one thread."""
 
     @pytest.fixture
@@ -267,7 +267,8 @@ class TestSplitScores:
         monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1)
 
     def test_a_split_sweep_gives_the_one_thread_report_bit_for_bit(self, monkeypatch, scored_by):
-        # 8 traces x 11 candidates of 2048 samples: 11 blocks of 8 lanes.
+        # 8 traces x 11 candidates of 2048 samples: 11 blocks of 8 lanes,
+        # split in the sixth.
         volume, grid = _example_volume(), np.geomspace(1e-6, 1e-1, 11)
         threads = threading.active_count()
         monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1 << 62)
@@ -275,23 +276,23 @@ class TestSplitScores:
         assert [call[:2] for call in scored_by] == [(True, 88)]
         monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1)
         split = select_q(volume, grid, n_sample=8, seed=0, roi=ROI)
-        assert [call[:2] for call in scored_by[1:]] == [(True, 48), (False, 40)]
+        assert [call[:2] for call in scored_by[1:]] == [(True, 44), (False, 44)]
         assert _report_bits(split) == _report_bits(whole)
         assert threading.active_count() == threads
 
     def test_unbounded_scores_are_inf_in_either_part(self, monkeypatch, scored_by, split_all):
-        # 12 lanes in 3 blocks: the helper scores lanes 8-11, the third
-        # trace's last candidate and the fourth trace's three.
-        volume, order = _sampled_volume(_rows(["silent", "noise", "silent", "noise"]))
-        split = select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+        # 15 lanes split 8/7: the helper scores lanes 8-14, the third trace's
+        # last candidate and the fourth and fifth traces' three each.
+        volume, order = _sampled_volume(_rows(["silent", "noise", "silent", "noise", "noise"]))
+        split = select_q(volume, GRID_SPLIT, n_sample=5, noise_window=16, roi=ROI_SPLIT)
         (_, _, (mine, error)), (_, _, (theirs, their_error)) = scored_by
         assert (error, their_error) == (None, None)
         inf = [s == math.inf for s in mine + theirs]
-        assert inf == [True] * 3 + [False] * 3 + [True] * 3 + [False] * 3
+        assert inf == [True] * 3 + [False] * 3 + [True] * 3 + [False] * 6
         assert (len(mine), theirs[0]) == (8, math.inf)
         monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1 << 62)
         assert _report_bits(split) == _report_bits(
-            select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+            select_q(volume, GRID_SPLIT, n_sample=5, noise_window=16, roi=ROI_SPLIT)
         )
         assert split.best_psnr_per_trace[0] == split.best_psnr_per_trace[2] == math.inf
         assert split.best_q_per_trace[0] == split.best_q_per_trace[2] == GRID_SPLIT[0]
@@ -303,15 +304,16 @@ class TestSplitScores:
         ids=["helper-only", "both-parts", "across-the-split"],
     )
     def test_the_first_failing_lane_names_its_trace(self, scored_by, split_all, loud, named):
-        kinds = ["loud" if i in loud else "noise" for i in range(4)]
+        # 15 lanes split 8/7: the third trace's lanes are 6-8.
+        kinds = ["loud" if i in loud else "noise" for i in range(5)]
         volume, order = _sampled_volume(_rows(kinds))
         threads = threading.active_count()
         with pytest.raises(NumericsError) as exc:
-            select_q(volume, GRID_SPLIT, n_sample=4, noise_window=16, roi=ROI_SPLIT)
+            select_q(volume, GRID_SPLIT, n_sample=5, noise_window=16, roi=ROI_SPLIT)
         assert str(exc.value) == (
             f"trace (x=0, y={order[named]}): noise power outside the roi overflows"
         )
-        assert [call[:2] for call in scored_by] == [(True, 8), (False, 4)]
+        assert [call[:2] for call in scored_by] == [(True, 8), (False, 7)]
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("escaping", ["warning", "base"])
@@ -365,19 +367,43 @@ class TestSplitScores:
 
 
 class TestSplitPlacement:
-    """Like ``TestDefaultCap``: which of the benchmark's sweep chunks split."""
+    """Like ``TestDefaultCap``: which of the benchmark's sweep chunks split,
+    and that a split anywhere in the envelope blocks keeps the report's bits."""
 
-    def test_the_long_sweep_splits_at_half_its_blocks(self):
-        # The q sweep of 8 traces of 4096 samples on a 15-point grid is one
-        # chunk of 30 blocks of 4 lanes.
-        assert rts._chunk_width(8 * 15, 4096) == 120
-        assert metrics._block_traces(120, 4096) == 4
-        assert adapt._helper_lane(120, 4096) == 60
+    @pytest.mark.parametrize(
+        "count, n, calls",
+        [(120, 4096, [(True, 60), (False, 60)]), (60, 1024, [(True, 60)])],
+        ids=["sweep-long", "volume-wide"],
+    )
+    def test_the_benchmark_sweeps_split_at_half_or_not_at_all(self, scored_by, count, n, calls):
+        # 8 traces of 4096 samples and 4 of 1024 on a 15-point grid, one
+        # chunk each.
+        assert rts._chunk_width(count, n) == count
+        rows = np.random.default_rng(3).normal(0.0, 0.1, (count, n))
+        adapt._chunk_scores(rows, RoiSpec(n // 4, n // 2))
+        assert [call[:2] for call in scored_by] == calls
 
-    def test_the_wide_volumes_sweep_does_not_split(self):
-        # 4 traces of 1024 samples on a 15-point grid: 4 blocks of 16 lanes.
-        assert adapt._helper_lane(60, 1024) == 60
-
-    @pytest.mark.parametrize("count, n, first", [(5, 1 << 17, 3), (1, 1 << 20, 1), (9, 1 << 15, 5)])
-    def test_the_caller_takes_the_larger_half_of_the_blocks(self, count, n, first):
-        assert adapt._helper_lane(count, n) == first
+    @pytest.mark.parametrize("nt, n_sample, points", [(257, 8, 11), (2048, 8, 11), (33000, 3, 3)])
+    def test_a_split_off_a_block_boundary_keeps_the_report_bits(
+        self, monkeypatch, scored_by, nt, n_sample, points
+    ):
+        count, block = n_sample * points, max(1, metrics._ENVELOPE_SAMPLES // nt)
+        split = (count + 1) // 2
+        assert rts._chunk_width(count, nt) == count
+        # Blocks of 63 and 8 lanes split mid-block; at 33,000 samples a block
+        # holds one lane.
+        assert (split % block != 0) == (block > 1)
+        rng = np.random.default_rng(11)
+        t = np.arange(nt)
+        pulse = np.exp(-(((t - 3 * nt / 8) / (nt / 32)) ** 2)) * np.sin(t * 0.7)
+        data = rng.normal(0.0, 0.1, (1, n_sample, nt)) + pulse
+        volume, grid = Volume.from_grid(data, 1e-8), np.geomspace(1e-8, 1e-2, points)
+        roi = RoiSpec(nt // 4, nt // 2)
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1 << 62)
+        whole = select_q(volume, grid, n_sample=n_sample, roi=roi)
+        monkeypatch.setattr(adapt, "_SPLIT_SAMPLES", 1)
+        halves = select_q(volume, grid, n_sample=n_sample, roi=roi)
+        assert [call[:2] for call in scored_by] == [
+            (True, count), (True, split), (False, count - split)
+        ]
+        assert _report_bits(halves) == _report_bits(whole)

@@ -477,12 +477,13 @@ class TestCompare:
 
 
 class TestCompareReferenceThread:
-    """compare runs the FIR reference, its scores and the input's image on a
-    worker thread while q is chosen and the pipeline runs and is scored.  The
-    errors keep their sequential precedence: q's and the pipeline's come
-    first, the reference's only after ``q_final:``, then the earlier trace's
-    scoring error (the pipeline's at a tie), then the input image's.  The
-    worker has finished when main returns, on every path."""
+    """compare runs the FIR reference, its scores and its image on a worker
+    thread while q is chosen and the pipeline runs and is scored; the main
+    thread then makes the input's image.  The errors keep their sequential
+    precedence: q's and the pipeline's come first, the reference's only after
+    ``q_final:``, then the earlier trace's scoring error (the pipeline's at a
+    tie), then the input image's.  The worker has finished when main returns,
+    on every path."""
 
     @pytest.mark.parametrize(
         "faults, code, error",
@@ -559,56 +560,41 @@ class TestCompareReferenceThread:
         assert not out.exists()
 
     @staticmethod
-    def _spied_compare(tiny_scan, tmp_path, monkeypatch, fail=(), hold=None, tag="cmp"):
+    def _spied_compare(tiny_scan, tmp_path, monkeypatch, fail=()):
         """Run compare with ``cli._scores`` and ``cli._reconstruct`` wrapped:
         an arm named in ``fail`` (``"pipeline"`` or ``"baseline"``, with a flat
         trace index) raises at that trace, ``"image"`` fails the input's image
-        and ``"fir"`` the reference's filter.  ``hold="worker"`` holds the
-        worker before its FIR, and ``hold="main"`` the main thread in the
-        pipeline, until the other thread has begun the input's image or its
-        scores have raised.  Checks that the worker has ended, that a held
-        thread was released, and that only a success leaves an output
-        directory, and returns the exit code, the thread that scored each arm
-        and the threads that began the input's image."""
+        and ``"fir"`` the reference's filter.  Checks that the worker has
+        ended and that only a success leaves an output directory, and returns
+        the exit code, the thread that scored each arm and the threads that
+        began the input's image."""
         fail, threads, imaged = dict(fail), {}, []
-        released = threading.Event()
-        scores, reconstruct = cli._scores, cli._reconstruct
-        fir, pipeline = cli.baseline_denoise, cli.pipeline_denoise
+        scores, reconstruct, fir = cli._scores, cli._reconstruct, cli.baseline_denoise
 
         def failing_scores(volume, roi, source, pixels=None):
             arm = source.split()[0]
             threads[arm] = threading.current_thread()
             for i, (x, y, score) in enumerate(scores(volume, roi, source, pixels)):
                 if fail.get(arm) == i:
-                    released.set()
                     raise NumericsError(f"{source}: trace (x={x}, y={y}): {arm} failed")
                 yield x, y, score
 
         def failing_reconstruct(volume, source):
             imaged.append(threading.current_thread())
-            released.set()
             if "image" in fail:
                 raise DataError(f"{source}: image failed")
             return reconstruct(volume, source)
 
         def failing_fir(*args):
-            if hold == "worker":
-                assert released.wait(10)
             if "fir" in fail:
                 raise DataError("fir failed")
             return fir(*args)
 
-        def held_pipeline(*args, **kwargs):
-            if hold == "main":
-                assert released.wait(10)
-            return pipeline(*args, **kwargs)
-
         monkeypatch.setattr(cli, "_scores", failing_scores)
         monkeypatch.setattr(cli, "_reconstruct", failing_reconstruct)
         monkeypatch.setattr(cli, "baseline_denoise", failing_fir)
-        monkeypatch.setattr(cli, "pipeline_denoise", held_pipeline)
         count = threading.active_count()
-        out = tmp_path / tag
+        out = tmp_path / "cmp"
         rc = main(["compare", "--input", tiny_scan["scan"], "--config", tiny_scan["config"],
                    "--output", str(out)])
         assert threading.active_count() == count
@@ -640,30 +626,6 @@ class TestCompareReferenceThread:
         assert captured.err == f"error: {error.format(scan=tiny_scan['scan'])} failed\n"
         assert captured.out.startswith("q_final: ")
 
-    @pytest.mark.parametrize(
-        "fail, code, error",
-        [
-            ({"image": 0, "pipeline": 5}, 3, "pipeline output: trace (x=2, y=1): pipeline"),
-            ({"image": 0, "baseline": 5}, 3, "baseline output: trace (x=2, y=1): baseline"),
-            ({"image": 0}, 2, "{scan}: image"),
-        ],
-        ids=["image+pipeline", "image+baseline", "image"],
-    )
-    @pytest.mark.parametrize("hold", ["worker", "main"])
-    def test_an_image_error_comes_last_whichever_thread_made_the_image(
-        self, tiny_scan, tmp_path, monkeypatch, capsys, hold, fail, code, error
-    ):
-        # The held thread makes the image only where the other one's scores
-        # raised, as a thread whose own scores raised does not claim it.
-        rc, threads, imaged = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail, hold)
-        captured = capsys.readouterr()
-        assert rc == code
-        assert captured.err == f"error: {error.format(scan=tiny_scan['scan'])} failed\n"
-        arms = {"worker": "pipeline", "main": "baseline"}
-        failed = arms[hold] in fail
-        assert (imaged == [threading.main_thread()]) == ((hold == "worker") != failed)
-        assert (imaged == [threads["baseline"]]) == ((hold == "main") != failed)
-
     def test_the_reference_is_scored_off_the_main_thread_and_the_input_imaged_once(
         self, tiny_scan, tmp_path, monkeypatch
     ):
@@ -671,27 +633,19 @@ class TestCompareReferenceThread:
         assert rc == 0
         assert threads["pipeline"] is threading.main_thread()
         assert threads["baseline"] is not threading.main_thread()
-        assert len(imaged) == 1
-        assert imaged[0] in (threading.main_thread(), threads["baseline"])
+        assert imaged == [threading.main_thread()]
 
-    def test_either_thread_makes_the_input_image_with_the_same_bytes(
-        self, tiny_scan, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "fail, imaged_once",
+        [({"baseline": 1}, True), ({"image": 0}, True), ({"fir": 0}, True),
+         ({"pipeline": 1}, False), ({"pipeline": 5, "baseline": 1}, False)],
+        ids=["baseline", "image", "fir", "pipeline", "pipeline+baseline"],
+    )
+    def test_the_main_thread_images_the_input_once_its_own_scores_raised_nothing(
+        self, tiny_scan, tmp_path, monkeypatch, fail, imaged_once
     ):
-        # Held in its FIR until the main thread has scored and begun the
-        # image, the worker finds it taken; with the main thread held in the
-        # pipeline until the worker has begun it, the main thread does.
-        outs = {}
-        for hold, maker in (("worker", "pipeline"), ("main", "baseline")):
-            rc, threads, imaged = self._spied_compare(
-                tiny_scan, tmp_path, monkeypatch, hold=hold, tag=hold
-            )
-            assert rc == 0
-            assert imaged == [threads[maker]]
-            outs[hold] = tmp_path / hold
-            monkeypatch.undo()  # the next run wraps the real functions
-        for name in ("report.csv", "summary.txt", "input.pgm", "input.pgm.meta",
-                     "pipeline.pgm", "baseline.pgm"):
-            assert (outs["worker"] / name).read_bytes() == (outs["main"] / name).read_bytes()
+        _, _, imaged = self._spied_compare(tiny_scan, tmp_path, monkeypatch, fail)
+        assert imaged == ([threading.main_thread()] if imaged_once else [])
 
     @pytest.mark.parametrize("fault", ["select", "pipeline"])
     @pytest.mark.parametrize("waits", ["fir", "line"])
