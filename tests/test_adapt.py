@@ -383,6 +383,28 @@ class TestSplitPlacement:
         adapt._chunk_scores(rows, RoiSpec(n // 4, n // 2))
         assert [call[:2] for call in scored_by] == calls
 
+    @pytest.mark.parametrize(
+        "count, n, calls",
+        [
+            (5, 1 << 15, [(True, 3), (False, 2)]),
+            (9, 1 << 15, [(True, 5), (False, 4)]),
+            (1, 1 << 17, [(True, 1)]),
+            (2, 1 << 16, [(True, 1), (False, 1)]),
+            (3, 43690, [(True, 3)]),
+        ],
+        ids=["odd", "odd-wide", "one-lane", "at-the-floor", "under-the-floor"],
+    )
+    def test_the_caller_takes_the_larger_half_of_the_lanes(self, scored_by, count, n, calls):
+        # A chunk of _SPLIT_SAMPLES samples or more splits, a one-lane chunk
+        # never: its helper would have no lane.
+        assert adapt._SPLIT_SAMPLES == 1 << 17
+        threads = threading.active_count()
+        rows = np.random.default_rng(5).normal(0.0, 0.1, (count, n))
+        scores, error = adapt._chunk_scores(rows, RoiSpec(n // 4, n // 2))
+        assert [call[:2] for call in scored_by] == calls
+        assert (len(scores), error) == (count, None)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("nt, n_sample, points", [(257, 8, 11), (2048, 8, 11), (33000, 3, 3)])
     def test_a_split_off_a_block_boundary_keeps_the_report_bits(
         self, monkeypatch, scored_by, nt, n_sample, points
